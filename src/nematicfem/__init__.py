@@ -14,7 +14,7 @@ from .estimator import EstimatorBreakdown, estimate, estimate_dg, estimate_nitsc
 from .fespace import (Field, Space, discrete_norm, energy_error_norm,
                       free_energy, interpolate, l2_error_norm, l2_norm,
                       prolong)
-from .forms import MethodConfig, jacobian_matrix, residual_vector
+from .forms import MethodConfig, residual_vector
 from .mesh import DomainShape, Mesh, build_initial_mesh, nvb_refine, red_refine
 from .problems import ProblemSpec, device_problem, lshape_problem, make_problem, slit_problem
 from .solver import (NewtonConfig, NewtonReport, director_guess,
@@ -25,8 +25,8 @@ __all__ = [
     "element_indicators", "EstimatorBreakdown", "estimate", "estimate_dg",
     "estimate_nitsche", "Field", "Space", "discrete_norm",
     "energy_error_norm", "free_energy", "interpolate", "l2_error_norm",
-    "l2_norm", "prolong", "MethodConfig", "jacobian_matrix",
-    "residual_vector", "DomainShape", "Mesh", "build_initial_mesh",
+    "l2_norm", "prolong", "MethodConfig", "residual_vector",
+    "DomainShape", "Mesh", "build_initial_mesh",
     "nvb_refine", "red_refine", "ProblemSpec", "device_problem",
     "lshape_problem", "make_problem", "slit_problem", "NewtonConfig",
     "NewtonReport", "director_guess", "laplace_guess", "newton_solve",

@@ -1,10 +1,13 @@
-"""SOLVE -> ESTIMATE -> MARK -> REFINE with Doerfler marking.
+"""The level driver SOLVE -> ESTIMATE -> RECORD -> REFINE, and Doerfler
+marking for its adaptive mode.
 
-Element indicators combine the volume term with the full value of every
-adjacent edge term (shared edges count toward both neighbours).  Marking
-selects a minimal set under descending-indicator greedy accumulation; ties
-are broken by triangle id.  Refinement is one newest-vertex bisection of
-each marked triangle plus closure.
+One driver runs every study: uniform studies pass red refinement, adaptive
+ones Doerfler marking plus newest-vertex bisection.  Element indicators
+combine the volume term with the full value of every adjacent edge term
+(shared edges count toward both neighbours).  Marking selects a minimal
+set under descending-indicator greedy accumulation; ties are broken by
+triangle id.  Refinement is one newest-vertex bisection of each marked
+triangle plus closure.
 """
 
 from dataclasses import dataclass
@@ -15,8 +18,9 @@ import numpy as np
 
 from .estimator import EstimatorBreakdown, estimate
 from .exceptions import ConfigError, NewtonError
-from .fespace import (CONTINUOUS, DG, Field, Space, energy_error_norm,
-                      free_energy, l2_error_norm, prolong)
+from .fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
+                      energy_error_norm, free_energy, l2_error_norm, l2_norm,
+                      prolong)
 from .forms import MethodConfig
 from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
@@ -120,16 +124,19 @@ def check_dorfler(indicators, marked, theta: float):
     return holds, minimal
 
 
-def _transfer_guess(field: Field, fine_space: Space) -> Field:
-    return prolong(field, fine_space)
+def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
+                 ncfg: NewtonConfig, refine, max_levels: int, state=None,
+                 target_ndof: Optional[int] = None,
+                 keep_solutions: bool = False, mesh_dump_dir=None):
+    """Solve, estimate and record on ``mesh``, then on ``refine(mesh,
+    breakdown)``, for at most ``max_levels`` levels or until a level reaches
+    ``target_ndof``; returns a list of LevelRecord (and the solutions when
+    requested).
 
-
-def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
-                  ncfg: NewtonConfig, acfg: AdaptConfig, state=None,
-                  keep_solutions: bool = False, mesh_dump_dir=None):
-    """Run the adaptive cycle; returns a list of LevelRecord (and the final
-    solutions when requested).
-
+    Newton starts from the prolonged previous solution, on level 0 from
+    the director guess of ``state`` or else the Laplace guess.  Problems
+    with an exact solution record its energy and L2 errors; the others
+    record the norms of the difference to the prolonged previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
     nonconvergence aborts with the completed level records attached to the
     raised :class:`NewtonError`.
@@ -137,22 +144,22 @@ def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
     kind = CONTINUOUS if cfg.method == "nitsche" else DG
     records = []
     solutions = []
-    mesh = initial_mesh
     previous = None
-    for level in range(acfg.max_levels):
+    for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
             out.mkdir(parents=True, exist_ok=True)
             mesh.dump(out / f"level_{level:03d}.mesh.txt")
         space = Space(mesh, kind)
-        if previous is None:
-            if state is not None:
-                guess = director_guess(space, problem.epsilon, state)
-            else:
-                guess = laplace_guess(space, cfg, problem.g, problem.f)
+        if previous is not None:
+            guess = prolong(previous, space)
+        elif state is not None:
+            guess = director_guess(space, problem.epsilon, state)
         else:
-            guess = _transfer_guess(previous, space)
+            guess = laplace_guess(space, cfg, problem.g, problem.f)
         try:
+            # looked up as this module's global on every call: the benchmark
+            # rebinds ``adapt.newton_solve`` to capture each level's solution
             field, report = newton_solve(space, cfg, problem.g, problem.f,
                                          guess, ncfg)
         except NewtonError as exc:
@@ -169,24 +176,41 @@ def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
                                                problem.g, cfg.method, cfg.sigma)
             rec.err_l2 = l2_error_norm(field, problem.exact)
             rec.c_eff = rec.estimator / rec.err_energy
+        elif previous is not None:
+            diff = Field(space, field.coeffs - guess.coeffs)
+            rec.err_energy = discrete_norm(diff, cfg.method, cfg.sigma)
+            rec.err_l2 = l2_norm(diff)
         if records:
             prev = records[-1]
             ratio = np.log(rec.ndof / prev.ndof)
-            if problem.has_exact:
+            if np.isfinite(prev.err_energy):
                 rec.order_e = np.log(prev.err_energy / rec.err_energy) / ratio
             rec.order_est = np.log(prev.estimator / rec.estimator) / ratio
         records.append(rec)
         if keep_solutions:
             solutions.append(field)
 
-        if level == acfg.max_levels - 1:
+        if level == max_levels - 1 or (target_ndof is not None
+                                       and space.ndof >= target_ndof):
             break
-        if acfg.target_ndof is not None and space.ndof >= acfg.target_ndof:
-            break
-        indicators = element_indicators(breakdown, mesh)
-        marked = dorfler_mark(indicators, acfg.dorfler_theta)
-        mesh = nvb_refine(mesh, marked)
+        mesh = refine(mesh, breakdown)
         previous = field
     if keep_solutions:
         return records, solutions
     return records
+
+
+def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
+                  ncfg: NewtonConfig, acfg: AdaptConfig, state=None,
+                  keep_solutions: bool = False, mesh_dump_dir=None):
+    """Run the adaptive cycle: :func:`solve_levels` with Doerfler marking
+    and newest-vertex bisection."""
+    def refine(mesh, breakdown):
+        indicators = element_indicators(breakdown, mesh)
+        return nvb_refine(mesh, dorfler_mark(indicators, acfg.dorfler_theta))
+
+    return solve_levels(problem, initial_mesh, cfg, ncfg, refine,
+                        acfg.max_levels, state=state,
+                        target_ndof=acfg.target_ndof,
+                        keep_solutions=keep_solutions,
+                        mesh_dump_dir=mesh_dump_dir)

@@ -1,12 +1,13 @@
 """Convergence-study harness, rate computation and output emission.
 
-Uniform studies red-refine level by level, warm-starting Newton with the
-prolonged previous solution.  For manufactured problems they record energy
-and L2 errors against the exact solution; for the device they record the
-discrete energy and the mesh-dependent/L2 norms of the difference between
-successive-level solutions (computed on the finer mesh via exact
+Both modes run the level driver :func:`nematicfem.adapt.solve_levels`:
+uniform studies with red refinement, adaptive ones with Doerfler marking
+and newest-vertex bisection.  For manufactured problems the driver records
+energy and L2 errors against the exact solution; for the device it records
+the discrete energy and the mesh-dependent/L2 norms of the difference
+between successive-level solutions (computed on the finer mesh via exact
 prolongation), which is what the successive-difference orders are fitted
-to.  Adaptive studies wrap the adaptive loop.
+to.  Uniform studies add the orders against h.
 
 Outputs: ``convergence.csv`` (full-precision, byte-reproducible),
 ``meta.json`` (every knob that affects numbers) and a self-contained
@@ -22,16 +23,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .adapt import AdaptConfig, LevelRecord, adaptive_loop
-from .estimator import estimate
+from .adapt import AdaptConfig, LevelRecord, adaptive_loop, solve_levels
 from .exceptions import ConfigError
-from .fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
-                      energy_error_norm, free_energy, l2_error_norm, l2_norm,
-                      prolong)
 from .forms import MethodConfig
 from .mesh import build_initial_mesh, red_refine
-from .problems import ProblemSpec, make_problem
-from .solver import NewtonConfig, director_guess, laplace_guess, newton_solve
+from .problems import make_problem
+# newton_solve stays importable here: the benchmark's per-level hook
+# rebinds it in this module and in ``adapt``, whose driver makes the call
+from .solver import NewtonConfig, newton_solve
 
 # red refinements applied to the coarse shape mesh before level 0; the
 # L-shape default puts level 0 at 42 dofs and the device default at
@@ -98,63 +97,29 @@ def initial_mesh_for(cfg: RunConfig):
     return problem, mesh
 
 
-def _solve_level(problem: ProblemSpec, space: Space, cfg: RunConfig, guess):
-    mcfg = cfg.method_config()
-    if guess is None:
-        if cfg.state is not None:
-            guess = director_guess(space, problem.epsilon, cfg.state)
-        else:
-            guess = laplace_guess(space, mcfg, problem.g, problem.f)
-    return newton_solve(space, mcfg, problem.g, problem.f, guess,
-                        cfg.newton_config())
+def _mesh_dump_dir(cfg: RunConfig):
+    return Path(cfg.out or ".") / "meshes" if cfg.dump_meshes else None
 
 
 def run_uniform_study(cfg: RunConfig) -> ConvergenceTable:
     if cfg.refine != "uniform":
         raise ConfigError("run_uniform_study needs a uniform-mode config")
     problem, mesh = initial_mesh_for(cfg)
-    mcfg = cfg.method_config()
-    kind = CONTINUOUS if cfg.method == "nitsche" else DG
-
-    records = []
-    previous = None
-    for level in range(cfg.levels):
-        space = Space(mesh, kind)
-        guess = prolong(previous, space) if previous is not None else None
-        field, report = _solve_level(problem, space, cfg, guess)
-        breakdown = estimate(field, mcfg, problem.g, problem.f)
-        rec = LevelRecord(
-            level=level, ndof=space.ndof, n_triangles=mesh.n_triangles,
-            h_max=mesh.max_diameter(), energy=free_energy(field, cfg.epsilon),
-            estimator=breakdown.total, newton_iters=report.iterations)
-        if problem.has_exact:
-            rec.err_energy = energy_error_norm(field, problem.exact_grad,
-                                               problem.g, cfg.method, cfg.sigma)
-            rec.err_l2 = l2_error_norm(field, problem.exact)
-            rec.c_eff = rec.estimator / rec.err_energy
-        elif previous is not None:
-            coarse_on_fine = prolong(previous, space)
-            diff = Field(space, field.coeffs - coarse_on_fine.coeffs)
-            rec.err_energy = discrete_norm(diff, cfg.method, cfg.sigma)
-            rec.err_l2 = l2_norm(diff)
-        records.append(rec)
-        if level < cfg.levels - 1:
-            mesh = red_refine(mesh)
-            previous = field
-    _fill_uniform_orders(records)
+    records = solve_levels(problem, mesh, cfg.method_config(),
+                           cfg.newton_config(),
+                           lambda m, _: red_refine(m), cfg.levels,
+                           state=cfg.state, mesh_dump_dir=_mesh_dump_dir(cfg))
+    _fill_h_orders(records)
     return ConvergenceTable("uniform", records)
 
 
-def _fill_uniform_orders(records):
+def _fill_h_orders(records):
     for prev, rec in zip(records, records[1:]):
         hratio = np.log(rec.h_max / prev.h_max)
-        nratio = np.log(rec.ndof / prev.ndof)
         if np.isfinite(rec.err_energy) and np.isfinite(prev.err_energy):
             rec.order_energy = float(np.log(rec.err_energy / prev.err_energy) / hratio)
-            rec.order_e = float(np.log(prev.err_energy / rec.err_energy) / nratio)
         if np.isfinite(rec.err_l2) and np.isfinite(prev.err_l2):
             rec.order_l2 = float(np.log(rec.err_l2 / prev.err_l2) / hratio)
-        rec.order_est = float(np.log(prev.estimator / rec.estimator) / nratio)
 
 
 def run_adaptive_study(cfg: RunConfig) -> ConvergenceTable:
@@ -162,12 +127,9 @@ def run_adaptive_study(cfg: RunConfig) -> ConvergenceTable:
         raise ConfigError("run_adaptive_study needs an adaptive-mode config")
     problem, mesh = initial_mesh_for(cfg)
     acfg = AdaptConfig(dorfler_theta=cfg.theta, max_levels=cfg.levels)
-    dump_dir = None
-    if cfg.dump_meshes:
-        dump_dir = Path(cfg.out or ".") / "meshes"
     records = adaptive_loop(problem, mesh, cfg.method_config(),
                             cfg.newton_config(), acfg, state=cfg.state,
-                            mesh_dump_dir=dump_dir)
+                            mesh_dump_dir=_mesh_dump_dir(cfg))
     return ConvergenceTable("adaptive", records)
 
 

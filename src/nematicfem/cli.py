@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="red refinements before level 0 "
                         "(default: 1 for lshape/slit, 6 for device)")
     p.add_argument("--dump-meshes", action="store_true",
-                   help="write per-level mesh dumps (adaptive runs)")
+                   help="write per-level mesh dumps to OUT/meshes")
     p.add_argument("--out", default=".", help="output directory")
     return p
 

@@ -72,14 +72,13 @@ def _gradient_jump_sq(psi: Field, int_edges):
     return (jump ** 2).sum(1)
 
 
-def _boundary_misfit(psi: Field, cfg: MethodConfig, g, bd_edges):
+def _boundary_misfit(psi: Field, g, bd_edges):
     geom = psi.space.geometry
     hats, pts, ew = geom.edge_points(bd_edges)
     gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(bd_edges), -1, 2)
     tr = _edge_trace_values(psi, bd_edges, 0)
     fv = np.einsum("qe,nec->nqc", hats, tr)
     mis = ((fv - gv) ** 2).sum(-1)
-    h = geom.edge_len[bd_edges]
     return np.sqrt((ew[None, :] * mis).sum(1))  # misfit integral / h cancels h
 
 
@@ -119,7 +118,7 @@ def _estimate(psi, cfg, g, f, with_solution_jumps):
         int_sq = int_sq + jump_int / h_ie
 
     bd = mesh.boundary_edges
-    theta_bd = _boundary_misfit(psi, cfg, g, bd) if len(bd) else np.zeros(0)
+    theta_bd = _boundary_misfit(psi, g, bd) if len(bd) else np.zeros(0)
 
     theta_int = np.sqrt(int_sq)
     total = float(np.sqrt((theta_tri ** 2).sum() + int_sq.sum()

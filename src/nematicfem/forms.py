@@ -351,14 +351,6 @@ def residual_vector(psi: Field, cfg: MethodConfig, g, f=None) -> np.ndarray:
     return NonlinearSystem(psi.space, cfg, g, f).residual(psi.coeffs)
 
 
-def jacobian_matrix(psi: Field, cfg: MethodConfig) -> sp.csr_matrix:
-    """Derivative of the residual: gradient part + frozen quartic
-    linearization + linear bulk term."""
-    return (gradient_matrix(psi.space, cfg)
-            + quartic_linearization(psi, cfg)
-            + bulk_linear_matrix(psi.space, cfg)).tocsr()
-
-
 def dump_operator(matrix: sp.spmatrix, path):
     """Coordinate-format text dump (row col value per line)."""
     coo = matrix.tocoo()

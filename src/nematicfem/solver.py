@@ -25,6 +25,7 @@ from .exceptions import ConfigError, LinearSolveError, NewtonError
 from .fespace import Field, Space, discrete_norm
 from .forms import MethodConfig, NonlinearSystem
 from .mesh import UNIT_SQUARE
+from .problems import trapezoid_profile
 
 DEVICE_STATES = ("D1", "D2", "R1", "R2", "R3", "R4")
 
@@ -33,7 +34,6 @@ DEVICE_STATES = ("D1", "D2", "R1", "R2", "R3", "R4")
 class NewtonConfig:
     tol: float = 1e-8
     max_iter: int = 50
-    record_history: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -72,11 +72,6 @@ def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
     return Field(space, coeffs)
 
 
-def _trapezoid(t, d):
-    t = np.asarray(t, dtype=float)
-    return np.clip(np.minimum(t, 1.0 - t) / d, 0.0, 1.0)
-
-
 def _nearest_edge_data(points, d):
     """Tangent boundary data continued into the square from the nearest
     edge: (T_d(x), 0) from the horizontal edges, (-T_d(y), 0) from the
@@ -86,8 +81,8 @@ def _nearest_edge_data(points, d):
     dist_v = np.minimum(x, 1.0 - x)
     vals = np.zeros_like(points)
     horizontal = dist_h <= dist_v
-    vals[horizontal, 0] = _trapezoid(x[horizontal], d)
-    vals[~horizontal, 0] = -_trapezoid(y[~horizontal], d)
+    vals[horizontal, 0] = trapezoid_profile(x[horizontal], d)
+    vals[~horizontal, 0] = -trapezoid_profile(y[~horizontal], d)
     return vals
 
 
@@ -144,8 +139,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         coeffs = coeffs + delta
         inc = discrete_norm(Field(space, delta), cfg.method, cfg.sigma)
         report.iterations += 1
-        if ncfg.record_history:
-            report.increments.append(inc)
+        report.increments.append(inc)
         if inc <= ncfg.tol:
             report.converged = True
             report.residual_norm = float(

@@ -10,8 +10,9 @@ from nematicfem.bench import (ADAPTIVE_COLUMNS, UNIFORM_COLUMNS, RunConfig,
                               emit_outputs, load_table, ndof_orders,
                               run_adaptive_study, run_study,
                               run_uniform_study)
+from nematicfem import adapt
 from nematicfem.cli import main
-from nematicfem.exceptions import ConfigError
+from nematicfem.exceptions import ConfigError, NewtonError
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +118,36 @@ def test_run_study_dispatch(small_uniform_table):
     assert [r.ndof for r in again.records] == [r.ndof for r in table.records]
 
 
-def test_device_uniform_records_diff_norms():
-    cfg = RunConfig(problem="device", method="nitsche", refine="uniform",
-                    levels=2, epsilon=0.1, state="D1", initial_refine=3)
-    table = run_uniform_study(cfg)
-    assert np.isnan(table.records[0].err_energy)
-    assert table.records[1].err_energy > 0
-    assert table.records[1].energy < table.records[0].energy
+@pytest.mark.parametrize("refine", ["uniform", "adaptive"])
+def test_device_records_diff_norms(refine):
+    """Without an exact solution both modes record the successive-level
+    difference and its order against Ndof."""
+    cfg = RunConfig(problem="device", method="nitsche", refine=refine,
+                    levels=3, epsilon=0.1, state="D1", initial_refine=3)
+    records = run_study(cfg).records
+    assert np.isnan(records[0].err_energy)
+    assert records[1].err_energy > 0
+    assert records[1].energy < records[0].energy
+    assert np.isfinite(records[2].order_e)
+    assert records[2].order_e == pytest.approx(
+        np.log(records[1].err_energy / records[2].err_energy)
+        / np.log(records[2].ndof / records[1].ndof))
+
+
+def test_uniform_newton_error_carries_level_records(monkeypatch):
+    real = adapt.newton_solve
+    calls = []
+
+    def fails_on_level_2(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NewtonError("no convergence")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "newton_solve", fails_on_level_2)
+    with pytest.raises(NewtonError) as err:
+        run_uniform_study(RunConfig(problem="lshape", levels=4, epsilon=0.4))
+    assert [r.level for r in err.value.level_records] == [0, 1]
 
 
 def test_cli_smoke(tmp_path, capsys):
@@ -190,10 +214,11 @@ def test_slit_dg_adaptive_rates():
     assert uni_rate < err_rate - 0.1
 
 
-def test_adaptive_mesh_dumps(tmp_path):
-    cfg = RunConfig(problem="lshape", refine="adaptive", levels=3,
+@pytest.mark.parametrize("refine", ["uniform", "adaptive"])
+def test_mesh_dumps(tmp_path, refine):
+    cfg = RunConfig(problem="lshape", refine=refine, levels=3,
                     epsilon=0.5, out=str(tmp_path), dump_meshes=True)
-    run_adaptive_study(cfg)
+    run_study(cfg)
     dumps = sorted((tmp_path / "meshes").glob("level_*.mesh.txt"))
     assert len(dumps) == 3
     assert dumps[0].read_text().startswith("vertices ")

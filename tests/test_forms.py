@@ -9,10 +9,10 @@ from nematicfem.fespace import (Field, Space, embed_continuous, interpolate,
                                 zero_field)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
-                              dg_matrix, dump_operator, jacobian_matrix,
-                              load_vector, nitsche_matrix,
-                              quartic_linearization, quartic_term,
-                              residual_vector, _volume_stiffness)
+                              dg_matrix, dump_operator, load_vector,
+                              nitsche_matrix, quartic_linearization,
+                              quartic_term, residual_vector,
+                              _volume_stiffness)
 from nematicfem.mesh import red_refine
 from nematicfem.problems import lshape_problem
 
@@ -207,7 +207,8 @@ def test_jacobian_matches_finite_differences(unit_square, method):
 def test_jacobian_at_zero_is_linear_part(unit_square):
     space = Space.continuous(unit_square)
     cfg = nitsche_cfg()
-    J = jacobian_matrix(zero_field(space), cfg)
+    J = NonlinearSystem(space, cfg, constant_fn(0.0, 0.0)).jacobian(
+        zero_field(space).coeffs)
     expected = nitsche_matrix(space, cfg) + bulk_linear_matrix(space, cfg)
     assert abs(J - expected).max() <= 1e-14
 
@@ -218,7 +219,7 @@ def test_jacobian_symmetry(unit_square, method, lam):
     space = Space.continuous(mesh) if method == "nitsche" else Space.dg(mesh)
     cfg = MethodConfig(method=method, epsilon=0.6, sigma=10.0, lam=lam)
     psi = random_field(space, seed=3)
-    J = jacobian_matrix(psi, cfg)
+    J = NonlinearSystem(space, cfg, constant_fn(0.0, 0.0)).jacobian(psi.coeffs)
     assert abs(J - J.T).max() <= 1e-13
 
 
