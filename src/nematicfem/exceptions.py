@@ -22,7 +22,10 @@ class DataEvaluationError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """Sparse direct solve failed (singular or badly scaled system)."""
+    """Sparse LU factorization failed or its solve was not finite (singular
+    or badly scaled system).  Newton's GMRES steps do not raise it: a step
+    whose GMRES does not converge refactors, and only that factorization
+    can fail."""
 
 
 class NewtonError(RuntimeError):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import constant_fn
-from nematicfem.exceptions import ConfigError, NewtonError
-from nematicfem.fespace import Field, Space, discrete_norm, interpolate
+from nematicfem import solver
+from nematicfem.exceptions import ConfigError, LinearSolveError, NewtonError
+from nematicfem.fespace import Field, Space, discrete_norm, interpolate, prolong
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               cubic_term_vector, quartic_linearization)
 from nematicfem.mesh import build_initial_mesh, red_refine
 from nematicfem.problems import device_problem, lshape_problem
 from nematicfem.solver import (NewtonConfig, director_guess, laplace_guess,
                                newton_solve)
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
@@ -118,6 +120,8 @@ def test_newton_determinism(lshape):
     a, ra = newton_solve(space, cfg, prob.g, prob.f, guess, NewtonConfig())
     b, rb = newton_solve(space, cfg, prob.g, prob.f, guess, NewtonConfig())
     assert ra.iterations == rb.iterations
+    assert ra.factorizations == rb.factorizations
+    assert ra.krylov_iterations == rb.krylov_iterations
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -218,3 +222,100 @@ def test_dg_lambda_weighted_load_is_consistent(unit_square):
         sol = laplace_guess(space, cfg, g)
         expect = interpolate(space, g)
         assert np.abs(sol.coeffs - expect.coeffs).max() <= 1e-10, lam
+
+
+# -- lagged-factorization Newton-Krylov ------------------------------------------
+
+
+class _CountingLinalg:
+    """Stand-in for ``solver.spla`` that counts the LU factorizations."""
+
+    def __init__(self):
+        self.factorizations = 0
+
+    def splu(self, *args, **kwargs):
+        self.factorizations += 1
+        return spla.splu(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+def _reference_newton(space, cfg, g, f, guess, tol):
+    """Newton loop that solves every step with a fresh sparse direct solve;
+    returns (coefficients, iterations)."""
+    system = NonlinearSystem(space, cfg, g, f)
+    coeffs = guess.coeffs.copy()
+    for iteration in range(1, NewtonConfig().max_iter + 1):
+        delta = spla.spsolve(system.jacobian(coeffs).tocsc(),
+                             -system.residual(coeffs))
+        coeffs = coeffs + delta
+        if discrete_norm(Field(space, delta), cfg.method, cfg.sigma) <= tol:
+            return coeffs, iteration
+    raise AssertionError("reference Newton loop did not converge")
+
+
+@pytest.mark.parametrize("method", ["nitsche", "dg"])
+def test_warm_started_solve_factors_once(lshape, method, monkeypatch):
+    """A warm-started level factors its first Jacobian only and solves the
+    later steps by GMRES, reaching the factor-every-step Newton solution in
+    the same number of steps."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method=method, epsilon=0.4)
+    make = Space.continuous if method == "nitsche" else Space.dg
+    ncfg = NewtonConfig()
+    coarse_mesh = red_refine(red_refine(lshape))
+    coarse = make(coarse_mesh)
+    coarse_sol, _ = newton_solve(coarse, cfg, prob.g, prob.f,
+                                 laplace_guess(coarse, cfg, prob.g, prob.f),
+                                 ncfg)
+    space = make(red_refine(coarse_mesh))
+    guess = prolong(coarse_sol, space)
+
+    counter = _CountingLinalg()
+    monkeypatch.setattr(solver, "spla", counter)
+    sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg)
+    monkeypatch.undo()
+    ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
+                                            guess, ncfg.tol)
+
+    assert counter.factorizations == 1
+    assert rep.factorizations == 1
+    assert rep.iterations == ref_iterations >= 2
+    assert len(rep.krylov_iterations) == rep.iterations
+    assert rep.krylov_iterations[0] == 0
+    assert all(k > 0 for k in rep.krylov_iterations[1:])
+    assert np.abs(sol.coeffs - ref).max() <= 1e-10
+
+
+def test_cold_device_start_refactors():
+    """From the cold director guess the first factor is a poor
+    preconditioner for the later Jacobians: GMRES falls back to fresh
+    factorizations, and the solution is still the Newton solution."""
+    prob = device_problem(0.02)
+    cfg = MethodConfig(method="nitsche", epsilon=0.02)
+    mesh = build_initial_mesh(prob.shape)
+    for _ in range(4):
+        mesh = red_refine(mesh)
+    space = Space.continuous(mesh)
+    guess = director_guess(space, 0.02, "D1")
+    ncfg = NewtonConfig()
+    sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg)
+    ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
+                                            guess, ncfg.tol)
+    assert rep.factorizations > 1
+    assert rep.krylov_iterations.count(0) >= rep.factorizations
+    assert rep.iterations == ref_iterations
+    assert np.abs(sol.coeffs - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    # zero row: SuperLU reports an exactly singular factor
+    (sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0],
+                             [0.0, 1.0, 3.0]])), np.ones(3)),
+    # regular matrix, non-finite solution
+    (sp.identity(3, format="csr"), np.array([1.0, np.inf, 1.0])),
+], ids=["zero-row", "non-finite"])
+def test_factor_solve_raises_linear_solve_error(matrix, rhs):
+    with pytest.raises(LinearSolveError):
+        solver._factor_solve(matrix, rhs)
