@@ -18,9 +18,8 @@ import numpy as np
 
 from .estimator import EstimatorBreakdown, estimate
 from .exceptions import ConfigError, NewtonError
-from .fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
-                      energy_error_norm, free_energy, l2_error_norm, l2_norm,
-                      prolong)
+from .fespace import (Field, Space, discrete_norm, energy_error_norm,
+                      free_energy, l2_error_norm, l2_norm, prolong, space_kind)
 from .forms import MethodConfig
 from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
@@ -141,7 +140,7 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     nonconvergence aborts with the completed level records attached to the
     raised :class:`NewtonError`.
     """
-    kind = CONTINUOUS if cfg.method == "nitsche" else DG
+    kind = space_kind(cfg.method)
     records = []
     solutions = []
     previous = None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpaceMismatchError
-from .fespace import CONTINUOUS, DG, NITSCHE, Field, _edge_trace_values
+from .fespace import DG, Field, boundary_misfit_sq, jump_sq, space_kind
 from .forms import MethodConfig
 from .quadrature import ERROR_DEGREE
 
@@ -52,7 +52,7 @@ def _volume_term(psi: Field, cfg: MethodConfig, f):
     geom = psi.space.geometry
     lam, w, pts = geom.triangle_points(ERROR_DEGREE)
     nt, nq, _ = pts.shape
-    vals = np.einsum("qi,tic->tqc", lam, psi.element_values())
+    vals = psi.values_at(lam)
     resid = -2.0 / cfg.epsilon ** 2 * ((vals ** 2).sum(-1, keepdims=True) - 1.0) * vals
     if f is not None:
         resid = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2) + resid
@@ -62,63 +62,34 @@ def _volume_term(psi: Field, cfg: MethodConfig, f):
 
 
 def _gradient_jump_sq(psi: Field, int_edges):
-    geom = psi.space.geometry
     mesh = psi.space.mesh
-    grads = np.einsum("tic,tix->tcx", psi.element_values(), geom.grads)
+    grads = psi.gradients()
     tp = mesh.edge_tris[int_edges, 0]
     tm = mesh.edge_tris[int_edges, 1]
-    nu = geom.edge_normal[int_edges]
+    nu = psi.space.geometry.edge_normal[int_edges]
     jump = np.einsum("ncx,nx->nc", grads[tp] - grads[tm], nu)
     return (jump ** 2).sum(1)
 
 
-def _boundary_misfit(psi: Field, g, bd_edges):
-    geom = psi.space.geometry
-    hats, pts, ew = geom.edge_points(bd_edges)
-    gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(bd_edges), -1, 2)
-    tr = _edge_trace_values(psi, bd_edges, 0)
-    fv = np.einsum("qe,nec->nqc", hats, tr)
-    mis = ((fv - gv) ** 2).sum(-1)
-    return np.sqrt((ew[None, :] * mis).sum(1))  # misfit integral / h cancels h
-
-
-def estimate_nitsche(psi: Field, cfg: MethodConfig, g, f=None) -> EstimatorBreakdown:
-    if psi.space.kind != CONTINUOUS:
-        raise SpaceMismatchError("the Nitsche estimator acts on continuous fields")
-    return _estimate(psi, cfg, g, f, with_solution_jumps=False)
-
-
-def estimate_dg(psi: Field, cfg: MethodConfig, g, f=None) -> EstimatorBreakdown:
-    if psi.space.kind != DG:
-        raise SpaceMismatchError("the dG estimator acts on dG fields")
-    return _estimate(psi, cfg, g, f, with_solution_jumps=True)
-
-
 def estimate(psi: Field, cfg: MethodConfig, g, f=None) -> EstimatorBreakdown:
-    """Dispatch on the method in the configuration."""
-    if cfg.method == NITSCHE:
-        return estimate_nitsche(psi, cfg, g, f)
-    return estimate_dg(psi, cfg, g, f)
-
-
-def _estimate(psi, cfg, g, f, with_solution_jumps):
+    """Estimator of the configured method; ``psi`` must live on that
+    method's space."""
+    kind = space_kind(cfg.method)
+    if psi.space.kind != kind:
+        raise SpaceMismatchError(
+            f"the {cfg.method} estimator acts on {kind} fields, got {psi.space.kind}")
     mesh = psi.space.mesh
-    geom = psi.space.geometry
     theta_tri = _volume_term(psi, cfg, f)
 
     ie = mesh.interior_edges
-    h_ie = geom.edge_len[ie]
+    h_ie = psi.space.geometry.edge_len[ie]
     grad_sq = _gradient_jump_sq(psi, ie) if len(ie) else np.zeros(0)
     int_sq = h_ie ** 2 * grad_sq
-    if with_solution_jumps and len(ie):
-        jump = _edge_trace_values(psi, ie, 0) - _edge_trace_values(psi, ie, 1)
-        va, vb = jump[:, 0, :], jump[:, 1, :]
-        jump_int = h_ie / 3.0 * ((va * va).sum(1) + (va * vb).sum(1)
-                                 + (vb * vb).sum(1))
-        int_sq = int_sq + jump_int / h_ie
+    if kind == DG and len(ie):
+        int_sq = int_sq + jump_sq(psi, ie) / h_ie
 
     bd = mesh.boundary_edges
-    theta_bd = _boundary_misfit(psi, g, bd) if len(bd) else np.zeros(0)
+    theta_bd = np.sqrt(boundary_misfit_sq(psi, g, bd)) if len(bd) else np.zeros(0)
 
     theta_int = np.sqrt(int_sq)
     total = float(np.sqrt((theta_tri ** 2).sum() + int_sq.sum()

@@ -29,6 +29,16 @@ NITSCHE = "nitsche"
 DG_METHOD = "dg"
 
 
+def space_kind(method: str) -> str:
+    """The space a method discretizes on: continuous P1 for Nitsche, broken
+    P1 for dG."""
+    if method == NITSCHE:
+        return CONTINUOUS
+    if method == DG_METHOD:
+        return DG
+    raise ConfigError(f"unknown method {method!r}")
+
+
 class Space:
     """A two-component P1 space over a mesh.
 
@@ -98,7 +108,6 @@ class MeshGeometry:
         flip = ((mids - cent_plus) * normal).sum(axis=1) < 0
         normal[flip] *= -1
         self.edge_normal = normal
-        self.edge_mid = mids
 
         # local index of each edge endpoint within the adjacent triangles
         tris = mesh.triangles
@@ -165,6 +174,17 @@ class Field:
         c = self.components
         ed = self.space.elem_dofs
         return np.stack([c[0][ed], c[1][ed]], axis=-1)
+
+    def values_at(self, lam):
+        """Values at the barycentric points ``lam`` (Q, 3) of every
+        triangle, shape (T, Q, 2)."""
+        return np.einsum("qi,tic->tqc", lam, self.element_values())
+
+    def gradients(self):
+        """Constant gradient per triangle, shape (T, 2, 2) with axes
+        (triangle, component, direction)."""
+        return np.einsum("tic,tix->tcx", self.element_values(),
+                         self.space.geometry.grads)
 
     def copy(self) -> "Field":
         return Field(self.space, self.coeffs.copy())
@@ -265,19 +285,31 @@ def _edge_trace_values(field: Field, edge_ids, side: int):
     return np.stack([c[0][dofs], c[1][dofs]], axis=-1)
 
 
-def _linear_edge_sq(values, lengths):
-    """Integral over each edge of |v|^2 for componentwise-linear v given
-    endpoint values (n, 2, 2); exact."""
+def jump_sq(field: Field, edge_ids) -> np.ndarray:
+    """Integral over each edge of |[field]|^2, exact for P1 fields; on a
+    boundary edge the jump is the trace."""
+    values = _edge_trace_values(field, edge_ids, 0)
+    inner = field.space.mesh.edge_tris[edge_ids, 1] >= 0
+    values[inner] -= _edge_trace_values(field, edge_ids[inner], 1)
     va, vb = values[:, 0, :], values[:, 1, :]
-    return lengths / 3.0 * ((va * va).sum(1) + (va * vb).sum(1) + (vb * vb).sum(1))
+    return field.space.geometry.edge_len[edge_ids] / 3.0 * (
+        (va * va).sum(1) + (va * vb).sum(1) + (vb * vb).sum(1))
+
+
+def boundary_misfit_sq(field: Field, g, edge_ids) -> np.ndarray:
+    """Integral over each boundary edge of |field - g|^2 divided by the edge
+    length, with ``g(points) -> (N, 2)`` at the edge Gauss points."""
+    geom = field.space.geometry
+    hats, pts, ew = geom.edge_points(edge_ids)
+    gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(edge_ids), -1, 2)
+    fv = np.einsum("qe,nec->nqc", hats, _edge_trace_values(field, edge_ids, 0))
+    return (ew[None, :] * ((fv - gv) ** 2).sum(-1)).sum(1)
 
 
 def broken_gradient_sq(field: Field) -> float:
     """Sum over triangles of the squared gradient integral."""
     geom = field.space.geometry
-    vals = field.element_values()                       # (T, 3, 2)
-    grads = np.einsum("tic,tix->tcx", vals, geom.grads)  # (T, 2, 2)
-    return float((geom.area * (grads ** 2).sum(axis=(1, 2))).sum())
+    return float((geom.area * (field.gradients() ** 2).sum(axis=(1, 2))).sum())
 
 
 def discrete_norm(field: Field, method: str, sigma: float) -> float:
@@ -285,27 +317,21 @@ def discrete_norm(field: Field, method: str, sigma: float) -> float:
     terms on the boundary edges (``nitsche``) or on all edges (``dg``)."""
     if sigma <= 0:
         raise ConfigError("penalty parameter sigma must be positive")
-    if method not in (NITSCHE, DG_METHOD):
-        raise ConfigError(f"unknown method {method!r}")
+    kind = space_kind(method)
     geom = field.space.geometry
     total = broken_gradient_sq(field)
-
     bd = field.space.mesh.boundary_edges
-    if len(bd):
-        tr = _edge_trace_values(field, bd, 0)
-        total += (sigma / geom.edge_len[bd] * _linear_edge_sq(tr, geom.edge_len[bd])).sum()
-    if method == DG_METHOD:
+    total += (sigma / geom.edge_len[bd] * jump_sq(field, bd)).sum()
+    if kind == DG:
         ie = field.space.mesh.interior_edges
-        if len(ie):
-            jump = _edge_trace_values(field, ie, 0) - _edge_trace_values(field, ie, 1)
-            total += (sigma / geom.edge_len[ie] * _linear_edge_sq(jump, geom.edge_len[ie])).sum()
+        total += (sigma / geom.edge_len[ie] * jump_sq(field, ie)).sum()
     return float(np.sqrt(total))
 
 
 def l2_norm(field: Field) -> float:
     geom = field.space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = np.einsum("qi,tic->tqc", lam, field.element_values())
+    vals = field.values_at(lam)
     return float(np.sqrt((geom.area[:, None] * w[None, :]
                           * (vals ** 2).sum(-1)).sum()))
 
@@ -317,8 +343,7 @@ def free_energy(field: Field, epsilon: float) -> float:
         raise ConfigError("epsilon must be positive")
     geom = field.space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = np.einsum("qi,tic->tqc", lam, field.element_values())
-    well = ((vals ** 2).sum(-1) - 1.0) ** 2
+    well = ((field.values_at(lam) ** 2).sum(-1) - 1.0) ** 2
     bulk = (geom.area[:, None] * w[None, :] * well).sum()
     return float(broken_gradient_sq(field) + bulk / epsilon ** 2)
 
@@ -330,28 +355,20 @@ def energy_error_norm(field: Field, exact_grad, g, method: str, sigma: float,
     (point, component, direction) and ``g(points) -> (N, 2)``."""
     if sigma <= 0:
         raise ConfigError("penalty parameter sigma must be positive")
+    kind = space_kind(method)
     geom = field.space.geometry
     lam, w, pts = geom.triangle_points(degree)
     nt, nq, _ = pts.shape
     eg = np.asarray(exact_grad(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2, 2)
-    fg = np.einsum("tic,tix->tcx", field.element_values(), geom.grads)
-    diff = eg - fg[:, None, :, :]
+    diff = eg - field.gradients()[:, None, :, :]
     total = (geom.area[:, None] * w[None, :] * (diff ** 2).sum(axis=(2, 3))).sum()
 
     bd = field.space.mesh.boundary_edges
     if len(bd):
-        hats, epts, ew = geom.edge_points(bd)
-        gv = np.asarray(g(epts.reshape(-1, 2)), dtype=float).reshape(len(bd), -1, 2)
-        tr = _edge_trace_values(field, bd, 0)
-        fv = np.einsum("qe,nec->nqc", hats, tr)
-        mis = ((gv - fv) ** 2).sum(-1)
-        total += (sigma * (ew[None, :] * mis).sum(1)).sum()
-    if method == DG_METHOD:
+        total += (sigma * boundary_misfit_sq(field, g, bd)).sum()
+    if kind == DG:
         ie = field.space.mesh.interior_edges
-        if len(ie):
-            jump = _edge_trace_values(field, ie, 0) - _edge_trace_values(field, ie, 1)
-            total += (sigma / geom.edge_len[ie]
-                      * _linear_edge_sq(jump, geom.edge_len[ie])).sum()
+        total += (sigma / geom.edge_len[ie] * jump_sq(field, ie)).sum()
     return float(np.sqrt(total))
 
 
@@ -360,8 +377,7 @@ def l2_error_norm(field: Field, exact, degree: int = ERROR_DEGREE) -> float:
     lam, w, pts = geom.triangle_points(degree)
     nt, nq, _ = pts.shape
     ev = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
-    fv = np.einsum("qi,tic->tqc", lam, field.element_values())
-    diff = ((ev - fv) ** 2).sum(-1)
+    diff = ((ev - field.values_at(lam)) ** 2).sum(-1)
     return float(np.sqrt((geom.area[:, None] * w[None, :] * diff).sum()))
 
 

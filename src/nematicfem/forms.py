@@ -4,10 +4,12 @@ The system solved is the two-component Ginzburg-Landau equation
 
     -laplace(psi) - (2/eps^2) (1 - |psi|^2) psi = f,   psi = g on the boundary,
 
-whose weak form splits into the gradient part (with Nitsche boundary terms
-or interior-penalty dG coupling terms), a quartic coupling term and a
-scaled negative mass term.  All matrices are scipy CSR; component blocks
-are ordered (u, v).
+whose weak form splits into the gradient part, a quartic coupling term and
+a scaled negative mass term.  There is one gradient form: the broken
+stiffness plus interior-penalty edge terms.  dG puts them on every edge
+and weights the consistency term by its symmetrization weight lam;
+Nitsche is the same form on the boundary edges only, with weight 1.  All
+matrices are scipy CSR; component blocks are ordered (u, v).
 
 Jump and average conventions: on an interior edge the triangle with the
 smaller id is the plus side, the edge normal points from plus to minus,
@@ -25,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ConfigError, SpaceMismatchError
-from .fespace import CONTINUOUS, DG, DG_METHOD, NITSCHE, Field, Space
+from .fespace import DG, DG_METHOD, NITSCHE, Field, Space, space_kind
 from .quadrature import ASSEMBLY_DEGREE
 
 
@@ -50,13 +52,17 @@ class MethodConfig:
             raise ConfigError("epsilon must be positive")
 
 
-def _require(space: Space, kind: str, what: str):
+def _require_space(space: Space, cfg: MethodConfig, what: str):
+    kind = space_kind(cfg.method)
     if space.kind != kind:
-        raise SpaceMismatchError(f"{what} requires a {kind} space, got {space.kind}")
+        raise SpaceMismatchError(
+            f"{cfg.method} {what} requires a {kind} space, got {space.kind}")
 
 
-def _expected_kind(cfg: MethodConfig) -> str:
-    return CONTINUOUS if cfg.method == NITSCHE else DG
+def _consistency_weight(cfg: MethodConfig) -> float:
+    """Weight of the consistency term that carries the trial function:
+    the dG symmetrization weight, 1 for Nitsche."""
+    return cfg.lam if cfg.method == DG_METHOD else 1.0
 
 
 def _scalar_to_system(scalar: sp.spmatrix) -> sp.csr_matrix:
@@ -64,21 +70,28 @@ def _scalar_to_system(scalar: sp.spmatrix) -> sp.csr_matrix:
     return sp.kron(sp.eye(2, format="csr"), scalar, format="csr")
 
 
-def _coo(rows, cols, vals, n) -> sp.csr_matrix:
-    m = sp.coo_matrix((np.asarray(vals, dtype=float).ravel(),
-                       (np.asarray(rows).ravel(), np.asarray(cols).ravel())),
-                      shape=(n, n))
-    return m.tocsr()
+def _assemble(dofs, local, n) -> sp.csr_matrix:
+    """Scatter local matrices (k, m, m) on the dofs (k, m) into an n x n
+    CSR matrix, summing repeated entries."""
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def _assemble_vector(out, dofs, local):
+    """Add local vectors (k, m, 2) on the scalar dofs (k, m) into both
+    component blocks of ``out``."""
+    ns = len(out) // 2
+    for comp in range(2):
+        np.add.at(out[comp * ns:(comp + 1) * ns], dofs, local[..., comp])
 
 
 def _volume_stiffness(space: Space):
     geom = space.geometry
     local = geom.area[:, None, None] * np.einsum("tix,tjx->tij",
                                                  geom.grads, geom.grads)
-    ed = space.elem_dofs
-    rows = np.broadcast_to(ed[:, :, None], local.shape)
-    cols = np.broadcast_to(ed[:, None, :], local.shape)
-    return _coo(rows, cols, local, space.nscalar)
+    return _assemble(space.elem_dofs, local, space.nscalar)
 
 
 def _edge_dof_data(space: Space, edge_ids, side: int):
@@ -102,71 +115,39 @@ def _edge_dof_data(space: Space, edge_ids, side: int):
 _EDGE_MASS = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
 
-def nitsche_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
-    """Gradient form with symmetric Nitsche boundary terms, acting blockwise
-    on both components."""
-    _require(space, CONTINUOUS, "the Nitsche matrix")
-    if cfg.method != NITSCHE:
-        raise SpaceMismatchError("nitsche_matrix called with a dG configuration")
-    geom = space.geometry
+def _edge_block(space, cfg, dofs, dn_avg, jump_trace, h):
+    """-<{dn theta},[phi]> - weight <{dn phi},[theta]> + sigma/h <[theta],[phi]>
+    for stacked edge dof data (n, m)."""
+    # integral over E of [phi_j]: endpoint hats integrate to h/2
+    phi_int = jump_trace.sum(axis=2) * (h[:, None] / 2.0)
+    consistency = dn_avg[:, :, None] * phi_int[:, None, :]
+    penalty = cfg.sigma * np.einsum("nie,ef,njf->nij", jump_trace, _EDGE_MASS,
+                                    jump_trace)
+    local = (-consistency.transpose(0, 2, 1)
+             - _consistency_weight(cfg) * consistency + penalty)
+    return _assemble(dofs, local, space.nscalar)
+
+
+def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
+    """The method's gradient form (see the module docstring), acting
+    blockwise on both components; symmetric exactly when the consistency
+    weight is 1."""
+    _require_space(space, cfg, "gradient matrix")
+    h = space.geometry.edge_len
     scalar = _volume_stiffness(space)
-
-    bd = space.mesh.boundary_edges
-    if len(bd):
-        dofs, dn, trace = _edge_dof_data(space, bd, 0)
-        h = geom.edge_len[bd]
-        # integral over E of basis_j: endpoint hats integrate to h/2
-        phi_int = trace.sum(axis=2) * (h[:, None] / 2.0)
-        consistency = dn[:, :, None] * phi_int[:, None, :]       # theta_i, phi_j
-        penalty = (cfg.sigma * np.einsum("nie,ef,njf->nij", trace, _EDGE_MASS, trace))
-        local = -consistency.transpose(0, 2, 1) - consistency + penalty
-        rows = np.broadcast_to(dofs[:, :, None], local.shape)
-        cols = np.broadcast_to(dofs[:, None, :], local.shape)
-        scalar = scalar + _coo(rows, cols, local, space.nscalar)
-    return _scalar_to_system(scalar)
-
-
-def dg_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
-    """Broken gradient form with interior-penalty coupling on all edges;
-    symmetric exactly when the symmetrization weight is 1."""
-    _require(space, DG, "the dG matrix")
-    if cfg.method != DG_METHOD:
-        raise SpaceMismatchError("dg_matrix called with a Nitsche configuration")
-    geom = space.geometry
-    scalar = _volume_stiffness(space)
-    ns = space.nscalar
-
-    def edge_block(dofs, dn_avg, jump_trace, h):
-        """-<{dn theta},[phi]> - lam <{dn phi},[theta]> + sigma/h <[theta],[phi]>
-        for stacked dof data (n, m)."""
-        phi_int = jump_trace.sum(axis=2) * (h[:, None] / 2.0)
-        consistency = dn_avg[:, :, None] * phi_int[:, None, :]
-        penalty = (cfg.sigma / h)[:, None, None] * h[:, None, None] * np.einsum(
-            "nie,ef,njf->nij", jump_trace, _EDGE_MASS, jump_trace)
-        local = (-consistency.transpose(0, 2, 1) - cfg.lam * consistency + penalty)
-        rows = np.broadcast_to(dofs[:, :, None], local.shape)
-        cols = np.broadcast_to(dofs[:, None, :], local.shape)
-        return _coo(rows, cols, local, ns)
-
     ie = space.mesh.interior_edges
-    if len(ie):
+    if space.kind == DG and len(ie):
         dofs_p, dn_p, tr_p = _edge_dof_data(space, ie, 0)
         dofs_m, dn_m, tr_m = _edge_dof_data(space, ie, 1)
         dofs = np.concatenate([dofs_p, dofs_m], axis=1)           # (n, 6)
         dn_avg = 0.5 * np.concatenate([dn_p, dn_m], axis=1)
         jump = np.concatenate([tr_p, -tr_m], axis=1)              # plus minus minus
-        scalar = scalar + edge_block(dofs, dn_avg, jump, geom.edge_len[ie])
-
+        scalar = scalar + _edge_block(space, cfg, dofs, dn_avg, jump, h[ie])
     bd = space.mesh.boundary_edges
     if len(bd):
         dofs, dn, trace = _edge_dof_data(space, bd, 0)
-        scalar = scalar + edge_block(dofs, dn, trace, geom.edge_len[bd])
+        scalar = scalar + _edge_block(space, cfg, dofs, dn, trace, h[bd])
     return _scalar_to_system(scalar)
-
-
-def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
-    """The method's gradient-part operator (Nitsche or dG)."""
-    return nitsche_matrix(space, cfg) if cfg.method == NITSCHE else dg_matrix(space, cfg)
 
 
 def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
@@ -174,18 +155,10 @@ def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
     geom = space.geometry
     local = (-2.0 / cfg.epsilon ** 2) * geom.area[:, None, None] * (
         np.ones((3, 3)) + np.eye(3)) / 12.0
-    ed = space.elem_dofs
-    rows = np.broadcast_to(ed[:, :, None], local.shape)
-    cols = np.broadcast_to(ed[:, None, :], local.shape)
-    return _scalar_to_system(_coo(rows, cols, local, space.nscalar))
+    return _scalar_to_system(_assemble(space.elem_dofs, local, space.nscalar))
 
 
 # -- quartic coupling term -----------------------------------------------------
-
-
-def _quad_values(field: Field, lam):
-    """Field values at the triangle quadrature points, shape (T, Q, 2)."""
-    return np.einsum("qi,tic->tqc", lam, field.element_values())
 
 
 def quartic_term(xi: Field, eta: Field, theta: Field, phi: Field,
@@ -197,10 +170,10 @@ def quartic_term(xi: Field, eta: Field, theta: Field, phi: Field,
             raise SpaceMismatchError("quartic term arguments must share a space")
     geom = xi.space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    a = _quad_values(xi, lam)
-    b = _quad_values(eta, lam)
-    c = _quad_values(theta, lam)
-    d = _quad_values(phi, lam)
+    a = xi.values_at(lam)
+    b = eta.values_at(lam)
+    c = theta.values_at(lam)
+    d = phi.values_at(lam)
     integrand = ((a * b).sum(-1) * (c * d).sum(-1)
                  + 2.0 * (a * c).sum(-1) * (b * d).sum(-1))
     value = (geom.area[:, None] * w[None, :] * integrand).sum()
@@ -217,7 +190,7 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig) -> sp.csr_matrix:
     space = wbar.space
     geom = space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = _quad_values(wbar, lam)                               # (T, Q, 2)
+    vals = wbar.values_at(lam)                                   # (T, Q, 2)
     w1, w2 = vals[..., 0], vals[..., 1]
     norm2 = w1 ** 2 + w2 ** 2
     scale = 2.0 / cfg.epsilon ** 2
@@ -230,10 +203,7 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig) -> sp.csr_matrix:
 
     def weighted_mass(kernel):
         local = np.einsum("tq,qij->tij", aw * kernel, basis_outer)
-        ed = space.elem_dofs
-        rows = np.broadcast_to(ed[:, :, None], local.shape)
-        cols = np.broadcast_to(ed[:, None, :], local.shape)
-        return _coo(rows, cols, local, space.nscalar)
+        return _assemble(space.elem_dofs, local, space.nscalar)
 
     m11 = weighted_mass(k11)
     m12 = weighted_mass(k12)
@@ -247,15 +217,13 @@ def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
     space = psi.space
     geom = space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = _quad_values(psi, lam)
+    vals = psi.values_at(lam)
     norm2 = (vals ** 2).sum(-1)
     scale = 2.0 / cfg.epsilon ** 2
     aw = geom.area[:, None] * w[None, :]
     local = scale * np.einsum("tq,tqc,qi->tci", aw * norm2, vals, lam)
     out = np.zeros(space.ndof)
-    ns = space.nscalar
-    np.add.at(out[:ns], space.elem_dofs, local[:, 0, :])
-    np.add.at(out[ns:], space.elem_dofs, local[:, 1, :])
+    _assemble_vector(out, space.elem_dofs, local.transpose(0, 2, 1))
     return out
 
 
@@ -269,12 +237,9 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
     variant weights the consistency term by the symmetrization weight so
     the method stays consistent for every admissible weight.
     """
-    if space.kind != _expected_kind(cfg):
-        raise SpaceMismatchError(
-            f"{cfg.method} load vector requires a {_expected_kind(cfg)} space")
+    _require_space(space, cfg, "load vector")
     geom = space.geometry
     out = np.zeros(space.ndof)
-    ns = space.nscalar
 
     bd = space.mesh.boundary_edges
     if len(bd):
@@ -285,16 +250,13 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
             raise _nonfinite_error("boundary data", pts, gv)
         h = geom.edge_len[bd]
         g_int = h[:, None] * np.einsum("q,nqc->nc", ew, gv)      # (n, 2)
-        weight = cfg.lam if cfg.method == DG_METHOD else 1.0
         # -weight <g, dn(phi_i)>
-        cons = -weight * dn[:, :, None] * g_int[:, None, :]      # (n, 3, 2)
+        cons = -_consistency_weight(cfg) * dn[:, :, None] * g_int[:, None, :]
         # sigma/h <g, phi_i>: phi_i has endpoint coefficients trace[n, i, :]
         g_hat = h[:, None, None] * np.einsum("q,qe,nqc->nec", ew, hats, gv)
         pen = (cfg.sigma / h)[:, None, None] * np.einsum(
             "nie,nec->nic", trace, g_hat)
-        local = cons + pen
-        for comp in range(2):
-            np.add.at(out[comp * ns:(comp + 1) * ns], dofs, local[..., comp])
+        _assemble_vector(out, dofs, cons + pen)
 
     if f is not None:
         lam, w, pts = geom.triangle_points(ASSEMBLY_DEGREE)
@@ -304,8 +266,7 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
             raise _nonfinite_error("source data", pts, fv)
         aw = geom.area[:, None] * w[None, :]
         local = np.einsum("tq,tqc,qi->tci", aw, fv, lam)
-        np.add.at(out[:ns], space.elem_dofs, local[:, 0, :])
-        np.add.at(out[ns:], space.elem_dofs, local[:, 1, :])
+        _assemble_vector(out, space.elem_dofs, local.transpose(0, 2, 1))
     return out
 
 
@@ -326,9 +287,6 @@ class NonlinearSystem:
     """
 
     def __init__(self, space: Space, cfg: MethodConfig, g, f=None):
-        if space.kind != _expected_kind(cfg):
-            raise SpaceMismatchError(
-                f"{cfg.method} system requires a {_expected_kind(cfg)} space")
         self.space = space
         self.cfg = cfg
         self.gradient = gradient_matrix(space, cfg)
@@ -344,11 +302,6 @@ class NonlinearSystem:
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
         psi = Field(self.space, coeffs)
         return (self.linear_part + quartic_linearization(psi, self.cfg)).tocsr()
-
-
-def residual_vector(psi: Field, cfg: MethodConfig, g, f=None) -> np.ndarray:
-    """Nonlinear residual tested against every basis function."""
-    return NonlinearSystem(psi.space, cfg, g, f).residual(psi.coeffs)
 
 
 def dump_operator(matrix: sp.spmatrix, path):

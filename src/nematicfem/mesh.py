@@ -162,8 +162,6 @@ class Mesh:
                     "on the domain boundary (hanging node or broken topology)")
             self.edge_segment[be] = seg
 
-        self._geom = None
-
     def _longest_edge_labels(self):
         p = self.vertices[self.triangles]
         lens = np.stack([
@@ -197,10 +195,6 @@ class Mesh:
         a = p[:, 1] - p[:, 0]
         b = p[:, 2] - p[:, 0]
         return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-    def edge_lengths(self):
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
 
     def triangle_diameters(self):
         p = self.vertices[self.triangles]

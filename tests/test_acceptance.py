@@ -18,7 +18,7 @@ from nematicfem.bench import RunConfig, ndof_orders, run_uniform_study
 from nematicfem.estimator import estimate
 from nematicfem.fespace import (Field, Space, discrete_norm, embed_continuous,
                                 free_energy, l2_norm, prolong)
-from nematicfem.forms import MethodConfig, NonlinearSystem, residual_vector
+from nematicfem.forms import MethodConfig, NonlinearSystem
 from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import device_problem, lshape_problem
 from nematicfem.solver import NewtonConfig, director_guess, laplace_guess, newton_solve
@@ -339,11 +339,11 @@ def test_criterion_8_oracles():
     cs = Space.continuous(lmesh)
     ds = Space.dg(lmesh)
     psi_c = Field(cs, 0.4 * rng.standard_normal(cs.ndof))
-    r_c = residual_vector(psi_c, MethodConfig(method="nitsche", epsilon=0.8),
-                          prob.g, prob.f)
-    r_d = residual_vector(embed_continuous(psi_c, ds),
-                          MethodConfig(method="dg", epsilon=0.8, lam=1.0),
-                          prob.g, prob.f)
+    r_c = NonlinearSystem(cs, MethodConfig(method="nitsche", epsilon=0.8),
+                          prob.g, prob.f).residual(psi_c.coeffs)
+    r_d = NonlinearSystem(ds, MethodConfig(method="dg", epsilon=0.8, lam=1.0),
+                          prob.g, prob.f).residual(
+                              embed_continuous(psi_c, ds).coeffs)
     agg = np.zeros(cs.ndof)
     for comp in range(2):
         np.add.at(agg[comp * cs.nscalar:(comp + 1) * cs.nscalar],

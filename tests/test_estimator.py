@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_fn
-from nematicfem.estimator import dump_breakdown, estimate, estimate_dg, estimate_nitsche
+from nematicfem.estimator import dump_breakdown, estimate
 from nematicfem.exceptions import SpaceMismatchError
 from nematicfem.fespace import Field, Space, embed_continuous, interpolate, zero_field
 from nematicfem.forms import MethodConfig
@@ -20,24 +20,24 @@ def nitsche_cfg(epsilon=1.0):
 def test_unit_modulus_constant_gives_zero(unit_square):
     space = Space.continuous(unit_square)
     psi = interpolate(space, constant_fn(1.0, 0.0))
-    br = estimate_nitsche(psi, nitsche_cfg(), constant_fn(1.0, 0.0))
+    br = estimate(psi, nitsche_cfg(), constant_fn(1.0, 0.0))
     assert br.total == pytest.approx(0.0, abs=1e-14)
 
 
 def test_zero_field_zero_data_gives_zero(unit_square):
     """The cubic residual of the zero field vanishes."""
     space = Space.continuous(unit_square)
-    br = estimate_nitsche(zero_field(space), nitsche_cfg(), constant_fn(0.0, 0.0))
+    br = estimate(zero_field(space), nitsche_cfg(), constant_fn(0.0, 0.0))
     assert br.total == pytest.approx(0.0, abs=1e-14)
 
 
 def test_space_mismatch(unit_square):
     with pytest.raises(SpaceMismatchError):
-        estimate_nitsche(zero_field(Space.dg(unit_square)), nitsche_cfg(),
-                         constant_fn(0.0, 0.0))
+        estimate(zero_field(Space.dg(unit_square)), nitsche_cfg(),
+                 constant_fn(0.0, 0.0))
     with pytest.raises(SpaceMismatchError):
-        estimate_dg(zero_field(Space.continuous(unit_square)),
-                    MethodConfig(method="dg", epsilon=1.0), constant_fn(0.0, 0.0))
+        estimate(zero_field(Space.continuous(unit_square)),
+                 MethodConfig(method="dg", epsilon=1.0), constant_fn(0.0, 0.0))
 
 
 def test_conforming_field_same_estimate_both_methods(lshape):
@@ -47,9 +47,9 @@ def test_conforming_field_same_estimate_both_methods(lshape):
     cfg = nitsche_cfg(0.7)
     sol, _ = newton_solve(cs, cfg, prob.g, prob.f,
                           laplace_guess(cs, cfg, prob.g, prob.f), NewtonConfig())
-    a = estimate_nitsche(sol, cfg, prob.g, prob.f)
-    b = estimate_dg(embed_continuous(sol, Space.dg(mesh)),
-                    MethodConfig(method="dg", epsilon=0.7), prob.g, prob.f)
+    a = estimate(sol, cfg, prob.g, prob.f)
+    b = estimate(embed_continuous(sol, Space.dg(mesh)),
+                 MethodConfig(method="dg", epsilon=0.7), prob.g, prob.f)
     assert b.total == pytest.approx(a.total, rel=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_single_jumped_dof_closed_form(unit_square):
     assert mesh.triangles[0][0] == 0
     psi = Field(space, coeffs)
     zero = constant_fn(0.0, 0.0)
-    br = estimate_dg(psi, cfg, zero)
+    br = estimate(psi, cfg, zero)
 
     h_d = np.sqrt(2.0)  # diagonal length
     e_int = mesh.interior_edges[0]
@@ -164,7 +164,7 @@ def test_boundary_term_insensitive_to_g_representation(lshape):
 def test_dump_breakdown(unit_square, tmp_path):
     space = Space.continuous(unit_square)
     psi = interpolate(space, constant_fn(0.3, 0.1))
-    br = estimate_nitsche(psi, nitsche_cfg(), constant_fn(0.0, 0.0))
+    br = estimate(psi, nitsche_cfg(), constant_fn(0.0, 0.0))
     path = tmp_path / "estimator.csv"
     dump_breakdown(br, path)
     lines = path.read_text().strip().splitlines()

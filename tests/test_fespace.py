@@ -7,8 +7,9 @@ from conftest import constant_fn, linear_fn, random_field
 from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
 from nematicfem.fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
-                                dump_field, embed_continuous, free_energy,
-                                interpolate, l2_norm, load_field, prolong)
+                                dump_field, embed_continuous,
+                                energy_error_norm, free_energy, interpolate,
+                                l2_norm, load_field, prolong)
 from nematicfem.mesh import red_refine
 from nematicfem.problems import device_problem, trapezoid_profile
 
@@ -119,6 +120,14 @@ def test_discrete_norm_rejects_bad_sigma(unit_square):
         discrete_norm(field, "nitsche", -1.0)
     with pytest.raises(ConfigError):
         discrete_norm(field, "galerkin", 1.0)
+
+
+def test_energy_error_norm_rejects_unknown_method(unit_square):
+    """An unknown method name is an error, not the Nitsche norm."""
+    field = random_field(Space.dg(unit_square), seed=1)
+    exact_grad = lambda p: np.zeros((len(p), 2, 2))
+    with pytest.raises(ConfigError):
+        energy_error_norm(field, exact_grad, constant_fn(0.0, 0.0), "DG", 10.0)
 
 
 def test_dg_norm_of_conforming_field_matches_nitsche(lshape):

@@ -9,9 +9,8 @@ from nematicfem.fespace import (Field, Space, embed_continuous, interpolate,
                                 zero_field)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
-                              dg_matrix, dump_operator, load_vector,
-                              nitsche_matrix, quartic_linearization,
-                              quartic_term, residual_vector,
+                              dump_operator, gradient_matrix, load_vector,
+                              quartic_linearization, quartic_term,
                               _volume_stiffness)
 from nematicfem.mesh import red_refine
 from nematicfem.problems import lshape_problem
@@ -23,6 +22,10 @@ def nitsche_cfg(epsilon=1.0, sigma=10.0):
 
 def dg_cfg(epsilon=1.0, sigma=10.0, lam=1.0):
     return MethodConfig(method="dg", epsilon=epsilon, sigma=sigma, lam=lam)
+
+
+def residual(psi, cfg, g, f=None):
+    return NonlinearSystem(psi.space, cfg, g, f).residual(psi.coeffs)
 
 
 def test_method_config_validation():
@@ -45,7 +48,7 @@ def test_reference_triangle_stiffness(single_triangle):
 
 def test_nitsche_matrix_symmetric_and_coercive(unit_square):
     space = Space.continuous(unit_square)
-    A = nitsche_matrix(space, nitsche_cfg())
+    A = gradient_matrix(space, nitsche_cfg())
     assert abs(A - A.T).max() <= 1e-13
     eigs = np.linalg.eigvalsh(A.toarray())
     assert eigs.min() > 0
@@ -53,15 +56,15 @@ def test_nitsche_matrix_symmetric_and_coercive(unit_square):
 
 def test_nitsche_matrix_space_mismatch(unit_square):
     with pytest.raises(SpaceMismatchError):
-        nitsche_matrix(Space.dg(unit_square), nitsche_cfg())
+        gradient_matrix(Space.dg(unit_square), nitsche_cfg())
     with pytest.raises(SpaceMismatchError):
-        nitsche_matrix(Space.continuous(unit_square), dg_cfg())
+        gradient_matrix(Space.continuous(unit_square), dg_cfg())
 
 
 @pytest.mark.parametrize("lam,symmetric", [(1.0, True), (0.0, False), (-1.0, False)])
 def test_dg_matrix_symmetry(unit_square, lam, symmetric):
     space = Space.dg(red_refine(unit_square))
-    A = dg_matrix(space, dg_cfg(lam=lam))
+    A = gradient_matrix(space, dg_cfg(lam=lam))
     asym = abs(A - A.T).max()
     if symmetric:
         assert asym <= 1e-13
@@ -69,9 +72,21 @@ def test_dg_matrix_symmetry(unit_square, lam, symmetric):
         assert asym > 1e-8
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.0, -1.0])
+def test_nitsche_ignores_lambda(unit_square, lam):
+    """The symmetrization weight only enters the dG form: Nitsche's matrix
+    and load are the same for every admissible weight."""
+    space = Space.continuous(red_refine(unit_square))
+    g = lambda p: np.stack([np.cos(p[:, 0]), np.sin(p[:, 1])], axis=1)
+    base = MethodConfig(method="nitsche", epsilon=1.0, lam=1.0)
+    cfg = MethodConfig(method="nitsche", epsilon=1.0, lam=lam)
+    assert (gradient_matrix(space, cfg) - gradient_matrix(space, base)).nnz == 0
+    assert np.array_equal(load_vector(space, cfg, g), load_vector(space, base, g))
+
+
 def test_dg_matrix_coercive(unit_square):
     space = Space.dg(unit_square)
-    A = dg_matrix(space, dg_cfg())
+    A = gradient_matrix(space, dg_cfg())
     eigs = np.linalg.eigvalsh(A.toarray())
     assert eigs.min() > 0
 
@@ -84,8 +99,8 @@ def test_dg_matrix_on_conforming_field_matches_nitsche(unit_square):
     dg = Space.dg(mesh)
     c = random_field(cont, seed=2)
     d = embed_continuous(c, dg)
-    qa = c.coeffs @ (nitsche_matrix(cont, nitsche_cfg()) @ c.coeffs)
-    qd = d.coeffs @ (dg_matrix(dg, dg_cfg()) @ d.coeffs)
+    qa = c.coeffs @ (gradient_matrix(cont, nitsche_cfg()) @ c.coeffs)
+    qd = d.coeffs @ (gradient_matrix(dg, dg_cfg()) @ d.coeffs)
     assert qd == pytest.approx(qa, rel=1e-12)
 
 
@@ -170,7 +185,7 @@ def test_load_source_partition_of_unity(unit_square):
 def test_residual_zero_everything(unit_square):
     space = Space.continuous(unit_square)
     cfg = nitsche_cfg()
-    r = residual_vector(zero_field(space), cfg, constant_fn(0.0, 0.0))
+    r = residual(zero_field(space), cfg, constant_fn(0.0, 0.0))
     assert np.abs(r).max() == 0.0
 
 
@@ -182,7 +197,7 @@ def test_residual_component_decoupling(unit_square):
     coeffs = np.zeros(space.ndof)
     coeffs[:space.nscalar] = rng.standard_normal(space.nscalar)
     psi = Field(space, coeffs)
-    r = residual_vector(psi, cfg, constant_fn(0.7, 0.0), f=constant_fn(0.2, 0.0))
+    r = residual(psi, cfg, constant_fn(0.7, 0.0), f=constant_fn(0.2, 0.0))
     assert np.abs(r[space.nscalar:]).max() <= 1e-14
     assert np.abs(r[:space.nscalar]).max() > 0
 
@@ -209,7 +224,7 @@ def test_jacobian_at_zero_is_linear_part(unit_square):
     cfg = nitsche_cfg()
     J = NonlinearSystem(space, cfg, constant_fn(0.0, 0.0)).jacobian(
         zero_field(space).coeffs)
-    expected = nitsche_matrix(space, cfg) + bulk_linear_matrix(space, cfg)
+    expected = gradient_matrix(space, cfg) + bulk_linear_matrix(space, cfg)
     assert abs(J - expected).max() <= 1e-14
 
 
@@ -231,9 +246,9 @@ def test_dg_residual_aggregates_to_nitsche_on_conforming(lshape):
     cont = Space.continuous(mesh)
     dg = Space.dg(mesh)
     psi = random_field(cont, seed=6, scale=0.4)
-    r_cont = residual_vector(psi, nitsche_cfg(epsilon=0.8), prob.g, prob.f)
-    r_dg = residual_vector(embed_continuous(psi, dg),
-                           dg_cfg(epsilon=0.8, lam=1.0), prob.g, prob.f)
+    r_cont = residual(psi, nitsche_cfg(epsilon=0.8), prob.g, prob.f)
+    r_dg = residual(embed_continuous(psi, dg),
+                    dg_cfg(epsilon=0.8, lam=1.0), prob.g, prob.f)
     # sum dG entries over the triangle copies of each vertex, per component
     agg = np.zeros(cont.ndof)
     for comp in range(2):
@@ -254,7 +269,7 @@ def test_consistency_residual_of_interpolant_decays(lshape):
     for _ in range(3):
         space = Space.continuous(mesh)
         ih = interpolate(space, prob.exact)
-        r = residual_vector(ih, cfg, prob.g, prob.f)
+        r = residual(ih, cfg, prob.g, prob.f)
         norms.append(np.abs(r).max() / np.sqrt(space.ndof))
         mesh = red_refine(mesh)
     assert norms[1] < norms[0]
@@ -263,7 +278,7 @@ def test_consistency_residual_of_interpolant_decays(lshape):
 
 def test_operator_dump(unit_square, tmp_path):
     space = Space.continuous(unit_square)
-    A = nitsche_matrix(space, nitsche_cfg())
+    A = gradient_matrix(space, nitsche_cfg())
     path = tmp_path / "op.txt"
     dump_operator(A, path)
     rows = path.read_text().strip().splitlines()
