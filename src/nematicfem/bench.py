@@ -139,16 +139,6 @@ def run_study(cfg: RunConfig) -> ConvergenceTable:
     return run_adaptive_study(cfg)
 
 
-def ndof_orders(table: ConvergenceTable, column: str = "err_energy"):
-    """Orders of the given column against Ndof, recomputed from the table."""
-    vals = table.column(column)
-    ndof = table.column("ndof")
-    out = np.full(len(vals), np.nan)
-    for i in range(1, len(vals)):
-        out[i] = np.log(vals[i - 1] / vals[i]) / np.log(ndof[i] / ndof[i - 1])
-    return out
-
-
 # -- emission -------------------------------------------------------------------
 
 

@@ -96,15 +96,3 @@ def estimate(psi: Field, cfg: MethodConfig, g, f=None) -> EstimatorBreakdown:
                           + (theta_bd ** 2).sum()))
     return EstimatorBreakdown(theta_tri, theta_int, theta_bd,
                               ie.copy(), bd.copy(), total)
-
-
-def dump_breakdown(breakdown: EstimatorBreakdown, path):
-    """CSV dump `entity_kind,id,value` for visualization."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("entity_kind,id,value\n")
-        for i, v in enumerate(breakdown.theta_tri):
-            fh.write(f"triangle,{i},{float(v)!r}\n")
-        for e, v in zip(breakdown.int_edge_ids, breakdown.theta_int_edge):
-            fh.write(f"interior_edge,{e},{float(v)!r}\n")
-        for e, v in zip(breakdown.bd_edge_ids, breakdown.theta_bd_edge):
-            fh.write(f"boundary_edge,{e},{float(v)!r}\n")

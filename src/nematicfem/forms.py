@@ -302,11 +302,3 @@ class NonlinearSystem:
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
         psi = Field(self.space, coeffs)
         return (self.linear_part + quartic_linearization(psi, self.cfg)).tocsr()
-
-
-def dump_operator(matrix: sp.spmatrix, path):
-    """Coordinate-format text dump (row col value per line)."""
-    coo = matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

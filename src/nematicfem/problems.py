@@ -124,7 +124,9 @@ def device_problem(epsilon: float) -> ProblemSpec:
     """Square well with tangent boundary conditions: the order parameter on
     the boundary is (T_d(x), 0) on the horizontal edges and (-T_d(y), 0) on
     the vertical ones, with ramp width d = 3 epsilon; no source, no exact
-    solution."""
+    solution.  ``g`` continues this data into the whole square from the
+    nearest edge (a horizontal one where min(y, 1-y) <= min(x, 1-x)), which
+    is what the director guesses blend into."""
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     d = 3.0 * epsilon
@@ -134,11 +136,10 @@ def device_problem(epsilon: float) -> ProblemSpec:
 
     def g(points):
         x, y = points[:, 0], points[:, 1]
-        tol = 1e-12
-        on_horizontal = (np.abs(y) < tol) | (np.abs(y - 1.0) < tol)
+        horizontal = np.minimum(y, 1.0 - y) <= np.minimum(x, 1.0 - x)
         vals = np.zeros_like(points)
-        vals[on_horizontal, 0] = trapezoid_profile(x[on_horizontal], d)
-        vals[~on_horizontal, 0] = -trapezoid_profile(y[~on_horizontal], d)
+        vals[horizontal, 0] = trapezoid_profile(x[horizontal], d)
+        vals[~horizontal, 0] = -trapezoid_profile(y[~horizontal], d)
         return vals
 
     return ProblemSpec("device", DomainShape(UNIT_SQUARE), epsilon,

@@ -37,7 +37,7 @@ from .fespace import Field, Space, discrete_norm
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
-from .problems import trapezoid_profile
+from .problems import device_problem
 
 DEVICE_STATES = ("D1", "D2", "R1", "R2", "R3", "R4")
 
@@ -69,13 +69,14 @@ KRYLOV_RTOL_CAP = 1e-4
 
 @dataclass
 class NewtonReport:
-    """History of one Newton solve: the increment norm of every step,
-    the number of LU factorizations, and the GMRES iterations of every step
-    (0 for a step solved with a fresh factor)."""
+    """History of one Newton solve: the increment norm and the residual
+    2-norm at the start of every step, the number of LU factorizations, and
+    the GMRES iterations of every step (0 for a step solved with a fresh
+    factor)."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
+    residuals: list = dataclass_field(default_factory=list)
     converged: bool = False
-    residual_norm: float = np.inf
     factorizations: int = 0
     krylov_iterations: list = dataclass_field(default_factory=list)
 
@@ -126,32 +127,21 @@ def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
     return Field(space, coeffs)
 
 
-def _nearest_edge_data(points, d):
-    """Tangent boundary data continued into the square from the nearest
-    edge: (T_d(x), 0) from the horizontal edges, (-T_d(y), 0) from the
-    vertical ones."""
-    x, y = points[:, 0], points[:, 1]
-    dist_h = np.minimum(y, 1.0 - y)
-    dist_v = np.minimum(x, 1.0 - x)
-    vals = np.zeros_like(points)
-    horizontal = dist_h <= dist_v
-    vals[horizontal, 0] = trapezoid_profile(x[horizontal], d)
-    vals[~horizontal, 0] = -trapezoid_profile(y[~horizontal], d)
-    return vals
-
-
 def director_guess(space: Space, epsilon: float, state: str) -> Field:
     """Initial iterate for the square device targeting one of the six
     states.  In the interior the order parameter is (cos 2a, sin 2a) with
     unit degree of order and director angle a: constant along a diagonal
     for D1/D2, rotating by pi across the square for R1-R4.  Within a
     boundary layer of width d = 3 epsilon the iterate is blended into the
-    tangent boundary data, so boundary nodes carry g exactly."""
+    device's boundary data ``device_problem(epsilon).g``, continued from the
+    nearest edge, so boundary nodes carry g exactly.  Raises
+    :class:`ConfigError` where ``device_problem`` does (epsilon >= 1/6)."""
     if state not in DEVICE_STATES:
         raise ConfigError(f"unknown device state {state!r}; "
                           f"expected one of {DEVICE_STATES}")
     if space.mesh.shape is None or space.mesh.shape.kind != UNIT_SQUARE:
         raise ConfigError("director guess is defined on the unit-square device")
+    g = device_problem(epsilon).g
     d = 3.0 * epsilon
     pts = space.node_coords
     x, y = pts[:, 0], pts[:, 1]
@@ -171,7 +161,7 @@ def director_guess(space: Space, epsilon: float, state: str) -> Field:
 
     t = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
     wgt = np.clip(t / d, 0.0, 1.0)[:, None]
-    vals = wgt * director + (1.0 - wgt) * _nearest_edge_data(pts, d)
+    vals = wgt * director + (1.0 - wgt) * g(pts)
     return Field(space, np.concatenate([vals[:, 0], vals[:, 1]]))
 
 
@@ -192,6 +182,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         jac = system.jacobian(coeffs)
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
+        report.residuals.append(float(res))
         delta, krylov_its = None, 0
         if lu is not None:
             # Eisenstat-Walker choice 2: the squared residual ratio
@@ -212,10 +203,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.increments.append(inc)
         if inc <= ncfg.tol:
             report.converged = True
-            report.residual_norm = float(
-                np.abs(system.residual(coeffs)).max())
             return Field(space, coeffs), report
-    report.residual_norm = float(np.abs(system.residual(coeffs)).max())
     raise NewtonError(
         f"Newton iteration did not reach tol={ncfg.tol} within "
         f"{ncfg.max_iter} steps (last increment "

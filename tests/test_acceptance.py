@@ -14,7 +14,7 @@ import pytest
 
 from nematicfem.adapt import (AdaptConfig, check_dorfler, dorfler_mark,
                               element_indicators)
-from nematicfem.bench import RunConfig, ndof_orders, run_uniform_study
+from nematicfem.bench import RunConfig, run_uniform_study
 from nematicfem.estimator import estimate
 from nematicfem.fespace import (Field, Space, discrete_norm, embed_continuous,
                                 free_energy, l2_norm, prolong)
@@ -239,7 +239,7 @@ def test_criterion_5_adaptive_vs_uniform(adaptive_trace, lshape_uniform_deep):
     uni = lshape_uniform_deep
     elapsed = time.time() - start + elapsed_adaptive
 
-    uni_orders = ndof_orders(uni, "err_energy")
+    uni_orders = uni.column("order_e")
     uni_fine = uni_orders[-1]
     ndof = np.array([l.ndof for l in levels])
     err = np.array([l.err for l in levels])

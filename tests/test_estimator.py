@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_fn
-from nematicfem.estimator import dump_breakdown, estimate
+from nematicfem.estimator import estimate
 from nematicfem.exceptions import SpaceMismatchError
 from nematicfem.fespace import Field, Space, embed_continuous, interpolate, zero_field
 from nematicfem.forms import MethodConfig
@@ -159,15 +159,3 @@ def test_boundary_term_insensitive_to_g_representation(lshape):
     a = np.sqrt((br.theta_bd_edge ** 2).sum())
     b = np.sqrt((theta_fine ** 2).sum())
     assert abs(a - b) <= 0.01 * a
-
-
-def test_dump_breakdown(unit_square, tmp_path):
-    space = Space.continuous(unit_square)
-    psi = interpolate(space, constant_fn(0.3, 0.1))
-    br = estimate(psi, nitsche_cfg(), constant_fn(0.0, 0.0))
-    path = tmp_path / "estimator.csv"
-    dump_breakdown(br, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "entity_kind,id,value"
-    kinds = {line.split(",")[0] for line in lines[1:]}
-    assert kinds == {"triangle", "interior_edge", "boundary_edge"}

@@ -7,10 +7,9 @@ from conftest import constant_fn, linear_fn, random_field
 from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
 from nematicfem.fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
-                                dump_field, embed_continuous,
-                                energy_error_norm, free_energy, interpolate,
-                                l2_norm, load_field, prolong)
-from nematicfem.mesh import red_refine
+                                embed_continuous, energy_error_norm,
+                                free_energy, interpolate, l2_norm, prolong)
+from nematicfem.mesh import nvb_refine, red_refine
 from nematicfem.problems import device_problem, trapezoid_profile
 
 
@@ -100,6 +99,35 @@ def test_prolong_requires_nesting(unit_square, lshape):
     coarse = random_field(Space.continuous(unit_square), seed=0)
     with pytest.raises(NestingError):
         prolong(coarse, Space.continuous(lshape))
+    coarse = random_field(Space.dg(unit_square), seed=0)
+    with pytest.raises(NestingError):
+        prolong(coarse, Space.dg(red_refine(lshape)))
+
+
+def test_prolong_dg_matches_parent_linears_on_nvb_slit(slit):
+    """A discontinuous field prolonged onto an NVB refinement that bisects
+    the slit faces (duplicated vertices) equals each parent's linear
+    function evaluated at its children's nodes."""
+    red = red_refine(slit)
+    coarse_mesh = nvb_refine(red, np.arange(red.n_triangles))
+    _, inverse, counts = np.unique(coarse_mesh.vertices, axis=0,
+                                   return_inverse=True, return_counts=True)
+    on_slit = counts[inverse.ravel()] == 2        # the duplicated vertices
+    marked = np.flatnonzero(on_slit[coarse_mesh.triangles].any(axis=1))
+    fine_mesh = nvb_refine(coarse_mesh, marked)
+    vp = fine_mesh.vertex_parents
+    slit_mid = on_slit[vp[:, 0]] & on_slit[vp[:, 1]] & (vp[:, 0] != vp[:, 1])
+    assert slit_mid.sum() >= 4     # slit edges of both faces were bisected
+    coarse = random_field(Space.dg(coarse_mesh), seed=5)
+    fine = prolong(coarse, Space.dg(fine_mesh))
+
+    parents = fine_mesh.tri_parents
+    origin = coarse_mesh.vertices[coarse_mesh.triangles[parents, 0]]
+    nodes = fine_mesh.vertices[fine_mesh.triangles]              # (Tf, 3, 2)
+    grads = coarse.gradients()[parents]                          # (Tf, 2, 2)
+    expect = (coarse.element_values()[parents, 0][:, None, :]
+              + np.einsum("tcx,tix->tic", grads, nodes - origin[:, None, :]))
+    assert np.abs(fine.element_values() - expect).max() <= 1e-13
 
 
 def test_discrete_norm_zero_field(unit_square):
@@ -171,12 +199,3 @@ def test_free_energy_zero_field(unit_square):
     assert free_energy(field, 0.5) == pytest.approx(4.0)
     with pytest.raises(ConfigError):
         free_energy(field, 0.0)
-
-
-def test_field_dump_load_roundtrip(unit_square, tmp_path):
-    space = Space.continuous(unit_square)
-    field = random_field(space, seed=9)
-    path = tmp_path / "field.csv"
-    dump_field(field, path)
-    back = load_field(space, path)
-    assert np.array_equal(back.coeffs, field.coeffs)

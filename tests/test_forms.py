@@ -9,7 +9,7 @@ from nematicfem.fespace import (Field, Space, embed_continuous, interpolate,
                                 zero_field)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
-                              dump_operator, gradient_matrix, load_vector,
+                              gradient_matrix, load_vector,
                               quartic_linearization, quartic_term,
                               _volume_stiffness)
 from nematicfem.mesh import red_refine
@@ -274,14 +274,3 @@ def test_consistency_residual_of_interpolant_decays(lshape):
         mesh = red_refine(mesh)
     assert norms[1] < norms[0]
     assert norms[2] < norms[1]
-
-
-def test_operator_dump(unit_square, tmp_path):
-    space = Space.continuous(unit_square)
-    A = gradient_matrix(space, nitsche_cfg())
-    path = tmp_path / "op.txt"
-    dump_operator(A, path)
-    rows = path.read_text().strip().splitlines()
-    r, c, v = rows[0].split()
-    assert float(v) == A.tocoo().data[0]
-    assert len(rows) == A.nnz

@@ -1,4 +1,4 @@
-"""Refactor oracle: four small studies reproduce their checked-in
+"""Refactor oracle: five small studies reproduce their checked-in
 ``convergence.csv`` files.
 
 Header, row count, empty cells and integer cells must match exactly;
@@ -29,6 +29,8 @@ STUDIES = {
                                    state="D1", initial_refine=3),
     "slit_dg_adaptive": RunConfig(problem="slit", method="dg",
                                   refine="adaptive", levels=4, epsilon=1.0),
+    "lshape_dg_uniform": RunConfig(problem="lshape", method="dg",
+                                   refine="uniform", levels=3, epsilon=0.4),
 }
 
 

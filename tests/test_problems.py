@@ -125,6 +125,17 @@ def test_device_g_continuous_at_corners():
         assert np.abs(prob.g(np.array([corner], dtype=float))).max() <= 1e-12
 
 
+def test_device_g_continues_from_nearest_edge():
+    """Inside the square g takes the data of the nearest edge, a horizontal
+    one on ties."""
+    prob = device_problem(0.02)
+    pts = np.array([[0.5, 0.1], [0.1, 0.5], [0.97, 0.5], [0.3, 0.3],
+                    [0.5, 0.97]])
+    expect = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0],
+                       [1.0, 0.0], [1.0, 0.0]])
+    assert np.abs(prob.g(pts) - expect).max() <= 1e-14
+
+
 def test_device_ramp_width_limit():
     with pytest.raises(ConfigError):
         device_problem(0.2)  # d = 0.6 >= 1/2

@@ -63,7 +63,9 @@ def test_newton_residual_bound_at_convergence(lshape):
     ncfg = NewtonConfig(tol=1e-8)
     sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg)
     assert rep.converged
-    assert rep.residual_norm <= 10 * ncfg.tol
+    assert len(rep.residuals) == rep.iterations
+    residual = NonlinearSystem(space, cfg, prob.g, prob.f).residual(sol.coeffs)
+    assert np.abs(residual).max() <= 10 * ncfg.tol
 
 
 def test_newton_scheme_equivalence(unit_square):
@@ -122,6 +124,7 @@ def test_newton_determinism(lshape):
     assert ra.iterations == rb.iterations
     assert ra.factorizations == rb.factorizations
     assert ra.krylov_iterations == rb.krylov_iterations
+    assert ra.residuals == rb.residuals
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -150,6 +153,16 @@ def test_director_guess_rejects_bad_state(unit_square):
 def test_director_guess_requires_device_domain(lshape):
     with pytest.raises(ConfigError):
         director_guess(Space.continuous(lshape), 0.02, "D1")
+
+
+@pytest.mark.parametrize("eps", [1.0 / 6.0, 0.25])
+def test_director_guess_rejects_wide_ramp(unit_square, eps):
+    """The guess blends into the device data, so it has the same ramp-width
+    limit d = 3 epsilon < 1/2 as ``device_problem``."""
+    with pytest.raises(ConfigError):
+        device_problem(eps)
+    with pytest.raises(ConfigError):
+        director_guess(Space.continuous(unit_square), eps, "D1")
 
 
 def test_dg_newton_matches_nitsche_solution(lshape):
