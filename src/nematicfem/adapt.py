@@ -19,11 +19,13 @@ import numpy as np
 from .estimator import EstimatorBreakdown, estimate
 from .exceptions import ConfigError, NewtonError
 from .fespace import (Field, Space, discrete_norm, energy_error_norm,
-                      free_energy, l2_error_norm, l2_norm, prolong, space_kind)
+                      free_energy, l2_error_norm, l2_norm, prolong,
+                      prolongation_matrix, space_kind)
 from .forms import MethodConfig
 from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
-from .solver import NewtonConfig, director_guess, laplace_guess, newton_solve
+from .solver import (CoarseLevel, NewtonConfig, director_guess, laplace_guess,
+                     newton_solve)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,10 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     requested).
 
     Newton starts from the prolonged previous solution, on level 0 from
-    the director guess of ``state`` or else the Laplace guess.  Problems
+    the director guess of ``state`` or else the Laplace guess.  The last
+    level, known before its solve, is solved two-grid with the previous
+    level's LU factor as its coarse solve and builds no factor of its own;
+    every other level releases the previous factor before it solves.  Problems
     with an exact solution record its energy and L2 errors; the others
     record the norms of the difference to the prolonged previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
@@ -144,12 +149,22 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     records = []
     solutions = []
     previous = None
+    factor = None      # the previous level's LU factor
     for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
             out.mkdir(parents=True, exist_ok=True)
             mesh.dump(out / f"level_{level:03d}.mesh.txt")
         space = Space(mesh, kind)
+        last = level == max_levels - 1 or (target_ndof is not None
+                                           and space.ndof >= target_ndof)
+        # the holder is the factor's only reference, so the solve can
+        # release it before a fallback factorization
+        coarse = None
+        if last and factor is not None:
+            coarse = CoarseLevel(factor, prolongation_matrix(previous.space,
+                                                             space))
+        factor = None
         if previous is not None:
             guess = prolong(previous, space)
         elif state is not None:
@@ -160,10 +175,14 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
             # looked up as this module's global on every call: the benchmark
             # rebinds ``adapt.newton_solve`` to capture each level's solution
             field, report = newton_solve(space, cfg, problem.g, problem.f,
-                                         guess, ncfg)
+                                         guess, ncfg, coarse=coarse)
         except NewtonError as exc:
             exc.level_records = records
             raise
+        coarse = None
+        if not last:
+            factor = report.factor
+        report.factor = None
 
         breakdown = estimate(field, cfg, problem.g, problem.f)
         rec = LevelRecord(
@@ -189,8 +208,7 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         if keep_solutions:
             solutions.append(field)
 
-        if level == max_levels - 1 or (target_ndof is not None
-                                       and space.ndof >= target_ndof):
+        if last:
             break
         mesh = refine(mesh, breakdown)
         previous = field

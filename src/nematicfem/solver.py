@@ -22,18 +22,32 @@ fresh factor, which is kept for the steps after it.  The update is still
 the Newton step, so the iterates match a solve that factors at every step
 up to the GMRES tolerance.
 
+The last level of a study on nested meshes builds no factor: given the
+previous level's factor and the prolongation P from its space
+(:class:`CoarseLevel`), every step runs GMRES preconditioned by a two-grid
+cycle on the current Jacobian J, the first step to KRYLOV_RTOL_FLOOR and
+the later ones to the Eisenstat-Walker tolerance.  The cycle is a damped
+block-Jacobi sweep on J (damping TWOGRID_OMEGA; one block per dG triangle
+or per continuous vertex, both components), the coarse correction
+P lu_c^{-1} P^T r and a second sweep.  Point Jacobi is too weak a smoother
+for dG; element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95
+(2003).  When that GMRES fails, the step drops the coarse factor and takes
+the refactor path above, which the solve then keeps.
+
 A single solve is sequential over iterations; independent solves (e.g. a
 level sweep) can run concurrently since spaces, configs and data are
 immutable.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
-from .fespace import Field, Space, discrete_norm
+from .fespace import DG, Field, Space, discrete_norm
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
@@ -65,20 +79,39 @@ KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL_FLOOR = 1e-10
 KRYLOV_RTOL_CAP = 1e-4
+# damping of the block-Jacobi sweeps of the two-grid cycle
+TWOGRID_OMEGA = 0.8
 
 
 @dataclass
 class NewtonReport:
     """History of one Newton solve: the increment norm and the residual
-    2-norm at the start of every step, the number of LU factorizations, and
-    the GMRES iterations of every step (0 for a step solved with a fresh
-    factor)."""
+    2-norm at the start of every step, the number of LU factorizations, the
+    GMRES iterations of every step (0 for a step solved with a fresh
+    factor) and those of every step's failed GMRES attempt (0 for a step
+    without one).
+
+    ``factor`` is the solve's last LU factor (None when it built none) for
+    the caller to take as the next level's coarse solve; it is None in the
+    report of a :class:`NewtonError`."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
     converged: bool = False
     factorizations: int = 0
     krylov_iterations: list = dataclass_field(default_factory=list)
+    failed_krylov_iterations: list = dataclass_field(default_factory=list)
+    factor: object = dataclass_field(default=None, repr=False, compare=False)
+
+
+@dataclass
+class CoarseLevel:
+    """The previous level's LU factor and the scalar prolongation from its
+    space, for a two-grid solve.  The solve sets ``lu`` to None when it
+    falls back to a factorization, so the factor is released when this
+    holder is its only reference."""
+    lu: object
+    prolongation: sp.csr_matrix
 
 
 def _factor_solve(matrix, rhs):
@@ -99,24 +132,56 @@ def _factor_solve(matrix, rhs):
     return lu, out
 
 
-def _krylov_solve(matrix, rhs, lu, rtol):
-    """GMRES on matrix x = rhs, preconditioned by the factor ``lu`` of an
-    earlier Jacobian.  Returns (x, iterations); x is None when GMRES does
-    not reach ``rtol`` within KRYLOV_CYCLES restart cycles."""
+def _krylov_solve(matrix, rhs, precond, rtol):
+    """GMRES on matrix x = rhs, preconditioned by the map ``precond``.
+    Returns (x, iterations); x is None when GMRES does not reach ``rtol``
+    within KRYLOV_CYCLES restart cycles."""
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    precond = spla.LinearOperator(matrix.shape, matvec=lu.solve,
-                                  dtype=matrix.dtype)
+    operator = spla.LinearOperator(matrix.shape, matvec=precond,
+                                   dtype=matrix.dtype)
     out, info = spla.gmres(matrix, rhs, rtol=rtol, atol=0.0,
                            restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
-                           M=precond, callback=count, callback_type="pr_norm")
+                           M=operator, callback=count, callback_type="pr_norm")
     if info != 0 or not np.all(np.isfinite(out)):
         return None, iterations
     return out, iterations
+
+
+def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
+    """Inverse of the block diagonal of ``matrix``: one block per dG
+    triangle (its 3 scalar dofs) or per continuous vertex, each with both
+    components."""
+    scalar = (space.elem_dofs if space.kind == DG
+              else np.arange(space.nscalar)[:, None])
+    dofs = np.concatenate([scalar, scalar + space.nscalar], axis=1)
+    nblocks, k = dofs.shape
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, k).ravel()
+    blocks = np.asarray(matrix[rows, cols]).reshape(nblocks, k, k)
+    return sp.csr_matrix((np.linalg.inv(blocks).ravel(), (rows, cols)),
+                         shape=matrix.shape)
+
+
+def _two_grid(matrix, space: Space, coarse: CoarseLevel):
+    """Two-grid cycle on ``matrix``: a damped block-Jacobi sweep, the
+    coarse correction P lu^{-1} P^T r per component, a second sweep."""
+    smooth = TWOGRID_OMEGA * _block_jacobi(matrix, space)
+    lu, prolongation = coarse.lu, coarse.prolongation
+    restriction = prolongation.T.tocsr()
+    n, nc = prolongation.shape
+
+    def apply(r):
+        x = smooth @ r
+        rc = (restriction @ (r - matrix @ x).reshape(2, n).T).T.reshape(-1)
+        x += (prolongation @ lu.solve(rc).reshape(2, nc).T).T.reshape(-1)
+        return x + smooth @ (r - matrix @ x)
+
+    return apply
 
 
 def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
@@ -166,9 +231,12 @@ def director_guess(space: Space, epsilon: float, state: str) -> Field:
 
 
 def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
-                 ncfg: NewtonConfig = NewtonConfig()):
+                 ncfg: NewtonConfig = NewtonConfig(),
+                 coarse: Optional[CoarseLevel] = None):
     """Newton iteration from the given guess; returns (solution, report).
 
+    With ``coarse`` every step runs two-grid preconditioned GMRES and no
+    factor is built unless that GMRES fails (see the module docstring).
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
@@ -183,19 +251,27 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
         report.residuals.append(float(res))
+        # Eisenstat-Walker choice 2: the squared residual ratio
+        rtol = (KRYLOV_RTOL_FLOOR if prev_res is None else
+                np.clip((res / prev_res) ** 2, KRYLOV_RTOL_FLOOR,
+                        KRYLOV_RTOL_CAP))
         delta, krylov_its = None, 0
-        if lu is not None:
-            # Eisenstat-Walker choice 2: the squared residual ratio
-            rtol = np.clip((res / prev_res) ** 2, KRYLOV_RTOL_FLOOR,
-                           KRYLOV_RTOL_CAP)
-            delta, krylov_its = _krylov_solve(jac, rhs, lu, rtol)
+        if coarse is not None and coarse.lu is not None:
+            delta, krylov_its = _krylov_solve(
+                jac, rhs, _two_grid(jac, space, coarse), rtol)
+            if delta is None:
+                coarse.lu = None
+        elif lu is not None:
+            delta, krylov_its = _krylov_solve(jac, rhs, lu.solve, rtol)
+        failed_its = 0
         if delta is None:
             # release the stale factor before SuperLU builds the new one
             lu = None
             lu, delta = _factor_solve(jac, rhs)
-            krylov_its = 0
+            failed_its, krylov_its = krylov_its, 0
             report.factorizations += 1
         report.krylov_iterations.append(krylov_its)
+        report.failed_krylov_iterations.append(failed_its)
         prev_res = res
         coeffs = coeffs + delta
         inc = discrete_norm(Field(space, delta), cfg.method, cfg.sigma)
@@ -203,6 +279,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.increments.append(inc)
         if inc <= ncfg.tol:
             report.converged = True
+            report.factor = lu
             return Field(space, coeffs), report
     raise NewtonError(
         f"Newton iteration did not reach tol={ncfg.tol} within "

@@ -3,7 +3,7 @@ import pytest
 
 from nematicfem.fespace import Field, Space
 from nematicfem.mesh import (DomainShape, L_SHAPE, SLIT_SQUARE, UNIT_SQUARE,
-                             Mesh, build_initial_mesh, red_refine)
+                             Mesh, build_initial_mesh)
 
 
 @pytest.fixture

@@ -12,16 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from nematicfem.adapt import (AdaptConfig, check_dorfler, dorfler_mark,
-                              element_indicators)
+from nematicfem.adapt import check_dorfler, dorfler_mark, element_indicators
 from nematicfem.bench import RunConfig, run_uniform_study
 from nematicfem.estimator import estimate
-from nematicfem.fespace import (Field, Space, discrete_norm, embed_continuous,
-                                free_energy, l2_norm, prolong)
+from nematicfem.fespace import Field, Space, embed_continuous, prolong
 from nematicfem.forms import MethodConfig, NonlinearSystem
 from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
-from nematicfem.problems import device_problem, lshape_problem
-from nematicfem.solver import NewtonConfig, director_guess, laplace_guess, newton_solve
+from nematicfem.problems import lshape_problem
+from nematicfem.solver import NewtonConfig, laplace_guess, newton_solve
 
 FAST_DEVICE = os.environ.get("NEMATICFEM_DEVICE_FAST", "") not in ("", "0")
 

@@ -8,7 +8,8 @@ from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
 from nematicfem.fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
                                 embed_continuous, energy_error_norm,
-                                free_energy, interpolate, l2_norm, prolong)
+                                free_energy, interpolate, l2_norm, prolong,
+                                prolongation_matrix)
 from nematicfem.mesh import nvb_refine, red_refine
 from nematicfem.problems import device_problem, trapezoid_profile
 
@@ -102,6 +103,27 @@ def test_prolong_requires_nesting(unit_square, lshape):
     coarse = random_field(Space.dg(unit_square), seed=0)
     with pytest.raises(NestingError):
         prolong(coarse, Space.dg(red_refine(lshape)))
+
+
+@pytest.mark.parametrize("refine", ["red", "nvb"])
+@pytest.mark.parametrize("kind", [CONTINUOUS, DG])
+def test_prolong_applies_the_parent_gather_matrix(lshape, kind, refine):
+    """``prolong`` applies the prolongation matrix, whose rows each sum to
+    1, and is bitwise equal to the mean of the two parent dofs."""
+    from nematicfem.fespace import _parent_dofs
+    coarse_mesh = red_refine(lshape)
+    fine_mesh = (red_refine(coarse_mesh) if refine == "red"
+                 else nvb_refine(coarse_mesh, np.arange(0, coarse_mesh.n_triangles, 3)))
+    coarse = random_field(Space(coarse_mesh, kind), seed=7)
+    fine_space = Space(fine_mesh, kind)
+    p = prolongation_matrix(coarse.space, fine_space)
+    assert p.shape == (fine_space.nscalar, coarse.space.nscalar)
+    assert np.array_equal(np.asarray(p.sum(axis=1)).ravel(),
+                          np.ones(fine_space.nscalar))
+    a, b = _parent_dofs(coarse.space, fine_space).T
+    c = coarse.components
+    gather = 0.5 * (c[:, a] + c[:, b])
+    assert np.array_equal(prolong(coarse, fine_space).components, gather)
 
 
 def test_prolong_dg_matches_parent_linears_on_nvb_slit(slit):

@@ -5,7 +5,7 @@ import pytest
 
 from nematicfem.exceptions import MeshError
 from nematicfem.mesh import (DomainShape, L_SHAPE, SLIT_SQUARE, UNIT_SQUARE,
-                             Mesh, build_initial_mesh, nvb_refine, red_refine)
+                             build_initial_mesh, nvb_refine, red_refine)
 
 
 def test_unit_square_counts(unit_square):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import constant_fn
-from nematicfem import solver
+from nematicfem import adapt, solver
 from nematicfem.exceptions import ConfigError, LinearSolveError, NewtonError
-from nematicfem.fespace import Field, Space, discrete_norm, interpolate, prolong
-from nematicfem.forms import (MethodConfig, NonlinearSystem,
-                              cubic_term_vector, quartic_linearization)
+from nematicfem.fespace import (Field, Space, discrete_norm, interpolate,
+                                prolong, prolongation_matrix)
+from nematicfem.forms import MethodConfig, NonlinearSystem, cubic_term_vector
 from nematicfem.mesh import build_initial_mesh, red_refine
 from nematicfem.problems import device_problem, lshape_problem
-from nematicfem.solver import (NewtonConfig, director_guess, laplace_guess,
-                               newton_solve)
+from nematicfem.solver import (CoarseLevel, NewtonConfig, director_guess,
+                               laplace_guess, newton_solve)
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -318,6 +318,126 @@ def test_cold_device_start_refactors():
                                             guess, ncfg.tol)
     assert rep.factorizations > 1
     assert rep.krylov_iterations.count(0) >= rep.factorizations
+    assert rep.iterations == ref_iterations
+    assert np.abs(sol.coeffs - ref).max() <= 1e-10
+    # every refactored step after the first spent a failed GMRES attempt
+    failed = rep.failed_krylov_iterations
+    assert len(failed) == rep.iterations
+    assert failed[0] == 0
+    refactored = [k for k in range(1, rep.iterations)
+                  if rep.krylov_iterations[k] == 0]
+    assert len(refactored) == rep.factorizations - 1
+    assert all(failed[k] > 0 for k in refactored)
+    assert sum(f > 0 for f in failed) == len(refactored)
+
+
+# -- two-grid last level ---------------------------------------------------------
+
+
+def _level_reports(monkeypatch, counter):
+    """Rebind ``adapt.newton_solve`` to record, per level, the report and
+    the number of LU factorizations the solve built."""
+    real = adapt.newton_solve
+    levels = []
+
+    def recording(*args, **kwargs):
+        before = counter.factorizations
+        result = real(*args, **kwargs)
+        levels.append((result[1], counter.factorizations - before))
+        return result
+
+    monkeypatch.setattr(solver, "spla", counter)
+    monkeypatch.setattr(adapt, "newton_solve", recording)
+    return levels
+
+
+def _lshape_study(method, refine, levels, target_ndof=None):
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method=method, epsilon=0.4)
+    mesh = red_refine(build_initial_mesh(prob.shape))
+    if refine == "uniform":
+        result = adapt.solve_levels(prob, mesh, cfg, NewtonConfig(),
+                                    lambda m, _: red_refine(m), levels,
+                                    keep_solutions=True)
+    else:
+        result = adapt.adaptive_loop(
+            prob, mesh, cfg, NewtonConfig(),
+            adapt.AdaptConfig(max_levels=levels, target_ndof=target_ndof),
+            keep_solutions=True)
+    return (prob, cfg) + result
+
+
+@pytest.mark.parametrize("method, refine, levels, target_ndof", [
+    ("nitsche", "uniform", 4, None),
+    ("dg", "uniform", 4, None),
+    ("nitsche", "adaptive", 50, 400),
+], ids=["nitsche-uniform", "sipg-uniform", "nitsche-adaptive-target"])
+def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
+                                target_ndof):
+    """The last level of a study builds no LU factor: every step runs GMRES
+    with the two-grid preconditioner built on the previous level's factor,
+    and the level reaches the factor-every-step Newton solution in the same
+    number of steps."""
+    counter = _CountingLinalg()
+    reports = _level_reports(monkeypatch, counter)
+    prob, cfg, records, solutions = _lshape_study(method, refine, levels,
+                                                  target_ndof)
+    monkeypatch.undo()
+    if target_ndof is not None:
+        assert len(records) < levels
+        assert records[-1].ndof >= target_ndof > records[-2].ndof
+    assert len(reports) == len(records) >= 2
+    assert all(built >= 1 for _, built in reports[:-1])
+    assert all(rep.factor is None for rep, _ in reports)   # none kept
+    last, built = reports[-1]
+    assert built == 0
+    assert last.factorizations == 0
+    assert last.factor is None
+    assert all(k > 0 for k in last.krylov_iterations)
+    assert last.failed_krylov_iterations == [0] * last.iterations
+
+    space = solutions[-1].space
+    guess = prolong(solutions[-2], space)
+    ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
+                                            guess, NewtonConfig().tol)
+    assert last.iterations == ref_iterations >= 2
+    assert np.abs(solutions[-1].coeffs - ref).max() <= 1e-10
+
+
+def test_two_grid_fallback_refactors(lshape, monkeypatch):
+    """With the factor of an unrelated matrix as coarse solve, two-grid
+    GMRES fails on the first step; the step releases the coarse factor,
+    factors the Jacobian, and the solve still reaches the Newton
+    solution."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    ncfg = NewtonConfig()
+    coarse_mesh = red_refine(red_refine(lshape))
+    coarse_space = Space.continuous(coarse_mesh)
+    coarse_sol, _ = newton_solve(coarse_space, cfg, prob.g, prob.f,
+                                 laplace_guess(coarse_space, cfg, prob.g,
+                                               prob.f), ncfg)
+    space = Space.continuous(red_refine(coarse_mesh))
+    guess = prolong(coarse_sol, space)
+    rng = np.random.default_rng(2)
+    nc = coarse_space.ndof
+    unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
+                 - sp.identity(nc)).tocsc()
+    coarse = CoarseLevel(spla.splu(unrelated),
+                         prolongation_matrix(coarse_space, space))
+
+    counter = _CountingLinalg()
+    monkeypatch.setattr(solver, "spla", counter)
+    sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
+                            coarse=coarse)
+    monkeypatch.undo()
+    ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
+                                            guess, ncfg.tol)
+
+    assert coarse.lu is None
+    assert counter.factorizations == rep.factorizations == 1
+    assert rep.krylov_iterations[0] == 0
+    assert rep.failed_krylov_iterations[0] > 0
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
 
