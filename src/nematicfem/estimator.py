@@ -67,7 +67,7 @@ def _gradient_jump_sq(psi: Field, int_edges):
     tp = mesh.edge_tris[int_edges, 0]
     tm = mesh.edge_tris[int_edges, 1]
     nu = psi.space.geometry.edge_normal[int_edges]
-    jump = np.einsum("ncx,nx->nc", grads[tp] - grads[tm], nu)
+    jump = ((grads[tp] - grads[tm]) @ nu[:, :, None])[..., 0]
     return (jump ** 2).sum(1)
 
 

@@ -7,6 +7,11 @@ component occupies coefficients ``[0, nscalar)`` and the second
 vertex value; for the dG space it is one of the three vertex values of a
 triangle, so neighbouring triangles carry independent copies.
 
+Quadrature values, gradients and edge traces are batched matrix products:
+the (Q, 3) barycentric points times the (T, 3, 2) nodal values of every
+triangle, and the transposed nodal values times the (T, 3, 2) basis
+gradients.
+
 Spaces and quadrature caches are immutable and safe to share across
 threads; fields are value-like (a space reference plus a coefficient
 vector).
@@ -129,8 +134,7 @@ class MeshGeometry:
         points (T, Q, 2) and combined weights (Q,) to scale by area."""
         if degree not in self._tri_rules:
             rule = triangle_rule(degree)
-            pts = np.einsum("qi,tix->tqx", rule.points,
-                            self.mesh.vertices[self.mesh.triangles])
+            pts = np.matmul(rule.points, self.mesh.vertices[self.mesh.triangles])
             self._tri_rules[degree] = (rule.points, rule.weights, pts)
         return self._tri_rules[degree]
 
@@ -179,13 +183,12 @@ class Field:
     def values_at(self, lam):
         """Values at the barycentric points ``lam`` (Q, 3) of every
         triangle, shape (T, Q, 2)."""
-        return np.einsum("qi,tic->tqc", lam, self.element_values())
+        return np.matmul(lam, self.element_values())
 
     def gradients(self):
         """Constant gradient per triangle, shape (T, 2, 2) with axes
         (triangle, component, direction)."""
-        return np.einsum("tic,tix->tcx", self.element_values(),
-                         self.space.geometry.grads)
+        return self.element_values().transpose(0, 2, 1) @ self.space.geometry.grads
 
     def copy(self) -> "Field":
         return Field(self.space, self.coeffs.copy())
@@ -307,7 +310,7 @@ def boundary_misfit_sq(field: Field, g, edge_ids) -> np.ndarray:
     geom = field.space.geometry
     hats, pts, ew = geom.edge_points(edge_ids)
     gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(edge_ids), -1, 2)
-    fv = np.einsum("qe,nec->nqc", hats, _edge_trace_values(field, edge_ids, 0))
+    fv = np.matmul(hats, _edge_trace_values(field, edge_ids, 0))
     return (ew[None, :] * ((fv - gv) ** 2).sum(-1)).sum(1)
 
 

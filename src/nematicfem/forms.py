@@ -16,9 +16,12 @@ smaller id is the plus side, the edge normal points from plus to minus,
 and [w] = w_plus - w_minus; boundary edges use the single trace and an
 outward normal.
 
-Assembly is sequential and deterministic; the triangle loops are plain
-reductions, so a parallel implementation would only be reproducible up to
-floating-point summation order.
+Element and edge kernels are batched matrix products over all triangles
+(or edges) at once: quadrature sums are products with the barycentric
+point matrix, and the weighted masses of the quartic term are one product
+of the (T, Q) weights with the Q x 9 basis products.  Assembly is
+sequential and deterministic; a parallel implementation would only be
+reproducible up to floating-point summation order.
 """
 
 from dataclasses import dataclass
@@ -89,8 +92,7 @@ def _assemble_vector(out, dofs, local):
 
 def _volume_stiffness(space: Space):
     geom = space.geometry
-    local = geom.area[:, None, None] * np.einsum("tix,tjx->tij",
-                                                 geom.grads, geom.grads)
+    local = geom.area[:, None, None] * (geom.grads @ geom.grads.transpose(0, 2, 1))
     return _assemble(space.elem_dofs, local, space.nscalar)
 
 
@@ -102,7 +104,7 @@ def _edge_dof_data(space: Space, edge_ids, side: int):
     tris = space.mesh.edge_tris[edge_ids, side]
     dofs = space.elem_dofs[tris]                                  # (n, 3)
     nu = geom.edge_normal[edge_ids]
-    dn = np.einsum("tix,tx->ti", geom.grads[tris], nu)            # (n, 3)
+    dn = (geom.grads[tris] @ nu[:, :, None])[..., 0]              # (n, 3)
     loc = geom.loc[edge_ids, side]                                # (n, 2)
     trace = np.zeros((len(edge_ids), 3, 2))
     rows = np.arange(len(edge_ids))
@@ -121,8 +123,7 @@ def _edge_block(space, cfg, dofs, dn_avg, jump_trace, h):
     # integral over E of [phi_j]: endpoint hats integrate to h/2
     phi_int = jump_trace.sum(axis=2) * (h[:, None] / 2.0)
     consistency = dn_avg[:, :, None] * phi_int[:, None, :]
-    penalty = cfg.sigma * np.einsum("nie,ef,njf->nij", jump_trace, _EDGE_MASS,
-                                    jump_trace)
+    penalty = cfg.sigma * (jump_trace @ _EDGE_MASS @ jump_trace.transpose(0, 2, 1))
     local = (-consistency.transpose(0, 2, 1)
              - _consistency_weight(cfg) * consistency + penalty)
     return _assemble(dofs, local, space.nscalar)
@@ -199,10 +200,10 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig) -> sp.csr_matrix:
     k22 = scale * (norm2 + 2.0 * w2 * w2)
 
     aw = geom.area[:, None] * w[None, :]
-    basis_outer = np.einsum("qi,qj->qij", lam, lam)
+    basis_outer = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
 
     def weighted_mass(kernel):
-        local = np.einsum("tq,qij->tij", aw * kernel, basis_outer)
+        local = ((aw * kernel) @ basis_outer).reshape(-1, 3, 3)
         return _assemble(space.elem_dofs, local, space.nscalar)
 
     m11 = weighted_mass(k11)
@@ -221,9 +222,9 @@ def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
     norm2 = (vals ** 2).sum(-1)
     scale = 2.0 / cfg.epsilon ** 2
     aw = geom.area[:, None] * w[None, :]
-    local = scale * np.einsum("tq,tqc,qi->tci", aw * norm2, vals, lam)
+    local = scale * (lam.T @ ((aw * norm2)[..., None] * vals))   # (T, 3, 2)
     out = np.zeros(space.ndof)
-    _assemble_vector(out, space.elem_dofs, local.transpose(0, 2, 1))
+    _assemble_vector(out, space.elem_dofs, local)
     return out
 
 
@@ -249,13 +250,12 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
         if not np.isfinite(gv).all():
             raise _nonfinite_error("boundary data", pts, gv)
         h = geom.edge_len[bd]
-        g_int = h[:, None] * np.einsum("q,nqc->nc", ew, gv)      # (n, 2)
+        g_int = h[:, None] * (ew @ gv)                            # (n, 2)
         # -weight <g, dn(phi_i)>
         cons = -_consistency_weight(cfg) * dn[:, :, None] * g_int[:, None, :]
         # sigma/h <g, phi_i>: phi_i has endpoint coefficients trace[n, i, :]
-        g_hat = h[:, None, None] * np.einsum("q,qe,nqc->nec", ew, hats, gv)
-        pen = (cfg.sigma / h)[:, None, None] * np.einsum(
-            "nie,nec->nic", trace, g_hat)
+        g_hat = h[:, None, None] * ((ew[:, None] * hats).T @ gv)
+        pen = (cfg.sigma / h)[:, None, None] * (trace @ g_hat)
         _assemble_vector(out, dofs, cons + pen)
 
     if f is not None:
@@ -265,8 +265,7 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
         if not np.isfinite(fv).all():
             raise _nonfinite_error("source data", pts, fv)
         aw = geom.area[:, None] * w[None, :]
-        local = np.einsum("tq,tqc,qi->tci", aw, fv, lam)
-        _assemble_vector(out, space.elem_dofs, local.transpose(0, 2, 1))
+        _assemble_vector(out, space.elem_dofs, lam.T @ (aw[..., None] * fv))
     return out
 
 
@@ -289,9 +288,11 @@ class NonlinearSystem:
     def __init__(self, space: Space, cfg: MethodConfig, g, f=None):
         self.space = space
         self.cfg = cfg
-        self.gradient = gradient_matrix(space, cfg)
-        self.bulk_linear = bulk_linear_matrix(space, cfg)
-        self.linear_part = (self.gradient + self.bulk_linear).tocsc()
+        # scipy sizes the arrays of a sparse sum for nnz(A) + nnz(B) and
+        # keeps them when at least half is used; the copy (here and in
+        # ``jacobian``) holds only the entries
+        self.linear_part = (gradient_matrix(space, cfg)
+                            + bulk_linear_matrix(space, cfg)).copy()
         self.load = load_vector(space, cfg, g, f)
 
     def residual(self, coeffs: np.ndarray) -> np.ndarray:
@@ -301,4 +302,4 @@ class NonlinearSystem:
 
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
         psi = Field(self.space, coeffs)
-        return (self.linear_part + quartic_linearization(psi, self.cfg)).tocsr()
+        return (self.linear_part + quartic_linearization(psi, self.cfg)).copy()

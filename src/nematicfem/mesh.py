@@ -121,9 +121,15 @@ class Mesh:
         t = self.triangles
         raw = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1)
         raw = raw.reshape(-1, 2)
-        raw_sorted = np.sort(raw, axis=1)
-        self.edges, inverse, counts = np.unique(
-            raw_sorted, axis=0, return_inverse=True, return_counts=True)
+        # one int64 key per sorted vertex pair: key order is the
+        # lexicographic order of the pairs, so a 1-D unique numbers the
+        # edges as a row-wise unique would
+        nv = self.n_vertices
+        key = (np.minimum(raw[:, 0], raw[:, 1]) * nv
+               + np.maximum(raw[:, 0], raw[:, 1]))
+        keys, inverse, counts = np.unique(key, return_inverse=True,
+                                          return_counts=True)
+        self.edges = np.stack([keys // nv, keys % nv], axis=1)
         if counts.max(initial=0) > 2:
             raise MeshError("an edge is shared by more than two triangles")
         self.tri_edges = inverse.reshape(-1, 3)

@@ -1,14 +1,18 @@
 """Study harness: CSV schema, determinism, round trips, CLI."""
 
+import importlib.util
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nematicfem.bench import (ADAPTIVE_COLUMNS, UNIFORM_COLUMNS, RunConfig,
-                              emit_outputs, load_table, run_adaptive_study,
-                              run_study, run_uniform_study)
+import nematicfem
+from nematicfem.bench import (ADAPTIVE_COLUMNS, UNIFORM_COLUMNS, ConvergenceTable,
+                              RunConfig, emit_outputs, initial_mesh_for,
+                              load_table, run_adaptive_study, run_study,
+                              run_uniform_study)
 from nematicfem import adapt
 from nematicfem.cli import main
 from nematicfem.exceptions import ConfigError, NewtonError
@@ -222,3 +226,30 @@ def test_mesh_dumps(tmp_path, refine):
     dumps = sorted((tmp_path / "meshes").glob("level_*.mesh.txt"))
     assert len(dumps) == 3
     assert dumps[0].read_text().startswith("vertices ")
+
+
+def test_adaptive_study_writes_nothing_to_stdout(tmp_path, capsys):
+    """The benchmark runs the adaptive study without redirecting stdout, so
+    the library must print nothing: the benchmark's last stdout line has to
+    be its JSON result."""
+    cfg = RunConfig(problem="lshape", method="nitsche", refine="adaptive",
+                    levels=4, epsilon=0.4)
+    problem, mesh = initial_mesh_for(cfg)
+    records = adapt.adaptive_loop(
+        problem, mesh, cfg.method_config(), cfg.newton_config(),
+        adapt.AdaptConfig(dorfler_theta=cfg.theta, max_levels=cfg.levels,
+                          target_ndof=10_000))
+    emit_outputs(ConvergenceTable("adaptive", records), cfg, tmp_path)
+    assert (tmp_path / "convergence.csv").exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_benchmark_spans_find_every_wrapped_name():
+    """Every name the traced benchmark wraps exists, so no per-layer metric
+    is reported as missing."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.installed(spans.Recorder(), nematicfem) as missing:
+        assert missing == set()

@@ -1,0 +1,223 @@
+"""Element kernels against the index-notation formulas they implement.
+
+Each reference below spells a contraction out with ``np.einsum`` and
+scatters with ``np.add.at`` or a COO matrix, independently of the
+library's matmul kernels; both must agree to rounding on continuous and
+dG spaces over red- and NVB-refined L-shape meshes.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from conftest import random_field
+from nematicfem.estimator import _gradient_jump_sq
+from nematicfem.fespace import Space, boundary_misfit_sq
+from nematicfem.forms import (MethodConfig, cubic_term_vector,
+                              gradient_matrix, load_vector,
+                              quartic_linearization)
+from nematicfem.mesh import (DomainShape, L_SHAPE, build_initial_mesh,
+                             nvb_refine, red_refine)
+from nematicfem.problems import lshape_problem
+from nematicfem.quadrature import ASSEMBLY_DEGREE, ERROR_DEGREE
+
+RTOL = 1e-14
+EPSILON = 0.4
+
+
+def _red_lshape():
+    return red_refine(red_refine(build_initial_mesh(DomainShape(L_SHAPE))))
+
+
+def _nvb_lshape():
+    mesh = red_refine(build_initial_mesh(DomainShape(L_SHAPE)))
+    for _ in range(3):
+        # bisect the triangles touching the re-entrant corner
+        corner = np.flatnonzero(
+            (np.abs(mesh.vertices[mesh.triangles]).sum(-1) == 0).any(axis=1))
+        mesh = nvb_refine(mesh, corner)
+    return mesh
+
+
+MESHES = {"red": _red_lshape, "nvb": _nvb_lshape}
+SPACES = {"continuous": ("nitsche", Space.continuous), "dg": ("dg", Space.dg)}
+
+
+@pytest.fixture(params=[(m, s) for m in MESHES for s in SPACES],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def case(request):
+    mesh_name, space_name = request.param
+    method, make = SPACES[space_name]
+    space = make(MESHES[mesh_name]())
+    psi = random_field(space, seed=7)
+    cfg = MethodConfig(method=method, epsilon=EPSILON, sigma=10.0, lam=0.5)
+    return space, psi, cfg
+
+
+def _close(actual, reference):
+    actual = np.asarray(actual)
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max() <= RTOL * np.abs(reference).max()
+
+
+def _close_sparse(actual, reference):
+    diff = abs(sp.csr_matrix(actual) - reference).max()
+    assert diff <= RTOL * abs(reference).max()
+
+
+def _ref_values(psi, lam):
+    return np.einsum("qi,tic->tqc", lam, psi.element_values())
+
+
+def _ref_matrix(dofs, local, n):
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def _ref_vector(space, dofs, local):
+    """Scatter local (k, m, 2) vectors into both component blocks."""
+    out = np.zeros(space.ndof)
+    for comp in range(2):
+        np.add.at(out, comp * space.nscalar + dofs, local[..., comp])
+    return out
+
+
+@pytest.mark.parametrize("degree", [ASSEMBLY_DEGREE, ERROR_DEGREE])
+def test_triangle_points(case, degree):
+    space, _, _ = case
+    lam, _, pts = space.geometry.triangle_points(degree)
+    mesh = space.mesh
+    _close(pts, np.einsum("qi,tix->tqx", lam, mesh.vertices[mesh.triangles]))
+
+
+@pytest.mark.parametrize("degree", [ASSEMBLY_DEGREE, ERROR_DEGREE])
+def test_values_at(case, degree):
+    space, psi, _ = case
+    lam, _, _ = space.geometry.triangle_points(degree)
+    _close(psi.values_at(lam), _ref_values(psi, lam))
+
+
+def test_gradients(case):
+    space, psi, _ = case
+    _close(psi.gradients(), np.einsum("tic,tix->tcx", psi.element_values(),
+                                      space.geometry.grads))
+
+
+def test_cubic_term_vector(case):
+    space, psi, cfg = case
+    geom = space.geometry
+    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
+    vals = _ref_values(psi, lam)
+    aw = geom.area[:, None] * w[None, :]
+    local = (2.0 / EPSILON ** 2) * np.einsum(
+        "tq,tqc,qi->tic", aw * (vals ** 2).sum(-1), vals, lam)
+    _close(cubic_term_vector(psi, cfg),
+           _ref_vector(space, space.elem_dofs, local))
+
+
+def test_quartic_linearization(case):
+    space, psi, cfg = case
+    geom = space.geometry
+    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
+    vals = _ref_values(psi, lam)
+    norm2 = (vals ** 2).sum(-1)
+    aw = geom.area[:, None] * w[None, :]
+    blocks = [[None, None], [None, None]]
+    for a in range(2):
+        for b in range(2):
+            kernel = (2.0 / EPSILON ** 2) * (
+                (a == b) * norm2 + 2.0 * vals[..., a] * vals[..., b])
+            local = np.einsum("tq,qi,qj->tij", aw * kernel, lam, lam)
+            blocks[a][b] = _ref_matrix(space.elem_dofs, local, space.nscalar)
+    _close_sparse(quartic_linearization(psi, cfg), sp.bmat(blocks, format="csr"))
+
+
+def _ref_edge_data(space, edge_ids, side):
+    geom = space.geometry
+    tris = space.mesh.edge_tris[edge_ids, side]
+    dn = np.einsum("tix,tx->ti", geom.grads[tris], geom.edge_normal[edge_ids])
+    loc = geom.loc[edge_ids, side]
+    trace = np.zeros((len(edge_ids), 3, 2))
+    rows = np.arange(len(edge_ids))
+    trace[rows, loc[:, 0], 0] = 1.0
+    trace[rows, loc[:, 1], 1] = 1.0
+    return space.elem_dofs[tris], dn, trace
+
+
+def test_gradient_matrix(case):
+    space, _, cfg = case
+    geom = space.geometry
+    mesh = space.mesh
+    h = geom.edge_len
+    weight = cfg.lam if cfg.method == "dg" else 1.0
+    edge_mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    local = geom.area[:, None, None] * np.einsum("tix,tjx->tij",
+                                                 geom.grads, geom.grads)
+    scalar = _ref_matrix(space.elem_dofs, local, space.nscalar)
+    edge_sets = []
+    if cfg.method == "dg":
+        ie = mesh.interior_edges
+        dp, np_, tp = _ref_edge_data(space, ie, 0)
+        dm, nm, tm = _ref_edge_data(space, ie, 1)
+        edge_sets.append((ie, np.concatenate([dp, dm], axis=1),
+                          0.5 * np.concatenate([np_, nm], axis=1),
+                          np.concatenate([tp, -tm], axis=1)))
+    bd = mesh.boundary_edges
+    edge_sets.append((bd, *_ref_edge_data(space, bd, 0)))
+    for edges, dofs, dn, jump in edge_sets:
+        phi_int = jump.sum(axis=2) * (h[edges][:, None] / 2.0)
+        cons = np.einsum("ni,nj->nij", dn, phi_int)
+        pen = cfg.sigma * np.einsum("nie,ef,njf->nij", jump, edge_mass, jump)
+        scalar = scalar + _ref_matrix(
+            dofs, -cons.transpose(0, 2, 1) - weight * cons + pen, space.nscalar)
+    reference = sp.kron(sp.eye(2), scalar, format="csr")
+    _close_sparse(gradient_matrix(space, cfg), reference)
+
+
+def test_load_vector(case):
+    space, _, cfg = case
+    problem = lshape_problem(EPSILON)
+    geom = space.geometry
+    bd = space.mesh.boundary_edges
+    weight = cfg.lam if cfg.method == "dg" else 1.0
+    dofs, dn, trace = _ref_edge_data(space, bd, 0)
+    hats, pts, ew = geom.edge_points(bd)
+    gv = problem.g(pts.reshape(-1, 2)).reshape(len(bd), -1, 2)
+    h = geom.edge_len[bd]
+    g_int = h[:, None] * np.einsum("q,nqc->nc", ew, gv)
+    g_hat = h[:, None, None] * np.einsum("q,qe,nqc->nec", ew, hats, gv)
+    local = (-weight * np.einsum("ni,nc->nic", dn, g_int)
+             + (cfg.sigma / h)[:, None, None] * np.einsum("nie,nec->nic",
+                                                          trace, g_hat))
+    reference = _ref_vector(space, dofs, local)
+    lam, w, tpts = geom.triangle_points(ASSEMBLY_DEGREE)
+    fv = problem.f(tpts.reshape(-1, 2)).reshape(tpts.shape)
+    aw = geom.area[:, None] * w[None, :]
+    reference += _ref_vector(space, space.elem_dofs,
+                             np.einsum("tq,tqc,qi->tic", aw, fv, lam))
+    _close(load_vector(space, cfg, problem.g, problem.f), reference)
+
+
+def test_edge_kernels(case):
+    """The estimator's normal-gradient jump and the boundary misfit."""
+    space, psi, _ = case
+    mesh = space.mesh
+    geom = space.geometry
+    ie = mesh.interior_edges
+    grads = psi.gradients()
+    jump = np.einsum("ncx,nx->nc", grads[mesh.edge_tris[ie, 0]]
+                     - grads[mesh.edge_tris[ie, 1]], geom.edge_normal[ie])
+    _close(_gradient_jump_sq(psi, ie), (jump ** 2).sum(1))
+
+    g = lshape_problem(EPSILON).g
+    bd = mesh.boundary_edges
+    hats, pts, ew = geom.edge_points(bd)
+    loc = geom.loc[bd, 0]
+    ends = space.elem_dofs[mesh.edge_tris[bd, 0][:, None], loc]
+    trace = np.stack([psi.components[0][ends], psi.components[1][ends]], -1)
+    fv = np.einsum("qe,nec->nqc", hats, trace)
+    gv = g(pts.reshape(-1, 2)).reshape(len(bd), -1, 2)
+    _close(boundary_misfit_sq(psi, g, bd),
+           (ew[None, :] * ((fv - gv) ** 2).sum(-1)).sum(1))

@@ -161,3 +161,36 @@ def test_initial_mesh_dump_golden(kind, tmp_path):
     golden = pathlib.Path(__file__).parent / "data" / f"{kind}.mesh.txt"
     mesh = build_initial_mesh(DomainShape(kind))
     assert mesh.dumps() == golden.read_text()
+
+
+def _reference_topology(mesh):
+    """Edge topology from a row-wise ``np.unique`` of the sorted vertex
+    pairs and a plain loop over the triangles."""
+    raw = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inverse, counts = np.unique(np.sort(raw, axis=1), axis=0,
+                                       return_inverse=True, return_counts=True)
+    tri_edges = inverse.reshape(-1, 3)
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    for t, ids in enumerate(tri_edges):
+        for e in ids:
+            edge_tris[e, int(edge_tris[e, 0] >= 0)] = t
+    return (edges, tri_edges, edge_tris, np.flatnonzero(counts == 1),
+            np.flatnonzero(counts == 2))
+
+
+@pytest.mark.parametrize("kind", [UNIT_SQUARE, L_SHAPE, SLIT_SQUARE])
+@pytest.mark.parametrize("refine", ["red", "nvb"])
+def test_edges_match_rowwise_unique(kind, refine):
+    mesh = red_refine(build_initial_mesh(DomainShape(kind)))
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        if refine == "red":
+            mesh = red_refine(mesh)
+        else:
+            mesh = nvb_refine(mesh, rng.choice(
+                mesh.n_triangles, size=mesh.n_triangles // 4, replace=False))
+        actual = (mesh.edges, mesh.tri_edges, mesh.edge_tris,
+                  mesh.boundary_edges, mesh.interior_edges)
+        for got, want in zip(actual, _reference_topology(mesh)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
