@@ -127,12 +127,10 @@ def check_dorfler(indicators, marked, theta: float):
 
 def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
                  ncfg: NewtonConfig, refine, max_levels: int, state=None,
-                 target_ndof: Optional[int] = None,
-                 keep_solutions: bool = False, mesh_dump_dir=None):
+                 target_ndof: Optional[int] = None, mesh_dump_dir=None):
     """Solve, estimate and record on ``mesh``, then on ``refine(mesh,
     breakdown)``, for at most ``max_levels`` levels or until a level reaches
-    ``target_ndof``; returns a list of LevelRecord (and the solutions when
-    requested).
+    ``target_ndof``; returns a list of LevelRecord.
 
     Newton starts from the prolonged previous solution, on level 0 from
     the director guess of ``state`` or else the Laplace guess.  The last
@@ -147,7 +145,6 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     """
     kind = space_kind(cfg.method)
     records = []
-    solutions = []
     previous = None
     factor = None      # the previous level's LU factor
     for level in range(max_levels):
@@ -205,21 +202,17 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
                 rec.order_e = np.log(prev.err_energy / rec.err_energy) / ratio
             rec.order_est = np.log(prev.estimator / rec.estimator) / ratio
         records.append(rec)
-        if keep_solutions:
-            solutions.append(field)
 
         if last:
             break
         mesh = refine(mesh, breakdown)
         previous = field
-    if keep_solutions:
-        return records, solutions
     return records
 
 
 def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
                   ncfg: NewtonConfig, acfg: AdaptConfig, state=None,
-                  keep_solutions: bool = False, mesh_dump_dir=None):
+                  mesh_dump_dir=None):
     """Run the adaptive cycle: :func:`solve_levels` with Doerfler marking
     and newest-vertex bisection."""
     def refine(mesh, breakdown):
@@ -229,5 +222,4 @@ def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
     return solve_levels(problem, initial_mesh, cfg, ncfg, refine,
                         acfg.max_levels, state=state,
                         target_ndof=acfg.target_ndof,
-                        keep_solutions=keep_solutions,
                         mesh_dump_dir=mesh_dump_dir)

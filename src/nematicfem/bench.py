@@ -36,10 +36,15 @@ from .solver import NewtonConfig, newton_solve
 # L-shape default puts level 0 at 42 dofs and the device default at
 # h = sqrt(2)/64, the coarsest rows of the benchmark tables
 DEFAULT_INITIAL_REFINE = {"lshape": 1, "slit": 1, "device": 6}
-UNIFORM_COLUMNS = ["level", "h", "ndof", "err_energy", "err_l2",
-                   "order_energy", "order_l2", "estimator", "energy"]
-ADAPTIVE_COLUMNS = ["level", "ndof", "err_energy", "estimator", "order_e",
-                    "order_est", "c_eff", "newton_iters"]
+# convergence.csv schema of each mode: column name -> LevelRecord attribute
+UNIFORM_COLUMNS = {"level": "level", "h": "h_max", "ndof": "ndof",
+                   "err_energy": "err_energy", "err_l2": "err_l2",
+                   "order_energy": "order_energy", "order_l2": "order_l2",
+                   "estimator": "estimator", "energy": "energy"}
+ADAPTIVE_COLUMNS = {"level": "level", "ndof": "ndof",
+                    "err_energy": "err_energy", "estimator": "estimator",
+                    "order_e": "order_e", "order_est": "order_est",
+                    "c_eff": "c_eff", "newton_iters": "newton_iters"}
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,6 @@ def _format(value):
     return str(value)
 
 
-def _row_values(rec: LevelRecord, mode: str):
-    if mode == "uniform":
-        return [rec.level, rec.h_max, rec.ndof, rec.err_energy, rec.err_l2,
-                rec.order_energy, rec.order_l2, rec.estimator, rec.energy]
-    return [rec.level, rec.ndof, rec.err_energy, rec.estimator, rec.order_e,
-            rec.order_est, rec.c_eff, rec.newton_iters]
-
-
 def emit_outputs(table: ConvergenceTable, cfg: RunConfig, out_dir=None):
     """Write convergence.csv, meta.json and plot_convergence.py; returns the
     output directory."""
@@ -171,7 +168,8 @@ def emit_outputs(table: ConvergenceTable, cfg: RunConfig, out_dir=None):
             writer = csv.writer(fh)
             writer.writerow(columns)
             for rec in table.records:
-                writer.writerow([_format(v) for v in _row_values(rec, table.mode)])
+                writer.writerow([_format(getattr(rec, attr))
+                                 for attr in columns.values()])
 
         meta = {name: getattr(cfg, name) for name in
                 (f.name for f in fields(RunConfig))}
@@ -199,31 +197,20 @@ def load_table(path) -> ConvergenceTable:
         reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
-    mode = "uniform" if header == UNIFORM_COLUMNS else "adaptive"
-    if header != (UNIFORM_COLUMNS if mode == "uniform" else ADAPTIVE_COLUMNS):
+    for mode, columns in (("uniform", UNIFORM_COLUMNS),
+                          ("adaptive", ADAPTIVE_COLUMNS)):
+        if header == list(columns):
+            break
+    else:
         raise ValueError(f"unrecognized CSV header {header}")
-
-    def fval(s):
-        return float(s) if s else np.nan
-
+    types = {f.name: f.type for f in fields(LevelRecord)}
     records = []
     for row in rows:
-        d = dict(zip(header, row))
-        rec = LevelRecord(level=int(d["level"]), ndof=int(d["ndof"]),
-                          n_triangles=0,
-                          h_max=fval(d.get("h", "")),
-                          energy=fval(d.get("energy", "")),
-                          estimator=fval(d["estimator"]),
-                          err_energy=fval(d["err_energy"]))
-        if mode == "uniform":
-            rec.err_l2 = fval(d["err_l2"])
-            rec.order_energy = fval(d["order_energy"])
-            rec.order_l2 = fval(d["order_l2"])
-        else:
-            rec.order_e = fval(d["order_e"])
-            rec.order_est = fval(d["order_est"])
-            rec.c_eff = fval(d["c_eff"])
-            rec.newton_iters = int(d["newton_iters"])
+        # columns a mode does not write: no triangle count, NaN floats
+        rec = LevelRecord(level=0, ndof=0, n_triangles=0, h_max=np.nan,
+                          energy=np.nan, estimator=np.nan)
+        for attr, text in zip(columns.values(), row):
+            setattr(rec, attr, types[attr](text) if text else np.nan)
         records.append(rec)
     return ConvergenceTable(mode, records)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpaceMismatchError
-from .fespace import DG, Field, boundary_misfit_sq, jump_sq, space_kind
+from .fespace import (DG, Field, boundary_misfit_sq, jump_sq, space_kind,
+                      squared_norm)
 from .forms import MethodConfig
 from .quadrature import ERROR_DEGREE
 
@@ -53,10 +54,10 @@ def _volume_term(psi: Field, cfg: MethodConfig, f):
     lam, w, pts = geom.triangle_points(ERROR_DEGREE)
     nt, nq, _ = pts.shape
     vals = psi.values_at(lam)
-    resid = -2.0 / cfg.epsilon ** 2 * ((vals ** 2).sum(-1, keepdims=True) - 1.0) * vals
+    resid = -2.0 / cfg.epsilon ** 2 * (squared_norm(vals) - 1.0)[..., None] * vals
     if f is not None:
         resid = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2) + resid
-    sq = (geom.area[:, None] * w[None, :] * (resid ** 2).sum(-1)).sum(1)
+    sq = (geom.area[:, None] * w[None, :] * squared_norm(resid)).sum(1)
     h = psi.space.mesh.triangle_diameters()
     return h * np.sqrt(sq)
 
@@ -68,7 +69,7 @@ def _gradient_jump_sq(psi: Field, int_edges):
     tm = mesh.edge_tris[int_edges, 1]
     nu = psi.space.geometry.edge_normal[int_edges]
     jump = ((grads[tp] - grads[tm]) @ nu[:, :, None])[..., 0]
-    return (jump ** 2).sum(1)
+    return squared_norm(jump)
 
 
 def estimate(psi: Field, cfg: MethodConfig, g, f=None) -> EstimatorBreakdown:

@@ -6,6 +6,7 @@ component occupies coefficients ``[0, nscalar)`` and the second
 ``[nscalar, 2*nscalar)``.  For the continuous space a scalar dof is a
 vertex value; for the dG space it is one of the three vertex values of a
 triangle, so neighbouring triangles carry independent copies.
+:func:`componentwise` applies a scalar operator to both blocks.
 
 Quadrature values, gradients and edge traces are batched matrix products:
 the (Q, 3) barycentric points times the (T, 3, 2) nodal values of every
@@ -258,11 +259,20 @@ def prolongation_matrix(coarse_space: Space, fine_space: Space) -> sp.csr_matrix
         shape=(n, coarse_space.nscalar))
 
 
+def componentwise(op, coeffs: np.ndarray) -> np.ndarray:
+    """Apply a scalar operator, a sparse matrix or a function such as a
+    factor's ``solve``, to both component blocks of ``coeffs`` at once, as
+    the columns of an (n, 2) array."""
+    blocks = coeffs.reshape(2, -1).T
+    out = op @ blocks if sp.issparse(op) else op(blocks)
+    return out.T.reshape(-1)
+
+
 def prolong(coarse: Field, fine_space: Space) -> Field:
     """Exact representation of a coarse field on a refined mesh: the
     :func:`prolongation_matrix` applied to each component."""
     p = prolongation_matrix(coarse.space, fine_space)
-    return Field(fine_space, (p @ coarse.components.T).T.reshape(-1))
+    return Field(fine_space, componentwise(p, coarse.coeffs))
 
 
 def embed_continuous(field: Field, dg_space: Space) -> Field:
@@ -280,6 +290,12 @@ def embed_continuous(field: Field, dg_space: Space) -> Field:
 
 
 # -- norms and integrals -------------------------------------------------------
+
+
+def squared_norm(values: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, the two components, written as
+    two terms: numpy reduces a last axis of size 2 on its slow path."""
+    return values[..., 0] ** 2 + values[..., 1] ** 2
 
 
 def _edge_trace_values(field: Field, edge_ids, side: int):
@@ -301,7 +317,8 @@ def jump_sq(field: Field, edge_ids) -> np.ndarray:
     values[inner] -= _edge_trace_values(field, edge_ids[inner], 1)
     va, vb = values[:, 0, :], values[:, 1, :]
     return field.space.geometry.edge_len[edge_ids] / 3.0 * (
-        (va * va).sum(1) + (va * vb).sum(1) + (vb * vb).sum(1))
+        squared_norm(va) + (va[:, 0] * vb[:, 0] + va[:, 1] * vb[:, 1])
+        + squared_norm(vb))
 
 
 def boundary_misfit_sq(field: Field, g, edge_ids) -> np.ndarray:
@@ -311,13 +328,15 @@ def boundary_misfit_sq(field: Field, g, edge_ids) -> np.ndarray:
     hats, pts, ew = geom.edge_points(edge_ids)
     gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(edge_ids), -1, 2)
     fv = np.matmul(hats, _edge_trace_values(field, edge_ids, 0))
-    return (ew[None, :] * ((fv - gv) ** 2).sum(-1)).sum(1)
+    return (ew[None, :] * squared_norm(fv - gv)).sum(1)
 
 
 def broken_gradient_sq(field: Field) -> float:
     """Sum over triangles of the squared gradient integral."""
     geom = field.space.geometry
-    return float((geom.area * (field.gradients() ** 2).sum(axis=(1, 2))).sum())
+    grads = field.gradients()
+    sq = squared_norm(grads[:, 0]) + grads[:, 1, 0] ** 2 + grads[:, 1, 1] ** 2
+    return float((geom.area * sq).sum())
 
 
 def discrete_norm(field: Field, method: str, sigma: float) -> float:
@@ -341,7 +360,7 @@ def l2_norm(field: Field) -> float:
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
     vals = field.values_at(lam)
     return float(np.sqrt((geom.area[:, None] * w[None, :]
-                          * (vals ** 2).sum(-1)).sum()))
+                          * squared_norm(vals)).sum()))
 
 
 def free_energy(field: Field, epsilon: float) -> float:
@@ -351,7 +370,7 @@ def free_energy(field: Field, epsilon: float) -> float:
         raise ConfigError("epsilon must be positive")
     geom = field.space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    well = ((field.values_at(lam) ** 2).sum(-1) - 1.0) ** 2
+    well = (squared_norm(field.values_at(lam)) - 1.0) ** 2
     bulk = (geom.area[:, None] * w[None, :] * well).sum()
     return float(broken_gradient_sq(field) + bulk / epsilon ** 2)
 
@@ -369,7 +388,8 @@ def energy_error_norm(field: Field, exact_grad, g, method: str, sigma: float,
     nt, nq, _ = pts.shape
     eg = np.asarray(exact_grad(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2, 2)
     diff = eg - field.gradients()[:, None, :, :]
-    total = (geom.area[:, None] * w[None, :] * (diff ** 2).sum(axis=(2, 3))).sum()
+    sq = squared_norm(diff[..., 0, :]) + diff[..., 1, 0] ** 2 + diff[..., 1, 1] ** 2
+    total = (geom.area[:, None] * w[None, :] * sq).sum()
 
     bd = field.space.mesh.boundary_edges
     if len(bd):
@@ -385,5 +405,5 @@ def l2_error_norm(field: Field, exact, degree: int = ERROR_DEGREE) -> float:
     lam, w, pts = geom.triangle_points(degree)
     nt, nq, _ = pts.shape
     ev = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
-    diff = ((ev - field.values_at(lam)) ** 2).sum(-1)
+    diff = squared_norm(ev - field.values_at(lam))
     return float(np.sqrt((geom.area[:, None] * w[None, :] * diff).sum()))

@@ -9,7 +9,9 @@ a scaled negative mass term.  There is one gradient form: the broken
 stiffness plus interior-penalty edge terms.  dG puts them on every edge
 and weights the consistency term by its symmetrization weight lam;
 Nitsche is the same form on the boundary edges only, with weight 1.  All
-matrices are scipy CSR; component blocks are ordered (u, v).
+matrices are scipy CSR and, but for the Newton Jacobian, scalar: only the
+cubic term couples the components, so the Jacobian, with component blocks
+ordered (u, v), is the one two-component matrix.
 
 Jump and average conventions: on an interior edge the triangle with the
 smaller id is the plus side, the edge normal points from plus to minus,
@@ -30,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ConfigError, SpaceMismatchError
-from .fespace import DG, DG_METHOD, NITSCHE, Field, Space, space_kind
+from .fespace import (DG, DG_METHOD, NITSCHE, Field, Space, componentwise,
+                      space_kind, squared_norm)
 from .quadrature import ASSEMBLY_DEGREE
 
 
@@ -66,11 +69,6 @@ def _consistency_weight(cfg: MethodConfig) -> float:
     """Weight of the consistency term that carries the trial function:
     the dG symmetrization weight, 1 for Nitsche."""
     return cfg.lam if cfg.method == DG_METHOD else 1.0
-
-
-def _scalar_to_system(scalar: sp.spmatrix) -> sp.csr_matrix:
-    """Blockwise action on both components."""
-    return sp.kron(sp.eye(2, format="csr"), scalar, format="csr")
 
 
 def _assemble(dofs, local, n) -> sp.csr_matrix:
@@ -130,9 +128,8 @@ def _edge_block(space, cfg, dofs, dn_avg, jump_trace, h):
 
 
 def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
-    """The method's gradient form (see the module docstring), acting
-    blockwise on both components; symmetric exactly when the consistency
-    weight is 1."""
+    """The method's gradient form (see the module docstring) on the scalar
+    dofs; symmetric exactly when the consistency weight is 1."""
     _require_space(space, cfg, "gradient matrix")
     h = space.geometry.edge_len
     scalar = _volume_stiffness(space)
@@ -148,15 +145,15 @@ def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
     if len(bd):
         dofs, dn, trace = _edge_dof_data(space, bd, 0)
         scalar = scalar + _edge_block(space, cfg, dofs, dn, trace, h[bd])
-    return _scalar_to_system(scalar)
+    return scalar
 
 
 def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
-    """The linear bulk term -(2/eps^2) (theta, phi), blockwise."""
+    """The linear bulk term -(2/eps^2) (theta, phi) on the scalar dofs."""
     geom = space.geometry
     local = (-2.0 / cfg.epsilon ** 2) * geom.area[:, None, None] * (
         np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _scalar_to_system(_assemble(space.elem_dofs, local, space.nscalar))
+    return _assemble(space.elem_dofs, local, space.nscalar)
 
 
 # -- quartic coupling term -----------------------------------------------------
@@ -181,13 +178,14 @@ def quartic_term(xi: Field, eta: Field, theta: Field, phi: Field,
     return float(2.0 / (3.0 * cfg.epsilon ** 2) * value)
 
 
-def quartic_linearization(wbar: Field, cfg: MethodConfig) -> sp.csr_matrix:
-    """Matrix of the frozen-coefficient bilinear form
+def quartic_linearization(wbar: Field, cfg: MethodConfig):
+    """Scalar blocks (m11, m12, m22) of the frozen-coefficient bilinear form
 
         (theta, phi) -> (2/eps^2) integral of (|w|^2 (theta.phi)
                                                + 2 (w.theta)(w.phi)),
 
-    i.e. the derivative of the cubic term at the state ``wbar``."""
+    i.e. the derivative of the cubic term at the state ``wbar``; the
+    (v, u) block equals m12."""
     space = wbar.space
     geom = space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
@@ -206,10 +204,7 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig) -> sp.csr_matrix:
         local = ((aw * kernel) @ basis_outer).reshape(-1, 3, 3)
         return _assemble(space.elem_dofs, local, space.nscalar)
 
-    m11 = weighted_mass(k11)
-    m12 = weighted_mass(k12)
-    m22 = weighted_mass(k22)
-    return sp.bmat([[m11, m12], [m12, m22]], format="csr")
+    return weighted_mass(k11), weighted_mass(k12), weighted_mass(k22)
 
 
 def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
@@ -219,7 +214,7 @@ def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
     geom = space.geometry
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
     vals = psi.values_at(lam)
-    norm2 = (vals ** 2).sum(-1)
+    norm2 = squared_norm(vals)
     scale = 2.0 / cfg.epsilon ** 2
     aw = geom.area[:, None] * w[None, :]
     local = scale * (lam.T @ ((aw * norm2)[..., None] * vals))   # (T, 3, 2)
@@ -280,26 +275,29 @@ def _nonfinite_error(what, pts, vals):
 class NonlinearSystem:
     """Cached operators for one discrete problem.
 
-    The gradient and linear bulk matrices and the load vector do not depend
-    on the state, so they are assembled once; only the quartic-term
-    linearization is rebuilt per Newton step.
+    The scalar gradient plus linear bulk matrix and the load vector do not
+    depend on the state, so they are assembled once; the Jacobian is built
+    per Newton step from them and the quartic-term linearization.
     """
 
     def __init__(self, space: Space, cfg: MethodConfig, g, f=None):
         self.space = space
         self.cfg = cfg
-        # scipy sizes the arrays of a sparse sum for nnz(A) + nnz(B) and
-        # keeps them when at least half is used; the copy (here and in
-        # ``jacobian``) holds only the entries
         self.linear_part = (gradient_matrix(space, cfg)
-                            + bulk_linear_matrix(space, cfg)).copy()
+                            + bulk_linear_matrix(space, cfg))
         self.load = load_vector(space, cfg, g, f)
 
     def residual(self, coeffs: np.ndarray) -> np.ndarray:
         psi = Field(self.space, coeffs)
-        return (self.linear_part @ coeffs
+        return (componentwise(self.linear_part, coeffs)
                 + cubic_term_vector(psi, self.cfg) - self.load)
 
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
-        psi = Field(self.space, coeffs)
-        return (self.linear_part + quartic_linearization(psi, self.cfg)).copy()
+        m11, m12, m22 = quartic_linearization(Field(self.space, coeffs),
+                                              self.cfg)
+        s = self.linear_part
+        jac = sp.bmat([[s + m11, m12], [m12, s + m22]], format="csr")
+        # the sparse sums drop entries that add up to zero; drop the zeros
+        # of m12 too, so that J keeps only its nonzero entries
+        jac.eliminate_zeros()
+        return jac

@@ -168,13 +168,14 @@ class Mesh:
                     "on the domain boundary (hanging node or broken topology)")
             self.edge_segment[be] = seg
 
-    def _longest_edge_labels(self):
+    def _squared_sides(self):
+        """Squared lengths of the sides (0,1), (1,2), (2,0), shape (T, 3)."""
         p = self.vertices[self.triangles]
-        lens = np.stack([
-            ((p[:, 1] - p[:, 0]) ** 2).sum(1),
-            ((p[:, 2] - p[:, 1]) ** 2).sum(1),
-            ((p[:, 0] - p[:, 2]) ** 2).sum(1),
-        ], axis=1)
+        d = p[:, [1, 2, 0]] - p
+        return d[..., 0] ** 2 + d[..., 1] ** 2
+
+    def _longest_edge_labels(self):
+        lens = self._squared_sides()
         longest = lens.max(axis=1, keepdims=True)
         candidate = lens >= longest * (1.0 - 1e-12)
         # opposite vertex of local edge k is local vertex k+2
@@ -203,12 +204,7 @@ class Mesh:
         return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
     def triangle_diameters(self):
-        p = self.vertices[self.triangles]
-        return np.sqrt(np.stack([
-            ((p[:, 1] - p[:, 0]) ** 2).sum(1),
-            ((p[:, 2] - p[:, 1]) ** 2).sum(1),
-            ((p[:, 0] - p[:, 2]) ** 2).sum(1),
-        ], axis=1).max(axis=1))
+        return np.sqrt(self._squared_sides().max(axis=1))
 
     def edge_length(self, e: int) -> float:
         if not 0 <= e < self.n_edges:

@@ -29,10 +29,11 @@ cycle on the current Jacobian J, the first step to KRYLOV_RTOL_FLOOR and
 the later ones to the Eisenstat-Walker tolerance.  The cycle is a damped
 block-Jacobi sweep on J (damping TWOGRID_OMEGA; one block per dG triangle
 or per continuous vertex, both components), the coarse correction
-P lu_c^{-1} P^T r and a second sweep.  Point Jacobi is too weak a smoother
-for dG; element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95
-(2003).  When that GMRES fails, the step drops the coarse factor and takes
-the refactor path above, which the solve then keeps.
+P lu_c^{-1} P^T r (the scalar P on each component) and a second sweep.
+Point Jacobi is too weak a smoother for dG; element blocks follow
+Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).  When that GMRES fails,
+the step drops the coarse factor and takes the refactor path above, which
+the solve then keeps.
 
 A single solve is sequential over iterations; independent solves (e.g. a
 level sweep) can run concurrently since spaces, configs and data are
@@ -47,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
-from .fespace import DG, Field, Space, discrete_norm
+from .fespace import DG, Field, Space, componentwise, discrete_norm
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
@@ -173,12 +174,11 @@ def _two_grid(matrix, space: Space, coarse: CoarseLevel):
     smooth = TWOGRID_OMEGA * _block_jacobi(matrix, space)
     lu, prolongation = coarse.lu, coarse.prolongation
     restriction = prolongation.T.tocsr()
-    n, nc = prolongation.shape
 
     def apply(r):
         x = smooth @ r
-        rc = (restriction @ (r - matrix @ x).reshape(2, n).T).T.reshape(-1)
-        x += (prolongation @ lu.solve(rc).reshape(2, nc).T).T.reshape(-1)
+        rc = componentwise(restriction, r - matrix @ x)
+        x += componentwise(prolongation, lu.solve(rc))
         return x + smooth @ (r - matrix @ x)
 
     return apply
@@ -186,9 +186,11 @@ def _two_grid(matrix, space: Space, coarse: CoarseLevel):
 
 def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
     """Solution of the linear problem with the same boundary data and
-    source: gradient-part matrix against the load vector."""
-    _, coeffs = _factor_solve(gradient_matrix(space, cfg),
-                              load_vector(space, cfg, g, f))
+    source: the scalar gradient matrix, factored once, against both
+    components of the load vector."""
+    matrix = gradient_matrix(space, cfg)
+    coeffs = componentwise(lambda rhs: _factor_solve(matrix, rhs)[1],
+                           load_vector(space, cfg, g, f))
     return Field(space, coeffs)
 
 

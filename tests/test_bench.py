@@ -55,17 +55,19 @@ def test_rerun_is_byte_identical(small_uniform_table, tmp_path):
     assert (a / "meta.json").read_bytes() == (b / "meta.json").read_bytes()
 
 
-def test_csv_roundtrip(small_uniform_table, tmp_path):
-    cfg, table = small_uniform_table
-    out = emit_outputs(table, cfg, tmp_path)
-    back = load_table(out / "convergence.csv")
-    assert back.mode == "uniform"
-    for orig, rec in zip(table.records, back.records):
-        assert rec.ndof == orig.ndof
-        assert rec.h_max == orig.h_max
-        assert rec.err_energy == orig.err_energy
-        assert rec.estimator == orig.estimator
-        assert rec.energy == orig.energy
+def test_csv_roundtrip(small_uniform_table, small_adaptive_table, tmp_path):
+    """Every emitted column reads back to the value it was written from."""
+    for (cfg, table), columns in ((small_uniform_table, UNIFORM_COLUMNS),
+                                  (small_adaptive_table, ADAPTIVE_COLUMNS)):
+        out = emit_outputs(table, cfg, tmp_path / table.mode)
+        back = load_table(out / "convergence.csv")
+        assert back.mode == table.mode
+        assert len(back.records) == len(table.records)
+        for orig, rec in zip(table.records, back.records):
+            for attr in columns.values():
+                expect, got = getattr(orig, attr), getattr(rec, attr)
+                assert got == expect or (np.isnan(got) and np.isnan(expect))
+                assert isinstance(got, int) == isinstance(expect, int)
 
 
 def test_rate_arithmetic_recomputable(small_uniform_table, tmp_path):

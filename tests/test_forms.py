@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import constant_fn, random_field
 from nematicfem.exceptions import ConfigError, SpaceMismatchError
-from nematicfem.fespace import (Field, Space, embed_continuous, interpolate,
-                                zero_field)
+from nematicfem.fespace import (Field, Space, componentwise, embed_continuous,
+                                interpolate, zero_field)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
                               gradient_matrix, load_vector,
@@ -99,8 +100,8 @@ def test_dg_matrix_on_conforming_field_matches_nitsche(unit_square):
     dg = Space.dg(mesh)
     c = random_field(cont, seed=2)
     d = embed_continuous(c, dg)
-    qa = c.coeffs @ (gradient_matrix(cont, nitsche_cfg()) @ c.coeffs)
-    qd = d.coeffs @ (gradient_matrix(dg, dg_cfg()) @ d.coeffs)
+    qa = c.coeffs @ componentwise(gradient_matrix(cont, nitsche_cfg()), c.coeffs)
+    qd = d.coeffs @ componentwise(gradient_matrix(dg, dg_cfg()), d.coeffs)
     assert qd == pytest.approx(qa, rel=1e-12)
 
 
@@ -128,7 +129,8 @@ def test_quartic_linearization_consistent_with_cubic(unit_square):
     space = Space.continuous(red_refine(unit_square))
     cfg = nitsche_cfg(epsilon=0.8)
     w = random_field(space, seed=4)
-    lin = quartic_linearization(w, cfg)
+    m11, m12, m22 = quartic_linearization(w, cfg)
+    lin = sp.bmat([[m11, m12], [m12, m22]])
     assert np.allclose(lin @ w.coeffs, 3.0 * cubic_term_vector(w, cfg),
                        atol=1e-12)
 
@@ -136,7 +138,8 @@ def test_quartic_linearization_consistent_with_cubic(unit_square):
 def test_bulk_linear_matrix_value_and_scaling(unit_square):
     space = Space.continuous(unit_square)
     ones = interpolate(space, constant_fn(1.0, 0.0))
-    val = ones.coeffs @ (bulk_linear_matrix(space, nitsche_cfg()) @ ones.coeffs)
+    val = ones.coeffs @ componentwise(bulk_linear_matrix(space, nitsche_cfg()),
+                                      ones.coeffs)
     assert val == pytest.approx(-2.0)
     half = bulk_linear_matrix(space, nitsche_cfg(epsilon=0.5))
     full = bulk_linear_matrix(space, nitsche_cfg(epsilon=1.0))
@@ -224,7 +227,8 @@ def test_jacobian_at_zero_is_linear_part(unit_square):
     cfg = nitsche_cfg()
     J = NonlinearSystem(space, cfg, constant_fn(0.0, 0.0)).jacobian(
         zero_field(space).coeffs)
-    expected = gradient_matrix(space, cfg) + bulk_linear_matrix(space, cfg)
+    expected = sp.kron(sp.eye(2), gradient_matrix(space, cfg)
+                       + bulk_linear_matrix(space, cfg))
     assert abs(J - expected).max() <= 1e-14
 
 

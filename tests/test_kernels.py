@@ -3,7 +3,10 @@
 Each reference below spells a contraction out with ``np.einsum`` and
 scatters with ``np.add.at`` or a COO matrix, independently of the
 library's matmul kernels; both must agree to rounding on continuous and
-dG spaces over red- and NVB-refined L-shape meshes.
+dG spaces over red- and NVB-refined L-shape meshes.  The Newton system
+built from scalar operators and the component-axis sums written as
+explicit terms must equal their system-size and numpy-reduction
+references bit for bit.
 """
 
 import numpy as np
@@ -12,8 +15,11 @@ import scipy.sparse as sp
 
 from conftest import random_field
 from nematicfem.estimator import _gradient_jump_sq
-from nematicfem.fespace import Space, boundary_misfit_sq
-from nematicfem.forms import (MethodConfig, cubic_term_vector,
+from nematicfem.fespace import (Field, Space, _edge_trace_values,
+                                boundary_misfit_sq, broken_gradient_sq,
+                                jump_sq, squared_norm)
+from nematicfem.forms import (MethodConfig, NonlinearSystem,
+                              bulk_linear_matrix, cubic_term_vector,
                               gradient_matrix, load_vector,
                               quartic_linearization)
 from nematicfem.mesh import (DomainShape, L_SHAPE, build_initial_mesh,
@@ -131,7 +137,11 @@ def test_quartic_linearization(case):
                 (a == b) * norm2 + 2.0 * vals[..., a] * vals[..., b])
             local = np.einsum("tq,qi,qj->tij", aw * kernel, lam, lam)
             blocks[a][b] = _ref_matrix(space.elem_dofs, local, space.nscalar)
-    _close_sparse(quartic_linearization(psi, cfg), sp.bmat(blocks, format="csr"))
+    m11, m12, m22 = quartic_linearization(psi, cfg)
+    _close_sparse(m11, blocks[0][0])
+    _close_sparse(m12, blocks[0][1])
+    _close_sparse(m12, blocks[1][0])
+    _close_sparse(m22, blocks[1][1])
 
 
 def _ref_edge_data(space, edge_ids, side):
@@ -172,8 +182,7 @@ def test_gradient_matrix(case):
         pen = cfg.sigma * np.einsum("nie,ef,njf->nij", jump, edge_mass, jump)
         scalar = scalar + _ref_matrix(
             dofs, -cons.transpose(0, 2, 1) - weight * cons + pen, space.nscalar)
-    reference = sp.kron(sp.eye(2), scalar, format="csr")
-    _close_sparse(gradient_matrix(space, cfg), reference)
+    _close_sparse(gradient_matrix(space, cfg), scalar)
 
 
 def test_load_vector(case):
@@ -221,3 +230,64 @@ def test_edge_kernels(case):
     gv = g(pts.reshape(-1, 2)).reshape(len(bd), -1, 2)
     _close(boundary_misfit_sq(psi, g, bd),
            (ew[None, :] * ((fv - gv) ** 2).sum(-1)).sum(1))
+
+
+def _same_csr(actual, reference):
+    """Equal values and stored pattern, bit for bit."""
+    assert actual.shape == reference.shape
+    assert np.array_equal(actual.indptr, reference.indptr)
+    assert np.array_equal(actual.indices, reference.indices)
+    assert np.array_equal(actual.data, reference.data)
+
+
+@pytest.mark.parametrize("state", ["random", "v-free"])
+def test_system_matches_system_size_reference(case, state):
+    """Jacobian and residual from the scalar linear part equal, bitwise,
+    those from the system-size operators: the kron-expanded gradient plus
+    bulk matrix and the block matrix of the quartic linearization, whose
+    CSR sum keeps no zero entry.  The v-free state makes every entry of
+    the off-diagonal quartic block zero."""
+    space, psi, cfg = case
+    problem = lshape_problem(EPSILON)
+    coeffs = psi.coeffs.copy()
+    if state == "v-free":
+        coeffs[space.nscalar:] = 0.0
+    system = NonlinearSystem(space, cfg, problem.g, problem.f)
+
+    linear = sp.kron(sp.eye(2), gradient_matrix(space, cfg)
+                     + bulk_linear_matrix(space, cfg), format="csr")
+    state_field = Field(space, coeffs)
+    m11, m12, m22 = quartic_linearization(state_field, cfg)
+    jacobian = linear + sp.bmat([[m11, m12], [m12, m22]], format="csr")
+    residual = (linear @ coeffs + cubic_term_vector(state_field, cfg)
+                - system.load)
+
+    _same_csr(system.jacobian(coeffs), jacobian)
+    assert np.array_equal(system.residual(coeffs), residual)
+
+
+def test_component_sums_keep_numpy_order(case):
+    """Sums over the component axis, written as explicit terms, equal
+    numpy's reductions bit for bit."""
+    space, psi, _ = case
+    geom = space.geometry
+    lam, _, _ = geom.triangle_points(ERROR_DEGREE)
+    vals = psi.values_at(lam)
+    assert np.array_equal(squared_norm(vals), (vals ** 2).sum(-1))
+    ie = space.mesh.interior_edges
+    values = _edge_trace_values(psi, ie, 0) - _edge_trace_values(psi, ie, 1)
+    va, vb = values[:, 0], values[:, 1]
+    reference = geom.edge_len[ie] / 3.0 * (
+        (va * va).sum(1) + (va * vb).sum(1) + (vb * vb).sum(1))
+    assert np.array_equal(jump_sq(psi, ie), reference)
+
+
+def test_gradient_sum_keeps_numpy_order(single_triangle):
+    """On one triangle the broken gradient norm is that triangle's sum over
+    (component, direction): bitwise numpy's reduction over both axes."""
+    space = Space.continuous(single_triangle)
+    area = space.geometry.area
+    for seed in range(50):
+        psi = random_field(space, seed=seed)
+        assert broken_gradient_sq(psi) == float(
+            (area * (psi.gradients() ** 2).sum(axis=(1, 2))).sum())

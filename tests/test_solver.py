@@ -335,15 +335,15 @@ def test_cold_device_start_refactors():
 
 
 def _level_reports(monkeypatch, counter):
-    """Rebind ``adapt.newton_solve`` to record, per level, the report and
-    the number of LU factorizations the solve built."""
+    """Rebind ``adapt.newton_solve`` to record, per level, the report, the
+    number of LU factorizations the solve built and the solution."""
     real = adapt.newton_solve
     levels = []
 
     def recording(*args, **kwargs):
         before = counter.factorizations
         result = real(*args, **kwargs)
-        levels.append((result[1], counter.factorizations - before))
+        levels.append((result[1], counter.factorizations - before, result[0]))
         return result
 
     monkeypatch.setattr(solver, "spla", counter)
@@ -356,15 +356,13 @@ def _lshape_study(method, refine, levels, target_ndof=None):
     cfg = MethodConfig(method=method, epsilon=0.4)
     mesh = red_refine(build_initial_mesh(prob.shape))
     if refine == "uniform":
-        result = adapt.solve_levels(prob, mesh, cfg, NewtonConfig(),
-                                    lambda m, _: red_refine(m), levels,
-                                    keep_solutions=True)
+        records = adapt.solve_levels(prob, mesh, cfg, NewtonConfig(),
+                                     lambda m, _: red_refine(m), levels)
     else:
-        result = adapt.adaptive_loop(
+        records = adapt.adaptive_loop(
             prob, mesh, cfg, NewtonConfig(),
-            adapt.AdaptConfig(max_levels=levels, target_ndof=target_ndof),
-            keep_solutions=True)
-    return (prob, cfg) + result
+            adapt.AdaptConfig(max_levels=levels, target_ndof=target_ndof))
+    return prob, cfg, records
 
 
 @pytest.mark.parametrize("method, refine, levels, target_ndof", [
@@ -380,28 +378,27 @@ def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
     number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
-    prob, cfg, records, solutions = _lshape_study(method, refine, levels,
-                                                  target_ndof)
+    prob, cfg, records = _lshape_study(method, refine, levels, target_ndof)
     monkeypatch.undo()
     if target_ndof is not None:
         assert len(records) < levels
         assert records[-1].ndof >= target_ndof > records[-2].ndof
     assert len(reports) == len(records) >= 2
-    assert all(built >= 1 for _, built in reports[:-1])
-    assert all(rep.factor is None for rep, _ in reports)   # none kept
-    last, built = reports[-1]
+    assert all(built >= 1 for _, built, _ in reports[:-1])
+    assert all(rep.factor is None for rep, _, _ in reports)   # none kept
+    last, built, solution = reports[-1]
     assert built == 0
     assert last.factorizations == 0
     assert last.factor is None
     assert all(k > 0 for k in last.krylov_iterations)
     assert last.failed_krylov_iterations == [0] * last.iterations
 
-    space = solutions[-1].space
-    guess = prolong(solutions[-2], space)
+    space = solution.space
+    guess = prolong(reports[-2][2], space)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, NewtonConfig().tol)
     assert last.iterations == ref_iterations >= 2
-    assert np.abs(solutions[-1].coeffs - ref).max() <= 1e-10
+    assert np.abs(solution.coeffs - ref).max() <= 1e-10
 
 
 def test_two_grid_fallback_refactors(lshape, monkeypatch):
