@@ -106,16 +106,23 @@ def _mesh_dump_dir(cfg: RunConfig):
     return Path(cfg.out or ".") / "meshes" if cfg.dump_meshes else None
 
 
-def run_uniform_study(cfg: RunConfig) -> ConvergenceTable:
-    if cfg.refine != "uniform":
-        raise ConfigError("run_uniform_study needs a uniform-mode config")
+def run_study(cfg: RunConfig) -> ConvergenceTable:
+    """Run the study ``cfg`` describes: red refinement in uniform mode,
+    Doerfler marking and newest-vertex bisection in adaptive mode."""
     problem, mesh = initial_mesh_for(cfg)
-    records = solve_levels(problem, mesh, cfg.method_config(),
-                           cfg.newton_config(),
-                           lambda m, _: red_refine(m), cfg.levels,
-                           state=cfg.state, mesh_dump_dir=_mesh_dump_dir(cfg))
-    _fill_h_orders(records)
-    return ConvergenceTable("uniform", records)
+    if cfg.refine == "uniform":
+        records = solve_levels(problem, mesh, cfg.method_config(),
+                               cfg.newton_config(),
+                               lambda m, _: red_refine(m), cfg.levels,
+                               state=cfg.state,
+                               mesh_dump_dir=_mesh_dump_dir(cfg))
+        _fill_h_orders(records)
+    else:
+        acfg = AdaptConfig(dorfler_theta=cfg.theta, max_levels=cfg.levels)
+        records = adaptive_loop(problem, mesh, cfg.method_config(),
+                                cfg.newton_config(), acfg, state=cfg.state,
+                                mesh_dump_dir=_mesh_dump_dir(cfg))
+    return ConvergenceTable(cfg.refine, records)
 
 
 def _fill_h_orders(records):
@@ -125,23 +132,6 @@ def _fill_h_orders(records):
             rec.order_energy = float(np.log(rec.err_energy / prev.err_energy) / hratio)
         if np.isfinite(rec.err_l2) and np.isfinite(prev.err_l2):
             rec.order_l2 = float(np.log(rec.err_l2 / prev.err_l2) / hratio)
-
-
-def run_adaptive_study(cfg: RunConfig) -> ConvergenceTable:
-    if cfg.refine != "adaptive":
-        raise ConfigError("run_adaptive_study needs an adaptive-mode config")
-    problem, mesh = initial_mesh_for(cfg)
-    acfg = AdaptConfig(dorfler_theta=cfg.theta, max_levels=cfg.levels)
-    records = adaptive_loop(problem, mesh, cfg.method_config(),
-                            cfg.newton_config(), acfg, state=cfg.state,
-                            mesh_dump_dir=_mesh_dump_dir(cfg))
-    return ConvergenceTable("adaptive", records)
-
-
-def run_study(cfg: RunConfig) -> ConvergenceTable:
-    if cfg.refine == "uniform":
-        return run_uniform_study(cfg)
-    return run_adaptive_study(cfg)
 
 
 # -- emission -------------------------------------------------------------------

@@ -6,7 +6,10 @@ component occupies coefficients ``[0, nscalar)`` and the second
 ``[nscalar, 2*nscalar)``.  For the continuous space a scalar dof is a
 vertex value; for the dG space it is one of the three vertex values of a
 triangle, so neighbouring triangles carry independent copies.
-:func:`componentwise` applies a scalar operator to both blocks.
+
+This module owns that layout: only :func:`gather`, :func:`scatter_add`,
+:func:`join`, :func:`componentwise` and :func:`coupled_matrix` index
+coefficients by component.
 
 Quadrature values, gradients and edge traces are batched matrix products:
 the (Q, 3) barycentric points times the (T, 3, 2) nodal values of every
@@ -28,6 +31,11 @@ from .exceptions import (ConfigError, DataEvaluationError, NestingError,
 from .mesh import Mesh
 from .quadrature import (ASSEMBLY_DEGREE, EDGE_POINTS, ERROR_DEGREE,
                          edge_rule, triangle_rule)
+
+# the edge rule of every edge integral, with the two endpoint hat values at
+# its points
+_EDGE_RULE = edge_rule(EDGE_POINTS)
+_EDGE_HATS = np.stack([1.0 - _EDGE_RULE.points, _EDGE_RULE.points], axis=1)
 
 CONTINUOUS = "continuous-P1"
 DG = "dg-P1"
@@ -128,7 +136,6 @@ class MeshGeometry:
                 self.loc[valid, side, end] = np.argmax(tv == v[:, None], axis=1)
 
         self._tri_rules = {}
-        self._edge_rules = {}
 
     def triangle_points(self, degree: int):
         """Quadrature data: barycentric weights ``lam`` (Q, 3), physical
@@ -139,19 +146,73 @@ class MeshGeometry:
             self._tri_rules[degree] = (rule.points, rule.weights, pts)
         return self._tri_rules[degree]
 
-    def edge_points(self, edge_ids, npoints: int = EDGE_POINTS):
+    def edge_points(self, edge_ids):
         """1D Gauss data on the given edges: hat values (Q, 2), physical
         points (n, Q, 2), weights (Q,)."""
-        key = npoints
-        if key not in self._edge_rules:
-            rule = edge_rule(npoints)
-            hats = np.stack([1.0 - rule.points, rule.points], axis=1)
-            self._edge_rules[key] = (rule, hats)
-        rule, hats = self._edge_rules[key]
         pa = self.mesh.vertices[self.mesh.edges[edge_ids, 0]]
         pb = self.mesh.vertices[self.mesh.edges[edge_ids, 1]]
-        pts = pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
-        return hats, pts, rule.weights
+        pts = (pa[:, None, :]
+               + _EDGE_RULE.points[None, :, None] * (pb - pa)[:, None, :])
+        return _EDGE_HATS, pts, _EDGE_RULE.weights
+
+
+# -- the coefficient layout ----------------------------------------------------
+# gather and scatter_add index one 1-D component block at a time: indexing
+# an (n, 2) view of the coefficients is several times slower.
+
+
+def gather(coeffs: np.ndarray, dofs) -> np.ndarray:
+    """Both components of ``coeffs`` at the scalar dofs ``dofs`` (any
+    shape), with the component as a new last axis."""
+    u, v = coeffs.reshape(2, -1)
+    return np.stack([u[dofs], v[dofs]], axis=-1)
+
+
+def scatter_add(out: np.ndarray, dofs, local):
+    """Add the local vectors ``local`` (``dofs.shape + (2,)``, last axis the
+    component) on the scalar dofs ``dofs`` into the coefficient vector
+    ``out``, summing repeated dofs."""
+    u, v = out.reshape(2, -1)
+    np.add.at(u, dofs, local[..., 0])
+    np.add.at(v, dofs, local[..., 1])
+
+
+def join(values: np.ndarray) -> np.ndarray:
+    """Coefficient vector of nodal values (..., 2), whose leading axes,
+    flattened, run over the scalar dofs in order."""
+    return np.concatenate([values[..., 0].reshape(-1),
+                           values[..., 1].reshape(-1)])
+
+
+def componentwise(op, coeffs: np.ndarray) -> np.ndarray:
+    """Apply a scalar operator, a sparse matrix or a function such as a
+    factor's ``solve``, to both component blocks of ``coeffs`` at once, as
+    the columns of an (n, 2) array."""
+    blocks = coeffs.reshape(2, -1).T
+    out = op @ blocks if sp.issparse(op) else op(blocks)
+    return out.T.reshape(-1)
+
+
+def _block_diagonal(scalar: sp.csr_matrix) -> sp.csr_matrix:
+    """The matrix of :func:`componentwise` for ``scalar``: its CSR arrays
+    twice, several times faster than ``sp.block_diag``'s COO path."""
+    n, nnz = scalar.shape[0], scalar.nnz
+    return sp.csr_matrix(
+        (np.tile(scalar.data, 2),
+         np.concatenate([scalar.indices, scalar.indices + n]),
+         np.concatenate([scalar.indptr, scalar.indptr[1:] + nnz])),
+        shape=(2 * n, 2 * n))
+
+
+def coupled_matrix(m11, m12, m22, scalar) -> sp.csr_matrix:
+    """CSR matrix [[scalar + m11, m12], [m12, scalar + m22]] on the full
+    dofs, as one sum of the coupling blocks and the lift of ``scalar``:
+    less transient memory than blocks that are themselves sums."""
+    total = (sp.bmat([[m11, m12], [m12, m22]], format="csr")
+             + _block_diagonal(scalar))
+    # scipy's sum returns views into arrays sized for the entries of both
+    # terms, up to 1.5 times its own; the copy holds only its own entries
+    return total.copy()
 
 
 @dataclass
@@ -170,16 +231,9 @@ class Field:
         if not np.all(np.isfinite(self.coeffs)):
             raise DataEvaluationError("field coefficients contain non-finite values")
 
-    @property
-    def components(self):
-        """View of the coefficients as a (2, nscalar) array."""
-        return self.coeffs.reshape(2, self.space.nscalar)
-
     def element_values(self):
         """Nodal values per triangle, shape (T, 3, 2)."""
-        c = self.components
-        ed = self.space.elem_dofs
-        return np.stack([c[0][ed], c[1][ed]], axis=-1)
+        return gather(self.coeffs, self.space.elem_dofs)
 
     def values_at(self, lam):
         """Values at the barycentric points ``lam`` (Q, 3) of every
@@ -195,10 +249,6 @@ class Field:
         return Field(self.space, self.coeffs.copy())
 
 
-def zero_field(space: Space) -> Field:
-    return Field(space, np.zeros(space.ndof))
-
-
 def interpolate(space: Space, fn) -> Field:
     """Nodal interpolation of a pointwise two-vector function."""
     values = np.asarray(fn(space.node_coords), dtype=float)
@@ -212,7 +262,7 @@ def interpolate(space: Space, fn) -> Field:
         x, y = space.node_coords[i]
         raise DataEvaluationError(
             f"data function non-finite at node {i} = ({x}, {y})")
-    return Field(space, np.concatenate([values[:, 0], values[:, 1]]))
+    return Field(space, join(values))
 
 
 # -- transfer between nested meshes -------------------------------------------
@@ -259,15 +309,6 @@ def prolongation_matrix(coarse_space: Space, fine_space: Space) -> sp.csr_matrix
         shape=(n, coarse_space.nscalar))
 
 
-def componentwise(op, coeffs: np.ndarray) -> np.ndarray:
-    """Apply a scalar operator, a sparse matrix or a function such as a
-    factor's ``solve``, to both component blocks of ``coeffs`` at once, as
-    the columns of an (n, 2) array."""
-    blocks = coeffs.reshape(2, -1).T
-    out = op @ blocks if sp.issparse(op) else op(blocks)
-    return out.T.reshape(-1)
-
-
 def prolong(coarse: Field, fine_space: Space) -> Field:
     """Exact representation of a coarse field on a refined mesh: the
     :func:`prolongation_matrix` applied to each component."""
@@ -281,12 +322,9 @@ def embed_continuous(field: Field, dg_space: Space) -> Field:
         raise SpaceMismatchError("embedding maps a continuous field into dG")
     if dg_space.mesh is not field.space.mesh:
         raise SpaceMismatchError("embedding requires the same mesh")
-    vals = field.element_values()
-    ns = dg_space.nscalar
-    coeffs = np.empty(2 * ns)
-    coeffs[:ns] = vals[..., 0].reshape(-1)
-    coeffs[ns:] = vals[..., 1].reshape(-1)
-    return Field(dg_space, coeffs)
+    # dG scalar dofs are numbered triangle by triangle, local vertex by
+    # local vertex: the order of the (T, 3) nodal values
+    return Field(dg_space, join(field.element_values()))
 
 
 # -- norms and integrals -------------------------------------------------------
@@ -304,9 +342,7 @@ def _edge_trace_values(field: Field, edge_ids, side: int):
     geom = field.space.geometry
     tris = field.space.mesh.edge_tris[edge_ids, side]
     loc = geom.loc[edge_ids, side]                      # (n, 2) local indices
-    dofs = field.space.elem_dofs[tris[:, None], loc]    # (n, 2) scalar dofs
-    c = field.components
-    return np.stack([c[0][dofs], c[1][dofs]], axis=-1)
+    return gather(field.coeffs, field.space.elem_dofs[tris[:, None], loc])
 
 
 def jump_sq(field: Field, edge_ids) -> np.ndarray:
@@ -375,8 +411,8 @@ def free_energy(field: Field, epsilon: float) -> float:
     return float(broken_gradient_sq(field) + bulk / epsilon ** 2)
 
 
-def energy_error_norm(field: Field, exact_grad, g, method: str, sigma: float,
-                      degree: int = ERROR_DEGREE) -> float:
+def energy_error_norm(field: Field, exact_grad, g, method: str,
+                      sigma: float) -> float:
     """Discrete norm of (exact - field) with the exact solution evaluated by
     quadrature; ``exact_grad(points) -> (N, 2, 2)`` with axes
     (point, component, direction) and ``g(points) -> (N, 2)``."""
@@ -384,7 +420,7 @@ def energy_error_norm(field: Field, exact_grad, g, method: str, sigma: float,
         raise ConfigError("penalty parameter sigma must be positive")
     kind = space_kind(method)
     geom = field.space.geometry
-    lam, w, pts = geom.triangle_points(degree)
+    lam, w, pts = geom.triangle_points(ERROR_DEGREE)
     nt, nq, _ = pts.shape
     eg = np.asarray(exact_grad(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2, 2)
     diff = eg - field.gradients()[:, None, :, :]
@@ -400,9 +436,9 @@ def energy_error_norm(field: Field, exact_grad, g, method: str, sigma: float,
     return float(np.sqrt(total))
 
 
-def l2_error_norm(field: Field, exact, degree: int = ERROR_DEGREE) -> float:
+def l2_error_norm(field: Field, exact) -> float:
     geom = field.space.geometry
-    lam, w, pts = geom.triangle_points(degree)
+    lam, w, pts = geom.triangle_points(ERROR_DEGREE)
     nt, nq, _ = pts.shape
     ev = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
     diff = squared_norm(ev - field.values_at(lam))

@@ -10,8 +10,9 @@ stiffness plus interior-penalty edge terms.  dG puts them on every edge
 and weights the consistency term by its symmetrization weight lam;
 Nitsche is the same form on the boundary edges only, with weight 1.  All
 matrices are scipy CSR and, but for the Newton Jacobian, scalar: only the
-cubic term couples the components, so the Jacobian, with component blocks
-ordered (u, v), is the one two-component matrix.
+cubic term couples the components, so the Jacobian is the one
+two-component matrix.  :mod:`nematicfem.fespace` owns the (u, v) layout
+of the vectors and of J (``scatter_add``, ``coupled_matrix``).
 
 Jump and average conventions: on an interior edge the triangle with the
 smaller id is the plus side, the edge normal points from plus to minus,
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigError, SpaceMismatchError
 from .fespace import (DG, DG_METHOD, NITSCHE, Field, Space, componentwise,
-                      space_kind, squared_norm)
+                      coupled_matrix, scatter_add, space_kind, squared_norm)
 from .quadrature import ASSEMBLY_DEGREE
 
 
@@ -78,14 +79,6 @@ def _assemble(dofs, local, n) -> sp.csr_matrix:
     cols = np.broadcast_to(dofs[:, None, :], local.shape)
     return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(n, n)).tocsr()
-
-
-def _assemble_vector(out, dofs, local):
-    """Add local vectors (k, m, 2) on the scalar dofs (k, m) into both
-    component blocks of ``out``."""
-    ns = len(out) // 2
-    for comp in range(2):
-        np.add.at(out[comp * ns:(comp + 1) * ns], dofs, local[..., comp])
 
 
 def _volume_stiffness(space: Space):
@@ -159,25 +152,6 @@ def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
 # -- quartic coupling term -----------------------------------------------------
 
 
-def quartic_term(xi: Field, eta: Field, theta: Field, phi: Field,
-                 cfg: MethodConfig) -> float:
-    """(2/(3 eps^2)) integral of ((xi.eta)(theta.phi) + 2 (xi.theta)(eta.phi));
-    exact for P1 arguments at the assembly quadrature degree."""
-    for f in (eta, theta, phi):
-        if f.space is not xi.space:
-            raise SpaceMismatchError("quartic term arguments must share a space")
-    geom = xi.space.geometry
-    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    a = xi.values_at(lam)
-    b = eta.values_at(lam)
-    c = theta.values_at(lam)
-    d = phi.values_at(lam)
-    integrand = ((a * b).sum(-1) * (c * d).sum(-1)
-                 + 2.0 * (a * c).sum(-1) * (b * d).sum(-1))
-    value = (geom.area[:, None] * w[None, :] * integrand).sum()
-    return float(2.0 / (3.0 * cfg.epsilon ** 2) * value)
-
-
 def quartic_linearization(wbar: Field, cfg: MethodConfig):
     """Scalar blocks (m11, m12, m22) of the frozen-coefficient bilinear form
 
@@ -219,7 +193,7 @@ def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
     aw = geom.area[:, None] * w[None, :]
     local = scale * (lam.T @ ((aw * norm2)[..., None] * vals))   # (T, 3, 2)
     out = np.zeros(space.ndof)
-    _assemble_vector(out, space.elem_dofs, local)
+    scatter_add(out, space.elem_dofs, local)
     return out
 
 
@@ -251,7 +225,7 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
         # sigma/h <g, phi_i>: phi_i has endpoint coefficients trace[n, i, :]
         g_hat = h[:, None, None] * ((ew[:, None] * hats).T @ gv)
         pen = (cfg.sigma / h)[:, None, None] * (trace @ g_hat)
-        _assemble_vector(out, dofs, cons + pen)
+        scatter_add(out, dofs, cons + pen)
 
     if f is not None:
         lam, w, pts = geom.triangle_points(ASSEMBLY_DEGREE)
@@ -260,7 +234,7 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
         if not np.isfinite(fv).all():
             raise _nonfinite_error("source data", pts, fv)
         aw = geom.area[:, None] * w[None, :]
-        _assemble_vector(out, space.elem_dofs, lam.T @ (aw[..., None] * fv))
+        scatter_add(out, space.elem_dofs, lam.T @ (aw[..., None] * fv))
     return out
 
 
@@ -295,9 +269,9 @@ class NonlinearSystem:
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
         m11, m12, m22 = quartic_linearization(Field(self.space, coeffs),
                                               self.cfg)
-        s = self.linear_part
-        jac = sp.bmat([[s + m11, m12], [m12, s + m22]], format="csr")
-        # the sparse sums drop entries that add up to zero; drop the zeros
-        # of m12 too, so that J keeps only its nonzero entries
+        jac = coupled_matrix(m11, m12, m22, self.linear_part)
+        # J keeps only its nonzero entries: scipy's sparse sum already drops
+        # those that add up to zero, the zeros of m12 included, but does
+        # not document it
         jac.eliminate_zeros()
         return jac

@@ -206,17 +206,6 @@ class Mesh:
     def triangle_diameters(self):
         return np.sqrt(self._squared_sides().max(axis=1))
 
-    def edge_length(self, e: int) -> float:
-        if not 0 <= e < self.n_edges:
-            raise IndexError(f"edge id {e} out of range [0, {self.n_edges})")
-        a, b = self.edges[e]
-        return float(np.hypot(*(self.vertices[b] - self.vertices[a])))
-
-    def triangle_diameter(self, t: int) -> float:
-        if not 0 <= t < self.n_triangles:
-            raise IndexError(f"triangle id {t} out of range [0, {self.n_triangles})")
-        return float(self.triangle_diameters()[t])
-
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in radians."""
         p = self.vertices[self.triangles]

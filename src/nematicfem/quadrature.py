@@ -28,10 +28,6 @@ class QuadratureRule:
     weights: np.ndarray
     degree: int
 
-    @property
-    def npoints(self) -> int:
-        return len(self.weights)
-
 
 def _symmetric_orbit(a):
     """The three permutations of (1 - 2a, a, a)."""

@@ -35,6 +35,9 @@ Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).  When that GMRES fails,
 the step drops the coarse factor and takes the refactor path above, which
 the solve then keeps.
 
+Vectors are flat coefficients in the (u, v) layout that
+:mod:`nematicfem.fespace` owns, read and built through its functions.
+
 A single solve is sequential over iterations; independent solves (e.g. a
 level sweep) can run concurrently since spaces, configs and data are
 immutable.
@@ -48,7 +51,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
-from .fespace import DG, Field, Space, componentwise, discrete_norm
+from .fespace import (DG, Field, Space, componentwise, discrete_norm,
+                      gather, join)
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
@@ -159,7 +163,9 @@ def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
     components."""
     scalar = (space.elem_dofs if space.kind == DG
               else np.arange(space.nscalar)[:, None])
-    dofs = np.concatenate([scalar, scalar + space.nscalar], axis=1)
+    # the full dofs of each block: its u dofs, then its v dofs
+    dofs = gather(np.arange(space.ndof), scalar).transpose(0, 2, 1)
+    dofs = dofs.reshape(len(scalar), -1)
     nblocks, k = dofs.shape
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, k).ravel()
@@ -229,7 +235,7 @@ def director_guess(space: Space, epsilon: float, state: str) -> Field:
     t = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
     wgt = np.clip(t / d, 0.0, 1.0)[:, None]
     vals = wgt * director + (1.0 - wgt) * g(pts)
-    return Field(space, np.concatenate([vals[:, 0], vals[:, 1]]))
+    return Field(space, join(vals))
 
 
 def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nematicfem.adapt import check_dorfler, dorfler_mark, element_indicators
-from nematicfem.bench import RunConfig, run_uniform_study
+from nematicfem.bench import RunConfig, run_study
 from nematicfem.estimator import estimate
 from nematicfem.fespace import Field, Space, embed_continuous, prolong
 from nematicfem.forms import MethodConfig, NonlinearSystem
@@ -63,7 +63,7 @@ def lshape_uniform_tables():
     for method in ("nitsche", "dg"):
         cfg = RunConfig(problem="lshape", method=method, refine="uniform",
                         levels=5, epsilon=0.4)
-        tables[method] = run_uniform_study(cfg)
+        tables[method] = run_study(cfg)
     return tables, time.time() - start
 
 
@@ -114,7 +114,7 @@ def test_criterion_3_slit_rates():
     start = time.time()
     cfg = RunConfig(problem="slit", method="nitsche", refine="uniform",
                     levels=5, epsilon=0.6)
-    table = run_uniform_study(cfg)
+    table = run_study(cfg)
     last = table.records[-1]
     elapsed = time.time() - start
     ok = 0.45 <= last.order_energy <= 0.55 and 0.88 <= last.order_l2 <= 1.08
@@ -131,7 +131,7 @@ def device_ladder(state, levels):
     cfg = RunConfig(problem="device", method="nitsche", refine="uniform",
                     levels=levels, epsilon=0.02, state=state,
                     initial_refine=5)  # h = 0.0442 down to 0.0055 or 0.0027
-    return run_uniform_study(cfg)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +228,7 @@ def adaptive_trace():
 def lshape_uniform_deep():
     cfg = RunConfig(problem="lshape", method="nitsche", refine="uniform",
                     levels=7, epsilon=0.4)
-    return run_uniform_study(cfg)
+    return run_study(cfg)
 
 
 def test_criterion_5_adaptive_vs_uniform(adaptive_trace, lshape_uniform_deep):

@@ -11,8 +11,7 @@ import pytest
 import nematicfem
 from nematicfem.bench import (ADAPTIVE_COLUMNS, UNIFORM_COLUMNS, ConvergenceTable,
                               RunConfig, emit_outputs, initial_mesh_for,
-                              load_table, run_adaptive_study, run_study,
-                              run_uniform_study)
+                              load_table, run_study)
 from nematicfem import adapt
 from nematicfem.cli import main
 from nematicfem.exceptions import ConfigError, NewtonError
@@ -22,14 +21,14 @@ from nematicfem.exceptions import ConfigError, NewtonError
 def small_uniform_table():
     cfg = RunConfig(problem="lshape", method="nitsche", refine="uniform",
                     levels=3, epsilon=0.4)
-    return cfg, run_uniform_study(cfg)
+    return cfg, run_study(cfg)
 
 
 @pytest.fixture(scope="module")
 def small_adaptive_table():
     cfg = RunConfig(problem="lshape", method="nitsche", refine="adaptive",
                     levels=6, epsilon=0.4)
-    return cfg, run_adaptive_study(cfg)
+    return cfg, run_study(cfg)
 
 
 def test_uniform_csv_schema(small_uniform_table, tmp_path):
@@ -49,8 +48,8 @@ def test_adaptive_csv_schema(small_adaptive_table, tmp_path):
 
 def test_rerun_is_byte_identical(small_uniform_table, tmp_path):
     cfg, _ = small_uniform_table
-    a = emit_outputs(run_uniform_study(cfg), cfg, tmp_path / "a")
-    b = emit_outputs(run_uniform_study(cfg), cfg, tmp_path / "b")
+    a = emit_outputs(run_study(cfg), cfg, tmp_path / "a")
+    b = emit_outputs(run_study(cfg), cfg, tmp_path / "b")
     assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
     assert (a / "meta.json").read_bytes() == (b / "meta.json").read_bytes()
 
@@ -112,10 +111,6 @@ def test_run_config_validation():
         RunConfig(problem="lshape", refine="bisect")
     with pytest.raises(ConfigError):
         RunConfig(problem="lshape", levels=0)
-    with pytest.raises(ConfigError):
-        run_uniform_study(RunConfig(problem="lshape", refine="adaptive"))
-    with pytest.raises(ConfigError):
-        run_adaptive_study(RunConfig(problem="lshape", refine="uniform"))
 
 
 def test_run_study_dispatch(small_uniform_table):
@@ -152,7 +147,7 @@ def test_uniform_newton_error_carries_level_records(monkeypatch):
 
     monkeypatch.setattr(adapt, "newton_solve", fails_on_level_2)
     with pytest.raises(NewtonError) as err:
-        run_uniform_study(RunConfig(problem="lshape", levels=4, epsilon=0.4))
+        run_study(RunConfig(problem="lshape", levels=4, epsilon=0.4))
     assert [r.level for r in err.value.level_records] == [0, 1]
 
 
@@ -215,7 +210,7 @@ def test_slit_dg_adaptive_rates():
 
     ucfg = RunConfig(problem="slit", method="dg", refine="uniform",
                      levels=4, epsilon=1.0)
-    uni = run_uniform_study(ucfg)
+    uni = run_study(ucfg)
     uni_rate = uni.column("order_e")[-1]
     assert uni_rate < err_rate - 0.1
 

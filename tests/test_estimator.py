@@ -6,7 +6,7 @@ import pytest
 from conftest import constant_fn
 from nematicfem.estimator import estimate
 from nematicfem.exceptions import SpaceMismatchError
-from nematicfem.fespace import Field, Space, embed_continuous, interpolate, zero_field
+from nematicfem.fespace import Field, Space, embed_continuous, interpolate
 from nematicfem.forms import MethodConfig
 from nematicfem.mesh import red_refine
 from nematicfem.problems import lshape_problem
@@ -27,16 +27,19 @@ def test_unit_modulus_constant_gives_zero(unit_square):
 def test_zero_field_zero_data_gives_zero(unit_square):
     """The cubic residual of the zero field vanishes."""
     space = Space.continuous(unit_square)
-    br = estimate(zero_field(space), nitsche_cfg(), constant_fn(0.0, 0.0))
+    br = estimate(Field(space, np.zeros(space.ndof)), nitsche_cfg(),
+                  constant_fn(0.0, 0.0))
     assert br.total == pytest.approx(0.0, abs=1e-14)
 
 
 def test_space_mismatch(unit_square):
+    dg = Space.dg(unit_square)
+    cont = Space.continuous(unit_square)
     with pytest.raises(SpaceMismatchError):
-        estimate(zero_field(Space.dg(unit_square)), nitsche_cfg(),
+        estimate(Field(dg, np.zeros(dg.ndof)), nitsche_cfg(),
                  constant_fn(0.0, 0.0))
     with pytest.raises(SpaceMismatchError):
-        estimate(zero_field(Space.continuous(unit_square)),
+        estimate(Field(cont, np.zeros(cont.ndof)),
                  MethodConfig(method="dg", epsilon=1.0), constant_fn(0.0, 0.0))
 
 

@@ -24,15 +24,17 @@ def test_dof_counts(unit_square):
 def test_interpolate_constant(unit_square):
     space = Space.continuous(unit_square)
     field = interpolate(space, constant_fn(1.0, 0.0))
-    assert np.all(field.components[0] == 1.0)
-    assert np.all(field.components[1] == 0.0)
+    u, v = field.coeffs.reshape(2, -1)
+    assert np.all(u == 1.0)
+    assert np.all(v == 0.0)
 
 
 def test_interpolate_reproduces_linears(unit_square):
     space = Space.continuous(unit_square)
     field = interpolate(space, linear_fn)
-    assert np.allclose(field.components[0], unit_square.vertices[:, 0])
-    assert np.allclose(field.components[1], unit_square.vertices[:, 1])
+    u, v = field.coeffs.reshape(2, -1)
+    assert np.allclose(u, unit_square.vertices[:, 0])
+    assert np.allclose(v, unit_square.vertices[:, 1])
 
 
 def test_interpolate_trapezoid_boundary_value():
@@ -82,9 +84,10 @@ def test_prolong_random_field_matches_reinterpolation(lshape):
     # midpoint dofs are endpoint averages
     vp = fine_mesh.vertex_parents
     for comp in range(2):
-        expect = 0.5 * (coarse.components[comp][vp[:, 0]]
-                        + coarse.components[comp][vp[:, 1]])
-        assert np.max(np.abs(fine.components[comp] - expect)) <= 1e-13
+        c = coarse.coeffs.reshape(2, -1)[comp]
+        expect = 0.5 * (c[vp[:, 0]] + c[vp[:, 1]])
+        f = fine.coeffs.reshape(2, -1)[comp]
+        assert np.max(np.abs(f - expect)) <= 1e-13
 
 
 def test_prolong_preserves_energy_seminorm(lshape):
@@ -121,9 +124,10 @@ def test_prolong_applies_the_parent_gather_matrix(lshape, kind, refine):
     assert np.array_equal(np.asarray(p.sum(axis=1)).ravel(),
                           np.ones(fine_space.nscalar))
     a, b = _parent_dofs(coarse.space, fine_space).T
-    c = coarse.components
+    c = coarse.coeffs.reshape(2, -1)
     gather = 0.5 * (c[:, a] + c[:, b])
-    assert np.array_equal(prolong(coarse, fine_space).components, gather)
+    fine = prolong(coarse, fine_space).coeffs.reshape(2, -1)
+    assert np.array_equal(fine, gather)
 
 
 def test_prolong_dg_matches_parent_linears_on_nvb_slit(slit):

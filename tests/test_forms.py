@@ -7,12 +7,11 @@ import scipy.sparse as sp
 from conftest import constant_fn, random_field
 from nematicfem.exceptions import ConfigError, SpaceMismatchError
 from nematicfem.fespace import (Field, Space, componentwise, embed_continuous,
-                                interpolate, zero_field)
+                                interpolate)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
                               gradient_matrix, load_vector,
-                              quartic_linearization, quartic_term,
-                              _volume_stiffness)
+                              quartic_linearization, _volume_stiffness)
 from nematicfem.mesh import red_refine
 from nematicfem.problems import lshape_problem
 
@@ -105,23 +104,34 @@ def test_dg_matrix_on_conforming_field_matches_nitsche(unit_square):
     assert qd == pytest.approx(qa, rel=1e-12)
 
 
+def _quartic_form(w, cfg):
+    """The quartic term (2/(3 eps^2)) integral of ((w.w)(theta.phi)
+    + 2 (w.theta)(w.phi)) as a matrix in (theta, phi): a third of the
+    linearization at w."""
+    m11, m12, m22 = quartic_linearization(w, cfg)
+    return sp.bmat([[m11, m12], [m12, m22]], format="csr") / 3.0
+
+
 def test_quartic_term_constants(unit_square):
+    """On the unit square at eps = 1 the quartic term of the constant unit
+    field e1 is 2/3 (1 + 2) = 2, and it vanishes for theta = e2."""
     space = Space.continuous(unit_square)
     e1 = interpolate(space, constant_fn(1.0, 0.0))
     e2 = interpolate(space, constant_fn(0.0, 1.0))
-    cfg = nitsche_cfg()
-    assert quartic_term(e1, e1, e1, e1, cfg) == pytest.approx(2.0)
-    assert quartic_term(e1, e1, e2, e1, cfg) == pytest.approx(0.0, abs=1e-14)
+    form = _quartic_form(e1, nitsche_cfg())
+    assert e1.coeffs @ form @ e1.coeffs == pytest.approx(2.0)
+    assert e2.coeffs @ form @ e1.coeffs == pytest.approx(0.0, abs=1e-14)
 
 
 def test_quartic_term_symmetric_in_last_two(unit_square):
+    """The quartic term at a fixed w is symmetric in (theta, phi): the
+    linearization's diagonal blocks are symmetric and its off-diagonal
+    block serves both (u, v) and (v, u)."""
     space = Space.continuous(red_refine(unit_square))
-    cfg = nitsche_cfg()
-    a = random_field(space, seed=0)
-    p = random_field(space, seed=1)
-    q = random_field(space, seed=2)
-    assert quartic_term(a, a, p, q, cfg) == pytest.approx(
-        quartic_term(a, a, q, p, cfg), rel=1e-12)
+    form = _quartic_form(random_field(space, seed=0), nitsche_cfg())
+    p = random_field(space, seed=1).coeffs
+    q = random_field(space, seed=2).coeffs
+    assert p @ form @ q == pytest.approx(q @ form @ p, rel=1e-12)
 
 
 def test_quartic_linearization_consistent_with_cubic(unit_square):
@@ -188,7 +198,8 @@ def test_load_source_partition_of_unity(unit_square):
 def test_residual_zero_everything(unit_square):
     space = Space.continuous(unit_square)
     cfg = nitsche_cfg()
-    r = residual(zero_field(space), cfg, constant_fn(0.0, 0.0))
+    r = residual(Field(space, np.zeros(space.ndof)), cfg,
+                 constant_fn(0.0, 0.0))
     assert np.abs(r).max() == 0.0
 
 
@@ -226,7 +237,7 @@ def test_jacobian_at_zero_is_linear_part(unit_square):
     space = Space.continuous(unit_square)
     cfg = nitsche_cfg()
     J = NonlinearSystem(space, cfg, constant_fn(0.0, 0.0)).jacobian(
-        zero_field(space).coeffs)
+        np.zeros(space.ndof))
     expected = sp.kron(sp.eye(2), gradient_matrix(space, cfg)
                        + bulk_linear_matrix(space, cfg))
     assert abs(J - expected).max() <= 1e-14

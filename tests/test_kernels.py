@@ -6,7 +6,9 @@ library's matmul kernels; both must agree to rounding on continuous and
 dG spaces over red- and NVB-refined L-shape meshes.  The Newton system
 built from scalar operators and the component-axis sums written as
 explicit terms must equal their system-size and numpy-reduction
-references bit for bit.
+references bit for bit, and so must the coefficient-layout functions of
+``fespace`` and the block-Jacobi smoother equal the per-component slices
+and index offsets they replace.
 """
 
 import numpy as np
@@ -15,9 +17,10 @@ import scipy.sparse as sp
 
 from conftest import random_field
 from nematicfem.estimator import _gradient_jump_sq
-from nematicfem.fespace import (Field, Space, _edge_trace_values,
+from nematicfem.fespace import (DG, Field, Space, _edge_trace_values,
                                 boundary_misfit_sq, broken_gradient_sq,
-                                jump_sq, squared_norm)
+                                embed_continuous, gather, join, jump_sq,
+                                scatter_add, squared_norm)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
                               gradient_matrix, load_vector,
@@ -26,6 +29,7 @@ from nematicfem.mesh import (DomainShape, L_SHAPE, build_initial_mesh,
                              nvb_refine, red_refine)
 from nematicfem.problems import lshape_problem
 from nematicfem.quadrature import ASSEMBLY_DEGREE, ERROR_DEGREE
+from nematicfem.solver import _block_jacobi
 
 RTOL = 1e-14
 EPSILON = 0.4
@@ -225,7 +229,8 @@ def test_edge_kernels(case):
     hats, pts, ew = geom.edge_points(bd)
     loc = geom.loc[bd, 0]
     ends = space.elem_dofs[mesh.edge_tris[bd, 0][:, None], loc]
-    trace = np.stack([psi.components[0][ends], psi.components[1][ends]], -1)
+    u, v = psi.coeffs.reshape(2, -1)
+    trace = np.stack([u[ends], v[ends]], -1)
     fv = np.einsum("qe,nec->nqc", hats, trace)
     gv = g(pts.reshape(-1, 2)).reshape(len(bd), -1, 2)
     _close(boundary_misfit_sq(psi, g, bd),
@@ -262,7 +267,11 @@ def test_system_matches_system_size_reference(case, state):
     residual = (linear @ coeffs + cubic_term_vector(state_field, cfg)
                 - system.load)
 
-    _same_csr(system.jacobian(coeffs), jacobian)
+    jac = system.jacobian(coeffs)
+    _same_csr(jac, jacobian)
+    # J's arrays are its own, not views into the larger buffer of a sum
+    for arr in (jac.data, jac.indices):
+        assert arr.base is None or arr.base.nbytes == arr.nbytes
     assert np.array_equal(system.residual(coeffs), residual)
 
 
@@ -291,3 +300,78 @@ def test_gradient_sum_keeps_numpy_order(single_triangle):
         psi = random_field(space, seed=seed)
         assert broken_gradient_sq(psi) == float(
             (area * (psi.gradients() ** 2).sum(axis=(1, 2))).sum())
+
+
+# -- the coefficient layout ------------------------------------------------------
+
+
+def test_layout_gather(case):
+    """``gather`` equals indexing each row of the (2, nscalar) view, on
+    triangle dofs, edge-trace dofs and random repeated dofs."""
+    space, psi, _ = case
+    c = psi.coeffs.reshape(2, space.nscalar)
+
+    def reference(dofs):
+        return np.stack([c[0][dofs], c[1][dofs]], axis=-1)
+
+    dofs = np.random.default_rng(3).integers(0, space.nscalar, (50, 4))
+    for d in (space.elem_dofs, dofs):
+        assert np.array_equal(gather(psi.coeffs, d), reference(d))
+    assert np.array_equal(psi.element_values(), reference(space.elem_dofs))
+    ie = space.mesh.interior_edges
+    ends = space.elem_dofs[space.mesh.edge_tris[ie, 1][:, None],
+                           space.geometry.loc[ie, 1]]
+    assert np.array_equal(_edge_trace_values(psi, ie, 1), reference(ends))
+
+
+def test_layout_scatter_add(case):
+    """``scatter_add`` equals ``np.add.at`` into the slices
+    ``[comp * ns, (comp + 1) * ns)``, starting from a nonzero vector."""
+    space, psi, _ = case
+    local = np.random.default_rng(5).standard_normal(space.elem_dofs.shape
+                                                     + (2,))
+    reference = psi.coeffs.copy()
+    ns = space.nscalar
+    for comp in range(2):
+        np.add.at(reference[comp * ns:(comp + 1) * ns], space.elem_dofs,
+                  local[..., comp])
+    out = psi.coeffs.copy()
+    scatter_add(out, space.elem_dofs, local)
+    assert np.array_equal(out, reference)
+
+
+def test_layout_join(case):
+    """``join`` equals concatenating the two columns of nodal values, and
+    the two slice writes of the dG embedding; it inverts ``gather``."""
+    space, psi, _ = case
+    vals = np.random.default_rng(6).standard_normal((space.nscalar, 2))
+    assert np.array_equal(join(vals),
+                          np.concatenate([vals[:, 0], vals[:, 1]]))
+    assert np.array_equal(join(gather(psi.coeffs, np.arange(space.nscalar))),
+                          psi.coeffs)
+    if space.kind != DG:
+        dg = Space.dg(space.mesh)
+        ev = psi.element_values()
+        reference = np.empty(dg.ndof)
+        reference[:dg.nscalar] = ev[..., 0].reshape(-1)
+        reference[dg.nscalar:] = ev[..., 1].reshape(-1)
+        assert np.array_equal(embed_continuous(psi, dg).coeffs, reference)
+
+
+def test_block_jacobi_dof_layout(case):
+    """The block-Jacobi inverse equals, bitwise, the one whose blocks take
+    the scalar dofs and the same dofs offset by nscalar."""
+    space, psi, cfg = case
+    problem = lshape_problem(EPSILON)
+    jac = NonlinearSystem(space, cfg, problem.g, problem.f).jacobian(
+        psi.coeffs)
+    scalar = (space.elem_dofs if space.kind == DG
+              else np.arange(space.nscalar)[:, None])
+    dofs = np.concatenate([scalar, scalar + space.nscalar], axis=1)
+    nblocks, k = dofs.shape
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, k).ravel()
+    blocks = np.asarray(jac[rows, cols]).reshape(nblocks, k, k)
+    reference = sp.csr_matrix((np.linalg.inv(blocks).ravel(), (rows, cols)),
+                              shape=jac.shape)
+    _same_csr(_block_jacobi(jac, space), reference)

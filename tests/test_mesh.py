@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nematicfem.exceptions import MeshError
+from nematicfem.fespace import MeshGeometry
 from nematicfem.mesh import (DomainShape, L_SHAPE, SLIT_SQUARE, UNIT_SQUARE,
                              build_initial_mesh, nvb_refine, red_refine)
 
@@ -128,14 +129,10 @@ def test_mixed_refinement_conformity(lshape):
 
 def test_edge_length_and_diameter(single_triangle):
     m = single_triangle
-    assert m.triangle_diameter(0) == pytest.approx(np.sqrt(2.0))
+    assert m.triangle_diameters()[0] == pytest.approx(np.sqrt(2.0))
     horizontal = [e for e in range(m.n_edges)
                   if set(map(tuple, m.vertices[m.edges[e]])) == {(0, 0), (1, 0)}]
-    assert m.edge_length(horizontal[0]) == pytest.approx(1.0)
-    with pytest.raises(IndexError):
-        m.edge_length(99)
-    with pytest.raises(IndexError):
-        m.triangle_diameter(-1)
+    assert MeshGeometry(m).edge_len[horizontal[0]] == pytest.approx(1.0)
 
 
 def test_refinement_edge_is_longest_edge(lshape):

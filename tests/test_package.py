@@ -1,6 +1,12 @@
-"""The package's public names."""
+"""The package's public names, and the one owner of the (u, v) layout."""
+
+from pathlib import Path
 
 import nematicfem
+
+# hand-written spellings of the blocked (u, v) coefficient layout
+LAYOUT_IDIOMS = ("reshape(2", "+ space.nscalar", "comp * ns",
+                 "[:, 0], vals[:, 1]")
 
 
 def test_all_names_are_attributes():
@@ -11,3 +17,15 @@ def test_star_import():
     namespace = {}
     exec("from nematicfem import *", namespace)
     assert set(nematicfem.__all__) <= set(namespace)
+
+
+def test_layout_idioms_only_in_fespace():
+    """Only ``fespace`` spells out the coefficient layout; every other
+    module goes through its gather, scatter, join and componentwise
+    functions."""
+    src = Path(__file__).resolve().parent.parent / "src" / "nematicfem"
+    modules = sorted(src.glob("*.py"))
+    assert {"forms.py", "solver.py", "fespace.py"} <= {m.name for m in modules}
+    found = [(m.name, idiom) for m in modules if m.name != "fespace.py"
+             for idiom in LAYOUT_IDIOMS if idiom in m.read_text()]
+    assert found == []

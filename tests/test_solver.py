@@ -38,8 +38,9 @@ def test_laplace_guess_reproduces_constant(unit_square):
     space = Space.continuous(mesh)
     cfg = MethodConfig(method="nitsche", epsilon=1.0)
     guess = laplace_guess(space, cfg, constant_fn(1.0, 0.0))
-    assert np.abs(guess.components[0] - 1.0).max() <= 1e-10
-    assert np.abs(guess.components[1]).max() <= 1e-10
+    u, v = guess.coeffs.reshape(2, -1)
+    assert np.abs(u - 1.0).max() <= 1e-10
+    assert np.abs(v).max() <= 1e-10
 
 
 def test_newton_fixed_point_one_iteration(lshape):
@@ -136,13 +137,14 @@ def test_director_guess_center_and_boundary():
     space = Space.continuous(mesh)
     guess = director_guess(space, 0.02, "D1")
     center = np.flatnonzero((space.node_coords == [0.5, 0.5]).all(axis=1))[0]
-    assert guess.components[0][center] == pytest.approx(0.0, abs=1e-14)
-    assert guess.components[1][center] == pytest.approx(1.0)
+    u, v = guess.coeffs.reshape(2, -1)
+    assert u[center] == pytest.approx(0.0, abs=1e-14)
+    assert v[center] == pytest.approx(1.0)
     # boundary nodes match g exactly
     bnodes = np.unique(mesh.edges[mesh.boundary_edges].ravel())
     gvals = prob.g(space.node_coords[bnodes])
-    assert np.abs(guess.components[0][bnodes] - gvals[:, 0]).max() <= 1e-14
-    assert np.abs(guess.components[1][bnodes] - gvals[:, 1]).max() <= 1e-14
+    assert np.abs(u[bnodes] - gvals[:, 0]).max() <= 1e-14
+    assert np.abs(v[bnodes] - gvals[:, 1]).max() <= 1e-14
 
 
 def test_director_guess_rejects_bad_state(unit_square):
