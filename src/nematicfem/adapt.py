@@ -10,6 +10,7 @@ triangle id.  Refinement is one newest-vertex bisection of each marked
 triangle plus closure.
 """
 
+import ctypes
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -18,7 +19,7 @@ import numpy as np
 
 from .estimator import EstimatorBreakdown, estimate
 from .exceptions import ConfigError, NewtonError
-from .fespace import (Field, Space, discrete_norm, energy_error_norm,
+from .fespace import (DG, Field, Space, discrete_norm, energy_error_norm,
                       free_energy, l2_error_norm, l2_norm, prolong,
                       prolongation_matrix, space_kind)
 from .forms import MethodConfig
@@ -26,6 +27,33 @@ from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
 from .solver import (CoarseLevel, NewtonConfig, director_guess, laplace_guess,
                      newton_solve)
+
+# A continuous level reuses the kept factor while its ndof is at most this
+# multiple of the factored level's.  Red refinement grows ndof about 4x per
+# level, so a uniform study keeps factoring every level but the last; a
+# larger multiple lets a uniform study's last level land 16x away from the
+# kept factor, where two-grid GMRES fails and the fallback factors the
+# finest level.  dG levels never reuse (but the last): the block-Jacobi
+# two-grid cycle needs 11-29 GMRES iterations per step even at 1.2x, which
+# costs more than a factorization.
+FACTOR_REUSE_GROWTH = 3
+
+# glibc's malloc_trim; None under other C libraries
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError):
+    _malloc_trim = None
+
+
+def _release_free_heap():
+    """Return the free pages of the C heap to the OS.  A kept factor lives
+    across several levels, and the arrays allocated after it are freed
+    around it; glibc keeps those holes resident, so without a trim the
+    resident set of a process that runs several studies grows with each
+    one, by up to 60 MB on the adaptive L-shape and by a different amount in
+    every run."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 @dataclass(frozen=True)
@@ -133,20 +161,26 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     ``target_ndof``; returns a list of LevelRecord.
 
     Newton starts from the prolonged previous solution, on level 0 from
-    the director guess of ``state`` or else the Laplace guess.  The last
-    level, known before its solve, is solved two-grid with the previous
-    level's LU factor as its coarse solve and builds no factor of its own;
-    every other level releases the previous factor before it solves.  Problems
-    with an exact solution record its energy and L2 errors; the others
-    record the norms of the difference to the prolonged previous solution.
-    ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
-    nonconvergence aborts with the completed level records attached to the
-    raised :class:`NewtonError`.
+    the director guess of ``state`` or else the Laplace guess.  The study
+    keeps one LU factor, that of the last level that built one.  A level is
+    solved two-grid on the kept factor, through the composed prolongation
+    from the factored level's space, when it is the last level (known before
+    its solve) or when its space is continuous and its ndof is at most
+    FACTOR_REUSE_GROWTH times that of the factored level.  Every other level
+    releases the kept factor before it solves, and its own factor becomes
+    the kept one, as does the factor of a two-grid level that falls back to
+    a factorization.  Problems with an exact solution record its energy and
+    L2 errors; the others record the norms of the difference to the
+    prolonged previous solution.  ``mesh_dump_dir`` writes one plain-text
+    mesh dump per level.  Newton nonconvergence aborts with the completed
+    level records attached to the raised :class:`NewtonError`.
     """
     kind = space_kind(cfg.method)
     records = []
     previous = None
-    factor = None      # the previous level's LU factor
+    factor = None        # the kept LU factor
+    factor_ndof = 0      # the ndof of the level that built it
+    prolongation = None  # scalar P from that level's space to previous.space
     for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
@@ -158,9 +192,11 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         # the holder is the factor's only reference, so the solve can
         # release it before a fallback factorization
         coarse = None
-        if last and factor is not None:
-            coarse = CoarseLevel(factor, prolongation_matrix(previous.space,
-                                                             space))
+        if factor is not None and (last or (
+                kind != DG and space.ndof <= FACTOR_REUSE_GROWTH * factor_ndof)):
+            step = prolongation_matrix(previous.space, space)
+            prolongation = step if prolongation is None else step @ prolongation
+            coarse = CoarseLevel(factor, prolongation)
         factor = None
         if previous is not None:
             guess = prolong(previous, space)
@@ -176,10 +212,15 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         except NewtonError as exc:
             exc.level_records = records
             raise
-        coarse = None
         if not last:
-            factor = report.factor
+            if report.factor is not None:
+                factor, factor_ndof = report.factor, space.ndof
+                prolongation = None
+            else:   # solved two-grid: the kept factor stays
+                factor = coarse.lu
+        coarse = None
         report.factor = None
+        _release_free_heap()
 
         breakdown = estimate(field, cfg, problem.g, problem.f)
         rec = LevelRecord(

@@ -411,6 +411,17 @@ def free_energy(field: Field, epsilon: float) -> float:
     return float(broken_gradient_sq(field) + bulk / epsilon ** 2)
 
 
+# Triangles per block of the error norms' quadrature.  The exact solution
+# and its temporaries at the ERROR_DEGREE points of a block take a few MB;
+# over a whole fine mesh they took tens of MB and set a study's peak memory.
+ERROR_BLOCK = 4096
+
+
+def _error_blocks(n_triangles):
+    return (slice(s, s + ERROR_BLOCK)
+            for s in range(0, n_triangles, ERROR_BLOCK))
+
+
 def energy_error_norm(field: Field, exact_grad, g, method: str,
                       sigma: float) -> float:
     """Discrete norm of (exact - field) with the exact solution evaluated by
@@ -420,12 +431,17 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
         raise ConfigError("penalty parameter sigma must be positive")
     kind = space_kind(method)
     geom = field.space.geometry
-    lam, w, pts = geom.triangle_points(ERROR_DEGREE)
-    nt, nq, _ = pts.shape
-    eg = np.asarray(exact_grad(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2, 2)
-    diff = eg - field.gradients()[:, None, :, :]
-    sq = squared_norm(diff[..., 0, :]) + diff[..., 1, 0] ** 2 + diff[..., 1, 1] ** 2
-    total = (geom.area[:, None] * w[None, :] * sq).sum()
+    _, w, pts = geom.triangle_points(ERROR_DEGREE)
+    grads = field.gradients()
+    total = 0.0
+    for blk in _error_blocks(len(pts)):
+        bp = pts[blk]
+        eg = np.asarray(exact_grad(bp.reshape(-1, 2)), dtype=float).reshape(
+            bp.shape[:2] + (2, 2))
+        diff = eg - grads[blk, None, :, :]
+        sq = (squared_norm(diff[..., 0, :]) + diff[..., 1, 0] ** 2
+              + diff[..., 1, 1] ** 2)
+        total += (geom.area[blk, None] * w[None, :] * sq).sum()
 
     bd = field.space.mesh.boundary_edges
     if len(bd):
@@ -439,7 +455,12 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
 def l2_error_norm(field: Field, exact) -> float:
     geom = field.space.geometry
     lam, w, pts = geom.triangle_points(ERROR_DEGREE)
-    nt, nq, _ = pts.shape
-    ev = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
-    diff = squared_norm(ev - field.values_at(lam))
-    return float(np.sqrt((geom.area[:, None] * w[None, :] * diff).sum()))
+    nodal = field.element_values()
+    total = 0.0
+    for blk in _error_blocks(len(pts)):
+        bp = pts[blk]
+        ev = np.asarray(exact(bp.reshape(-1, 2)), dtype=float).reshape(
+            bp.shape[:2] + (2,))
+        diff = squared_norm(ev - np.matmul(lam, nodal[blk]))
+        total += (geom.area[blk, None] * w[None, :] * diff).sum()
+    return float(np.sqrt(total))

@@ -22,18 +22,20 @@ fresh factor, which is kept for the steps after it.  The update is still
 the Newton step, so the iterates match a solve that factors at every step
 up to the GMRES tolerance.
 
-The last level of a study on nested meshes builds no factor: given the
-previous level's factor and the prolongation P from its space
-(:class:`CoarseLevel`), every step runs GMRES preconditioned by a two-grid
-cycle on the current Jacobian J, the first step to KRYLOV_RTOL_FLOOR and
-the later ones to the Eisenstat-Walker tolerance.  The cycle is a damped
-block-Jacobi sweep on J (damping TWOGRID_OMEGA; one block per dG triangle
-or per continuous vertex, both components), the coarse correction
-P lu_c^{-1} P^T r (the scalar P on each component) and a second sweep.
-Point Jacobi is too weak a smoother for dG; element blocks follow
-Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).  When that GMRES fails,
-the step drops the coarse factor and takes the refactor path above, which
-the solve then keeps.
+A two-grid solve builds no factor: given a factor kept from a coarser
+level of a study on nested meshes and the prolongation P from that level's
+space (:class:`CoarseLevel`), every step runs GMRES preconditioned by a
+two-grid cycle on the current Jacobian J, the first step to
+KRYLOV_RTOL_FLOOR and the later ones to the Eisenstat-Walker tolerance.
+:func:`nematicfem.adapt.solve_levels` solves a study's last level this
+way, and every continuous level close enough in size to the kept
+factor's.  The cycle is a damped block-Jacobi sweep on J (damping
+TWOGRID_OMEGA; one block per dG triangle or per continuous vertex, both
+components), the coarse correction P lu_c^{-1} P^T r (the scalar P on each
+component) and a second sweep.  Point Jacobi is too weak a smoother for
+dG; element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95
+(2003).  When that GMRES fails, the step drops the coarse factor and takes
+the refactor path above, which the solve then keeps.
 
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
@@ -97,8 +99,8 @@ class NewtonReport:
     without one).
 
     ``factor`` is the solve's last LU factor (None when it built none) for
-    the caller to take as the next level's coarse solve; it is None in the
-    report of a :class:`NewtonError`."""
+    the caller to keep as the coarse solve of later levels; it is None in
+    the report of a :class:`NewtonError`."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
@@ -111,10 +113,11 @@ class NewtonReport:
 
 @dataclass
 class CoarseLevel:
-    """The previous level's LU factor and the scalar prolongation from its
-    space, for a two-grid solve.  The solve sets ``lu`` to None when it
-    falls back to a factorization, so the factor is released when this
-    holder is its only reference."""
+    """The kept factor, the LU factor of a coarser level of the same study,
+    and the scalar prolongation from that level's space to the solve's
+    space (composed over the levels between them), for a two-grid solve.
+    The solve sets ``lu`` to None when it falls back to a factorization, so
+    the factor is released when this holder is its only reference."""
     lu: object
     prolongation: sp.csr_matrix
 

@@ -6,12 +6,14 @@ import pytest
 from conftest import constant_fn, linear_fn, random_field
 from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
+from nematicfem import fespace
 from nematicfem.fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
                                 embed_continuous, energy_error_norm,
-                                free_energy, interpolate, l2_norm, prolong,
-                                prolongation_matrix)
+                                free_energy, interpolate, l2_error_norm,
+                                l2_norm, prolong, prolongation_matrix)
 from nematicfem.mesh import nvb_refine, red_refine
-from nematicfem.problems import device_problem, trapezoid_profile
+from nematicfem.problems import (device_problem, lshape_problem,
+                                 slit_problem, trapezoid_profile)
 
 
 def test_dof_counts(unit_square):
@@ -130,6 +132,27 @@ def test_prolong_applies_the_parent_gather_matrix(lshape, kind, refine):
     assert np.array_equal(fine, gather)
 
 
+@pytest.mark.parametrize("kind", [CONTINUOUS, DG])
+def test_composed_prolongation_over_two_nvb_levels(lshape, kind):
+    """The product of two levels' prolongation matrices, applied to each
+    component, is ``prolong`` applied twice; every fine dof lies in one
+    coarse triangle, so each row holds at most 3 entries and sums to 1."""
+    meshes = [red_refine(lshape)]
+    for stride in (3, 2):
+        meshes.append(nvb_refine(meshes[-1],
+                                 np.arange(0, meshes[-1].n_triangles, stride)))
+    spaces = [Space(m, kind) for m in meshes]
+    composed = (prolongation_matrix(spaces[1], spaces[2])
+                @ prolongation_matrix(spaces[0], spaces[1]))
+    coarse = random_field(spaces[0], seed=11)
+    twice = prolong(prolong(coarse, spaces[1]), spaces[2]).coeffs
+    once = np.concatenate([composed @ c for c in coarse.coeffs.reshape(2, -1)])
+    assert np.abs(once - twice).max() <= 1e-15
+    assert composed.shape == (spaces[2].nscalar, spaces[0].nscalar)
+    assert composed.getnnz(axis=1).max() <= 3
+    assert np.abs(np.asarray(composed.sum(axis=1)).ravel() - 1.0).max() <= 1e-15
+
+
 def test_prolong_dg_matches_parent_linears_on_nvb_slit(slit):
     """A discontinuous field prolonged onto an NVB refinement that bisects
     the slit faces (duplicated vertices) equals each parent's linear
@@ -182,6 +205,26 @@ def test_energy_error_norm_rejects_unknown_method(unit_square):
     exact_grad = lambda p: np.zeros((len(p), 2, 2))
     with pytest.raises(ConfigError):
         energy_error_norm(field, exact_grad, constant_fn(0.0, 0.0), "DG", 10.0)
+
+
+@pytest.mark.parametrize("kind", [CONTINUOUS, DG])
+def test_error_norms_do_not_depend_on_block_size(lshape, slit, kind,
+                                                 monkeypatch):
+    """The error norms sum their quadrature over blocks of ERROR_BLOCK
+    triangles; blocks of 7 (a ragged last block) give the one-block value
+    to rounding."""
+    method = "dg" if kind == DG else "nitsche"
+    for mesh, prob in ((lshape, lshape_problem(0.4)), (slit, slit_problem(1.0))):
+        mesh = red_refine(red_refine(red_refine(mesh)))
+        assert mesh.n_triangles % 7 and mesh.n_triangles < fespace.ERROR_BLOCK
+        field = random_field(Space(mesh, kind), seed=3)
+        whole = (energy_error_norm(field, prob.exact_grad, prob.g, method, 10.0),
+                 l2_error_norm(field, prob.exact))
+        monkeypatch.setattr(fespace, "ERROR_BLOCK", 7)
+        blocks = (energy_error_norm(field, prob.exact_grad, prob.g, method, 10.0),
+                  l2_error_norm(field, prob.exact))
+        monkeypatch.undo()
+        assert blocks == pytest.approx(whole, rel=1e-13)
 
 
 def test_dg_norm_of_conforming_field_matches_nitsche(lshape):

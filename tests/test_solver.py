@@ -6,11 +6,12 @@ import pytest
 from conftest import constant_fn
 from nematicfem import adapt, solver
 from nematicfem.exceptions import ConfigError, LinearSolveError, NewtonError
-from nematicfem.fespace import (Field, Space, discrete_norm, interpolate,
-                                prolong, prolongation_matrix)
+from nematicfem.fespace import (DG, Field, Space, discrete_norm,
+                                interpolate, prolong, prolongation_matrix)
 from nematicfem.forms import MethodConfig, NonlinearSystem, cubic_term_vector
 from nematicfem.mesh import build_initial_mesh, red_refine
-from nematicfem.problems import device_problem, lshape_problem
+from nematicfem.problems import (device_problem, lshape_problem,
+                                 slit_problem)
 from nematicfem.solver import (CoarseLevel, NewtonConfig, director_guess,
                                laplace_guess, newton_solve)
 import scipy.sparse as sp
@@ -353,9 +354,9 @@ def _level_reports(monkeypatch, counter):
     return levels
 
 
-def _lshape_study(method, refine, levels, target_ndof=None):
-    prob = lshape_problem(0.4)
-    cfg = MethodConfig(method=method, epsilon=0.4)
+def _study(method, refine, levels, target_ndof=None,
+           prob=lshape_problem(0.4)):
+    cfg = MethodConfig(method=method, epsilon=prob.epsilon)
     mesh = red_refine(build_initial_mesh(prob.shape))
     if refine == "uniform":
         records = adapt.solve_levels(prob, mesh, cfg, NewtonConfig(),
@@ -367,6 +368,21 @@ def _lshape_study(method, refine, levels, target_ndof=None):
     return prob, cfg, records
 
 
+def _factored_levels(reports):
+    """Per non-last level, whether the reuse rule of ``solve_levels`` has
+    it build a factor: its space is dG, no factor is kept yet, or its ndof
+    exceeds FACTOR_REUSE_GROWTH times the ndof of the kept factor's level."""
+    expected, kept = [], None
+    for _, _, solution in reports[:-1]:
+        space = solution.space
+        factors = (space.kind == DG or kept is None
+                   or space.ndof > adapt.FACTOR_REUSE_GROWTH * kept)
+        if factors:
+            kept = space.ndof
+        expected.append(factors)
+    return expected
+
+
 @pytest.mark.parametrize("method, refine, levels, target_ndof", [
     ("nitsche", "uniform", 4, None),
     ("dg", "uniform", 4, None),
@@ -374,19 +390,21 @@ def _lshape_study(method, refine, levels, target_ndof=None):
 ], ids=["nitsche-uniform", "sipg-uniform", "nitsche-adaptive-target"])
 def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
                                 target_ndof):
-    """The last level of a study builds no LU factor: every step runs GMRES
-    with the two-grid preconditioner built on the previous level's factor,
-    and the level reaches the factor-every-step Newton solution in the same
+    """A non-last level builds a factor exactly when the reuse rule says
+    so.  The last level of a study builds no LU factor: every step runs
+    GMRES with the two-grid preconditioner built on the kept factor, and
+    the level reaches the factor-every-step Newton solution in the same
     number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
-    prob, cfg, records = _lshape_study(method, refine, levels, target_ndof)
+    prob, cfg, records = _study(method, refine, levels, target_ndof)
     monkeypatch.undo()
     if target_ndof is not None:
         assert len(records) < levels
         assert records[-1].ndof >= target_ndof > records[-2].ndof
     assert len(reports) == len(records) >= 2
-    assert all(built >= 1 for _, built, _ in reports[:-1])
+    assert [built >= 1 for _, built, _ in reports[:-1]] == \
+        _factored_levels(reports)
     assert all(rep.factor is None for rep, _, _ in reports)   # none kept
     last, built, solution = reports[-1]
     assert built == 0
@@ -401,6 +419,50 @@ def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
                                             guess, NewtonConfig().tol)
     assert last.iterations == ref_iterations >= 2
     assert np.abs(solution.coeffs - ref).max() <= 1e-10
+
+
+def test_continuous_level_reuses_kept_factor(monkeypatch):
+    """In an adaptive Nitsche study, levels within FACTOR_REUSE_GROWTH of
+    the kept factor's ndof build no factor: each is solved two-grid on the
+    kept factor and reaches the factor-every-step Newton solution from its
+    prolonged guess in the same number of steps."""
+    counter = _CountingLinalg()
+    reports = _level_reports(monkeypatch, counter)
+    prob, cfg, _ = _study("nitsche", "adaptive", 50, 400)
+    monkeypatch.undo()
+    assert all(rep.factor is None for rep, _, _ in reports)
+    reused = [k for k in range(1, len(reports) - 1) if reports[k][1] == 0]
+    assert reused
+    # some kept factor is two or more levels coarser: a composed prolongation
+    factored = [k for k in range(len(reports) - 1) if reports[k][1] > 0]
+    assert any(k - max(j for j in factored if j < k) >= 2 for k in reused)
+    for k in reused:
+        rep, _, solution = reports[k]
+        assert rep.factorizations == 0
+        assert all(its > 0 for its in rep.krylov_iterations)
+        guess = prolong(reports[k - 1][2], solution.space)
+        ref, ref_iterations = _reference_newton(
+            solution.space, cfg, prob.g, prob.f, guess, NewtonConfig().tol)
+        assert rep.iterations == ref_iterations
+        assert np.abs(solution.coeffs - ref).max() <= 1e-10
+
+
+def test_dg_levels_do_not_reuse_kept_factor(monkeypatch):
+    """A dG level that is not the last builds its own factor however close
+    it is to the kept factor's ndof: the block-Jacobi two-grid cycle needs
+    11-29 GMRES iterations per Newton step on dG even at a 1.2x dof ratio
+    (measured on the README slit-dG example), so reuse costs about twice
+    a factored level."""
+    counter = _CountingLinalg()
+    reports = _level_reports(monkeypatch, counter)
+    _, _, records = _study("dg", "adaptive", 5,
+                                  prob=slit_problem(1.0))
+    monkeypatch.undo()
+    assert len(records) == 5
+    ndofs = [rec.ndof for rec in records]
+    assert ndofs[-2] <= adapt.FACTOR_REUSE_GROWTH * ndofs[0]
+    assert all(built >= 1 for _, built, _ in reports[:-1])
+    assert reports[-1][1] == 0
 
 
 def test_two_grid_fallback_refactors(lshape, monkeypatch):
