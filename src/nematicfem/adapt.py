@@ -28,15 +28,16 @@ from .problems import ProblemSpec
 from .solver import (CoarseLevel, NewtonConfig, director_guess, laplace_guess,
                      newton_solve)
 
-# A continuous level reuses the kept factor while its ndof is at most this
-# multiple of the factored level's.  Red refinement grows ndof about 4x per
-# level, so a uniform study keeps factoring every level but the last; a
-# larger multiple lets a uniform study's last level land 16x away from the
-# kept factor, where two-grid GMRES fails and the fallback factors the
-# finest level.  dG levels never reuse (but the last): the block-Jacobi
-# two-grid cycle needs 11-29 GMRES iterations per step even at 1.2x, which
-# costs more than a factorization.
-FACTOR_REUSE_GROWTH = 3
+# A level solved by V-cycle joins the hierarchy, as its new top level, when
+# its ndof is at least this multiple of the top level's; the levels in
+# between are reached through the composed prolongation.  Red refinement
+# grows ndof about 4x per level, so every level of a uniform study joins,
+# and the cycle never jumps more than one uniform level; an adaptive study
+# (about 1.2x per level) keeps one level in every five or six.  dG levels
+# never join: the block-Jacobi smoother is too weak for dG (11-29 two-grid
+# GMRES iterations per step even at 1.2x), so every dG level but the last
+# factors, and the last runs the two-grid cycle on the kept factor.
+HIERARCHY_GROWTH = 3
 
 # glibc's malloc_trim; None under other C libraries
 try:
@@ -162,25 +163,29 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
 
     Newton starts from the prolonged previous solution, on level 0 from
     the director guess of ``state`` or else the Laplace guess.  The study
-    keeps one LU factor, that of the last level that built one.  A level is
-    solved two-grid on the kept factor, through the composed prolongation
-    from the factored level's space, when it is the last level (known before
-    its solve) or when its space is continuous and its ndof is at most
-    FACTOR_REUSE_GROWTH times that of the factored level.  Every other level
-    releases the kept factor before it solves, and its own factor becomes
-    the kept one, as does the factor of a two-grid level that falls back to
-    a factorization.  Problems with an exact solution record its energy and
-    L2 errors; the others record the norms of the difference to the
-    prolonged previous solution.  ``mesh_dump_dir`` writes one plain-text
-    mesh dump per level.  Newton nonconvergence aborts with the completed
-    level records attached to the raised :class:`NewtonError`.
+    keeps one multilevel hierarchy: the LU factor of the last level that
+    built one, and above it, coarse to fine, the levels solved since then
+    whose ndof is at least HIERARCHY_GROWTH times that of the level below
+    them in the hierarchy, each with its last Jacobian and smoother.  Once a
+    factor is kept, every continuous level and the last level (known before
+    its solve) are solved by V-cycle GMRES on the hierarchy, reached through
+    the prolongation composed from its top level.  Every other level (level
+    0 and the dG levels but the last) releases the hierarchy before it
+    solves, and its own factor becomes the kept one, as does the factor of
+    a V-cycle level that falls back to a factorization.  Problems with an
+    exact solution record its energy and L2 errors; the others record the
+    norms of the difference to the prolonged previous solution.
+    ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
+    nonconvergence aborts with the completed level records attached to the
+    raised :class:`NewtonError`.
     """
     kind = space_kind(cfg.method)
     records = []
     previous = None
-    factor = None        # the kept LU factor
-    factor_ndof = 0      # the ndof of the level that built it
-    prolongation = None  # scalar P from that level's space to previous.space
+    factor = None        # the kept LU factor, the hierarchy's coarsest level
+    levels = []          # its intermediate levels, coarse to fine
+    top_ndof = 0         # the ndof of its top level
+    prolongation = None  # scalar P from the top level's space to previous.space
     for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
@@ -189,21 +194,21 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         space = Space(mesh, kind)
         last = level == max_levels - 1 or (target_ndof is not None
                                            and space.ndof >= target_ndof)
-        # the holder is the factor's only reference, so the solve can
-        # release it before a fallback factorization
-        coarse = None
-        if factor is not None and (last or (
-                kind != DG and space.ndof <= FACTOR_REUSE_GROWTH * factor_ndof)):
-            step = prolongation_matrix(previous.space, space)
-            prolongation = step if prolongation is None else step @ prolongation
-            coarse = CoarseLevel(factor, prolongation)
-        factor = None
+        step = None
         if previous is not None:
-            guess = prolong(previous, space)
+            step = prolongation_matrix(previous.space, space)
+            guess = prolong(previous, space, step)
         elif state is not None:
             guess = director_guess(space, problem.epsilon, state)
         else:
             guess = laplace_guess(space, cfg, problem.g, problem.f)
+        # the holder is the only reference to the factor and the levels, so
+        # the solve can release them before a fallback factorization
+        coarse = None
+        if factor is not None and (last or kind != DG):
+            prolongation = step if prolongation is None else step @ prolongation
+            coarse = CoarseLevel(factor, prolongation, levels)
+        factor, levels = None, []
         try:
             # looked up as this module's global on every call: the benchmark
             # rebinds ``adapt.newton_solve`` to capture each level's solution
@@ -213,13 +218,17 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
             exc.level_records = records
             raise
         if not last:
-            if report.factor is not None:
-                factor, factor_ndof = report.factor, space.ndof
+            if report.factor is not None:   # the hierarchy restarts here
+                factor, top_ndof = report.factor, space.ndof
                 prolongation = None
-            else:   # solved two-grid: the kept factor stays
-                factor = coarse.lu
+            else:   # solved by V-cycle: the hierarchy stays
+                factor, levels = coarse.lu, coarse.levels
+                if space.ndof >= HIERARCHY_GROWTH * top_ndof:
+                    levels.append((prolongation, report.jacobian,
+                                   report.smoother))
+                    top_ndof, prolongation = space.ndof, None
         coarse = None
-        report.factor = None
+        report.factor = report.jacobian = report.smoother = None
         _release_free_heap()
 
         breakdown = estimate(field, cfg, problem.g, problem.f)

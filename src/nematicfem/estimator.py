@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpaceMismatchError
-from .fespace import (DG, Field, boundary_misfit_sq, jump_sq, space_kind,
-                      squared_norm)
+from .fespace import (DG, Field, _error_blocks, boundary_misfit_sq, jump_sq,
+                      space_kind, squared_norm)
 from .forms import MethodConfig
 from .quadrature import ERROR_DEGREE
 
@@ -50,14 +50,23 @@ class EstimatorBreakdown:
 
 
 def _volume_term(psi: Field, cfg: MethodConfig, f):
+    """Per-triangle volume term, its quadrature taken over blocks of
+    ERROR_BLOCK triangles, so the data and the residual at the points of
+    one block are live at a time."""
     geom = psi.space.geometry
     lam, w, pts = geom.triangle_points(ERROR_DEGREE)
-    nt, nq, _ = pts.shape
-    vals = psi.values_at(lam)
-    resid = -2.0 / cfg.epsilon ** 2 * (squared_norm(vals) - 1.0)[..., None] * vals
-    if f is not None:
-        resid = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2) + resid
-    sq = (geom.area[:, None] * w[None, :] * squared_norm(resid)).sum(1)
+    nodal = psi.element_values()
+    sq = np.empty(len(pts))
+    for blk in _error_blocks(len(pts)):
+        bp = pts[blk]
+        vals = np.matmul(lam, nodal[blk])
+        resid = (-2.0 / cfg.epsilon ** 2
+                 * (squared_norm(vals) - 1.0)[..., None] * vals)
+        if f is not None:
+            resid = np.asarray(f(bp.reshape(-1, 2)), dtype=float).reshape(
+                bp.shape[:2] + (2,)) + resid
+        sq[blk] = (geom.area[blk, None] * w[None, :]
+                   * squared_norm(resid)).sum(1)
     h = psi.space.mesh.triangle_diameters()
     return h * np.sqrt(sq)
 

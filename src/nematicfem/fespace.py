@@ -309,11 +309,13 @@ def prolongation_matrix(coarse_space: Space, fine_space: Space) -> sp.csr_matrix
         shape=(n, coarse_space.nscalar))
 
 
-def prolong(coarse: Field, fine_space: Space) -> Field:
+def prolong(coarse: Field, fine_space: Space, matrix=None) -> Field:
     """Exact representation of a coarse field on a refined mesh: the
-    :func:`prolongation_matrix` applied to each component."""
-    p = prolongation_matrix(coarse.space, fine_space)
-    return Field(fine_space, componentwise(p, coarse.coeffs))
+    :func:`prolongation_matrix` applied to each component.  ``matrix`` is
+    that matrix when the caller has already built it."""
+    if matrix is None:
+        matrix = prolongation_matrix(coarse.space, fine_space)
+    return Field(fine_space, componentwise(matrix, coarse.coeffs))
 
 
 def embed_continuous(field: Field, dg_space: Space) -> Field:
@@ -411,9 +413,10 @@ def free_energy(field: Field, epsilon: float) -> float:
     return float(broken_gradient_sq(field) + bulk / epsilon ** 2)
 
 
-# Triangles per block of the error norms' quadrature.  The exact solution
-# and its temporaries at the ERROR_DEGREE points of a block take a few MB;
-# over a whole fine mesh they took tens of MB and set a study's peak memory.
+# Triangles per block of the ERROR_DEGREE quadrature of the error norms and
+# of the estimator's volume term.  The data and its temporaries at the points
+# of a block take a few MB; over a whole fine mesh they took tens of MB and
+# set a study's peak memory.
 ERROR_BLOCK = 4096
 
 

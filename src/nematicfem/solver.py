@@ -22,20 +22,24 @@ fresh factor, which is kept for the steps after it.  The update is still
 the Newton step, so the iterates match a solve that factors at every step
 up to the GMRES tolerance.
 
-A two-grid solve builds no factor: given a factor kept from a coarser
-level of a study on nested meshes and the prolongation P from that level's
-space (:class:`CoarseLevel`), every step runs GMRES preconditioned by a
-two-grid cycle on the current Jacobian J, the first step to
-KRYLOV_RTOL_FLOOR and the later ones to the Eisenstat-Walker tolerance.
-:func:`nematicfem.adapt.solve_levels` solves a study's last level this
-way, and every continuous level close enough in size to the kept
-factor's.  The cycle is a damped block-Jacobi sweep on J (damping
-TWOGRID_OMEGA; one block per dG triangle or per continuous vertex, both
-components), the coarse correction P lu_c^{-1} P^T r (the scalar P on each
-component) and a second sweep.  Point Jacobi is too weak a smoother for
-dG; element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95
-(2003).  When that GMRES fails, the step drops the coarse factor and takes
-the refactor path above, which the solve then keeps.
+A V-cycle solve builds no factor.  Given the multilevel hierarchy that a
+study on nested meshes has kept from its coarser levels
+(:class:`CoarseLevel`: the kept factor of the coarsest level, the kept
+intermediate levels and the prolongation into the solve's space), every
+step runs GMRES preconditioned by a V-cycle on the current Jacobian J, the
+first step to KRYLOV_RTOL_FLOOR and the later ones to the Eisenstat-Walker
+tolerance.  The cycle smooths down from J through the intermediate levels,
+restricting the residual by P^T, solves with the kept factor, then
+prolongs the correction and smooths back up; every smoothing is a damped
+block-Jacobi sweep (damping SMOOTHER_OMEGA; one block per dG triangle or
+per continuous vertex, both components) and every transfer is the scalar
+P on each component.  With no intermediate level this is the two-grid
+cycle: a sweep, the coarse correction P lu_c^{-1} P^T r and a second
+sweep.  Point Jacobi is too weak a smoother for dG; element blocks follow
+Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).  When that GMRES
+fails, the step drops the hierarchy and takes the refactor path above,
+which the solve then keeps.  :func:`nematicfem.adapt.solve_levels` builds
+the hierarchy and decides which levels are solved this way.
 
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
@@ -86,8 +90,8 @@ KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL_FLOOR = 1e-10
 KRYLOV_RTOL_CAP = 1e-4
-# damping of the block-Jacobi sweeps of the two-grid cycle
-TWOGRID_OMEGA = 0.8
+# damping of the block-Jacobi sweeps of the V-cycle
+SMOOTHER_OMEGA = 0.8
 
 
 @dataclass
@@ -99,8 +103,11 @@ class NewtonReport:
     without one).
 
     ``factor`` is the solve's last LU factor (None when it built none) for
-    the caller to keep as the coarse solve of later levels; it is None in
-    the report of a :class:`NewtonError`."""
+    the caller to keep as the coarsest level of later V-cycles.  A solve
+    whose last step ran V-cycle GMRES passes back that step's Jacobian and
+    smoother as ``jacobian`` and ``smoother`` instead, for the caller to
+    keep as an intermediate level.  All three are None in the report of a
+    :class:`NewtonError`."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
@@ -109,17 +116,35 @@ class NewtonReport:
     krylov_iterations: list = dataclass_field(default_factory=list)
     failed_krylov_iterations: list = dataclass_field(default_factory=list)
     factor: object = dataclass_field(default=None, repr=False, compare=False)
+    jacobian: object = dataclass_field(default=None, repr=False,
+                                       compare=False)
+    smoother: object = dataclass_field(default=None, repr=False,
+                                       compare=False)
 
 
 @dataclass
 class CoarseLevel:
-    """The kept factor, the LU factor of a coarser level of the same study,
-    and the scalar prolongation from that level's space to the solve's
-    space (composed over the levels between them), for a two-grid solve.
-    The solve sets ``lu`` to None when it falls back to a factorization, so
-    the factor is released when this holder is its only reference."""
+    """The hierarchy of a V-cycle solve, kept from coarser levels of the
+    same study: ``lu``, the LU factor of the coarsest level; ``levels``,
+    the kept intermediate levels from coarse to fine as (prolongation from
+    the level below, Jacobian, damped block-Jacobi smoother); and
+    ``prolongation``, the scalar prolongation from the top level's space
+    (the last intermediate level's, else the factor's) to the solve's
+    space, composed over the levels between them.  The restrictions P^T
+    are built once, here.  The solve drops the factor and the levels when
+    it falls back to a factorization, so they are released when this
+    holder is their only reference."""
     lu: object
     prolongation: sp.csr_matrix
+    levels: list = dataclass_field(default_factory=list)
+
+    def __post_init__(self):
+        self.restrictions = [p.T.tocsr() for p, _, _ in self.levels]
+        self.restrictions.append(self.prolongation.T.tocsr())
+
+    def drop(self):
+        """Release the factor and the levels."""
+        self.lu, self.levels, self.restrictions = None, [], []
 
 
 def _factor_solve(matrix, rhs):
@@ -177,18 +202,31 @@ def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
                          shape=matrix.shape)
 
 
-def _two_grid(matrix, space: Space, coarse: CoarseLevel):
-    """Two-grid cycle on ``matrix``: a damped block-Jacobi sweep, the
-    coarse correction P lu^{-1} P^T r per component, a second sweep."""
-    smooth = TWOGRID_OMEGA * _block_jacobi(matrix, space)
-    lu, prolongation = coarse.lu, coarse.prolongation
-    restriction = prolongation.T.tocsr()
+def _v_cycle(matrix, smoother, coarse: CoarseLevel):
+    """V-cycle on ``matrix`` over the hierarchy ``coarse``: from the finest
+    level down, a sweep and the restriction of its residual per component;
+    the factor's solve; from the coarsest level up, the prolonged
+    correction per component and a second sweep."""
+    # (matrix, smoother, prolongation from the level below, its transpose),
+    # fine to coarse
+    down = [(matrix, smoother, coarse.prolongation, coarse.restrictions[-1])]
+    for (prolongation, jac, smooth), restriction in zip(
+            reversed(coarse.levels), reversed(coarse.restrictions[:-1])):
+        down.append((jac, smooth, prolongation, restriction))
+    lu = coarse.lu
 
     def apply(r):
-        x = smooth @ r
-        rc = componentwise(restriction, r - matrix @ x)
-        x += componentwise(prolongation, lu.solve(rc))
-        return x + smooth @ (r - matrix @ x)
+        visited = []
+        for jac, smooth, _, restriction in down:
+            x = smooth @ r
+            visited.append((r, x))
+            r = componentwise(restriction, r - jac @ x)
+        correction = lu.solve(r)
+        for (jac, smooth, prolongation, _), (r, x) in zip(reversed(down),
+                                                        reversed(visited)):
+            x += componentwise(prolongation, correction)
+            correction = x + smooth @ (r - jac @ x)
+        return correction
 
     return apply
 
@@ -246,7 +284,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  coarse: Optional[CoarseLevel] = None):
     """Newton iteration from the given guess; returns (solution, report).
 
-    With ``coarse`` every step runs two-grid preconditioned GMRES and no
+    With ``coarse`` every step runs V-cycle preconditioned GMRES and no
     factor is built unless that GMRES fails (see the module docstring).
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
@@ -258,6 +296,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     report = NewtonReport()
     lu, prev_res = None, None
     for _ in range(ncfg.max_iter):
+        smoother = None   # released before this step's Jacobian is built
         jac = system.jacobian(coeffs)
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
@@ -268,10 +307,12 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                         KRYLOV_RTOL_CAP))
         delta, krylov_its = None, 0
         if coarse is not None and coarse.lu is not None:
+            smoother = SMOOTHER_OMEGA * _block_jacobi(jac, space)
             delta, krylov_its = _krylov_solve(
-                jac, rhs, _two_grid(jac, space, coarse), rtol)
+                jac, rhs, _v_cycle(jac, smoother, coarse), rtol)
             if delta is None:
-                coarse.lu = None
+                coarse.drop()
+                smoother = None
         elif lu is not None:
             delta, krylov_its = _krylov_solve(jac, rhs, lu.solve, rtol)
         failed_its = 0
@@ -291,6 +332,8 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         if inc <= ncfg.tol:
             report.converged = True
             report.factor = lu
+            if smoother is not None:
+                report.jacobian, report.smoother = jac, smoother
             return Field(space, coeffs), report
     raise NewtonError(
         f"Newton iteration did not reach tol={ncfg.tol} within "

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import constant_fn
+from conftest import constant_fn, random_field
+from nematicfem import fespace
 from nematicfem.estimator import estimate
 from nematicfem.exceptions import SpaceMismatchError
 from nematicfem.fespace import Field, Space, embed_continuous, interpolate
 from nematicfem.forms import MethodConfig
 from nematicfem.mesh import red_refine
-from nematicfem.problems import lshape_problem
+from nematicfem.problems import lshape_problem, slit_problem
 from nematicfem.solver import NewtonConfig, laplace_guess, newton_solve
 
 
@@ -88,6 +89,27 @@ def test_single_jumped_dof_closed_form(unit_square):
     assert got ** 2 == pytest.approx(expected_int_sq, rel=1e-12)
     # the volume residual of a small field is cubic: (|psi|^2-1)psi != 0
     assert br.theta_tri[0] > 0
+
+
+@pytest.mark.parametrize("method", ["nitsche", "dg"])
+def test_estimate_does_not_depend_on_block_size(lshape, slit, method,
+                                                monkeypatch):
+    """The volume term sums its quadrature over blocks of ERROR_BLOCK
+    triangles; blocks of 7 (a ragged last block) give the one-block
+    breakdown and total bit for bit."""
+    make = Space.continuous if method == "nitsche" else Space.dg
+    cfg = MethodConfig(method=method, epsilon=0.4)
+    for mesh, prob in ((lshape, lshape_problem(0.4)), (slit, slit_problem(1.0))):
+        mesh = red_refine(red_refine(red_refine(mesh)))
+        assert mesh.n_triangles % 7 and mesh.n_triangles < fespace.ERROR_BLOCK
+        psi = random_field(make(mesh), seed=3)
+        whole = estimate(psi, cfg, prob.g, prob.f)
+        monkeypatch.setattr(fespace, "ERROR_BLOCK", 7)
+        blocks = estimate(psi, cfg, prob.g, prob.f)
+        monkeypatch.undo()
+        for name in ("theta_tri", "theta_int_edge", "theta_bd_edge"):
+            assert np.array_equal(getattr(blocks, name), getattr(whole, name))
+        assert blocks.total == whole.total
 
 
 def test_breakdown_total_consistency(lshape):

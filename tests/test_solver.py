@@ -1,13 +1,17 @@
 """Newton iteration, initial guesses and the scheme-equivalence identity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import constant_fn
 from nematicfem import adapt, solver
 from nematicfem.exceptions import ConfigError, LinearSolveError, NewtonError
-from nematicfem.fespace import (DG, Field, Space, discrete_norm,
-                                interpolate, prolong, prolongation_matrix)
+from nematicfem.fespace import (DG, Field, Space, componentwise,
+                                discrete_norm, interpolate, prolong,
+                                prolongation_matrix)
 from nematicfem.forms import MethodConfig, NonlinearSystem, cubic_term_vector
 from nematicfem.mesh import build_initial_mesh, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
@@ -369,17 +373,12 @@ def _study(method, refine, levels, target_ndof=None,
 
 
 def _factored_levels(reports):
-    """Per non-last level, whether the reuse rule of ``solve_levels`` has
-    it build a factor: its space is dG, no factor is kept yet, or its ndof
-    exceeds FACTOR_REUSE_GROWTH times the ndof of the kept factor's level."""
-    expected, kept = [], None
+    """Per non-last level, whether ``solve_levels`` has it build a factor:
+    its space is dG or no factor is kept yet."""
+    expected, kept = [], False
     for _, _, solution in reports[:-1]:
-        space = solution.space
-        factors = (space.kind == DG or kept is None
-                   or space.ndof > adapt.FACTOR_REUSE_GROWTH * kept)
-        if factors:
-            kept = space.ndof
-        expected.append(factors)
+        expected.append(solution.space.kind == DG or not kept)
+        kept = True
     return expected
 
 
@@ -390,10 +389,10 @@ def _factored_levels(reports):
 ], ids=["nitsche-uniform", "sipg-uniform", "nitsche-adaptive-target"])
 def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
                                 target_ndof):
-    """A non-last level builds a factor exactly when the reuse rule says
-    so.  The last level of a study builds no LU factor: every step runs
-    GMRES with the two-grid preconditioner built on the kept factor, and
-    the level reaches the factor-every-step Newton solution in the same
+    """A non-last level builds a factor exactly when the hierarchy rule
+    says so.  The last level of a study builds no LU factor: every step
+    runs GMRES with the V-cycle preconditioner built on the kept hierarchy,
+    and the level reaches the factor-every-step Newton solution in the same
     number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
@@ -405,7 +404,8 @@ def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
     assert len(reports) == len(records) >= 2
     assert [built >= 1 for _, built, _ in reports[:-1]] == \
         _factored_levels(reports)
-    assert all(rep.factor is None for rep, _, _ in reports)   # none kept
+    assert all(rep.factor is None and rep.jacobian is None
+               and rep.smoother is None for rep, _, _ in reports)  # none kept
     last, built, solution = reports[-1]
     assert built == 0
     assert last.factorizations == 0
@@ -422,10 +422,10 @@ def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
 
 
 def test_continuous_level_reuses_kept_factor(monkeypatch):
-    """In an adaptive Nitsche study, levels within FACTOR_REUSE_GROWTH of
-    the kept factor's ndof build no factor: each is solved two-grid on the
-    kept factor and reaches the factor-every-step Newton solution from its
-    prolonged guess in the same number of steps."""
+    """In an adaptive Nitsche study, levels after the first build no
+    factor: each is solved by V-cycle on the kept hierarchy and reaches the
+    factor-every-step Newton solution from its prolonged guess in the same
+    number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
     prob, cfg, _ = _study("nitsche", "adaptive", 50, 400)
@@ -460,47 +460,156 @@ def test_dg_levels_do_not_reuse_kept_factor(monkeypatch):
     monkeypatch.undo()
     assert len(records) == 5
     ndofs = [rec.ndof for rec in records]
-    assert ndofs[-2] <= adapt.FACTOR_REUSE_GROWTH * ndofs[0]
+    assert ndofs[-2] <= adapt.HIERARCHY_GROWTH * ndofs[0]
     assert all(built >= 1 for _, built, _ in reports[:-1])
     assert reports[-1][1] == 0
 
 
+def test_uniform_continuous_study_factors_once(monkeypatch):
+    """A uniform Nitsche study factors on level 0 only: every later level
+    is solved by V-cycle on the hierarchy of the levels below it, and each
+    level reaches the factor-every-step Newton solution from its guess in
+    the same number of steps."""
+    counter = _CountingLinalg()
+    reports = _level_reports(monkeypatch, counter)
+    prob, cfg, records = _study("nitsche", "uniform", 4)
+    monkeypatch.undo()
+    assert len(records) == 4
+    assert [built for _, built, _ in reports] == [1, 0, 0, 0]
+    assert sum(rep.factorizations for rep, _, _ in reports) == 1
+    for k, (rep, _, solution) in enumerate(reports):
+        space = solution.space
+        guess = (laplace_guess(space, cfg, prob.g, prob.f) if k == 0
+                 else prolong(reports[k - 1][2], space))
+        ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
+                                                guess, NewtonConfig().tol)
+        assert rep.iterations == ref_iterations
+        assert np.abs(solution.coeffs - ref).max() <= 1e-10
+    assert all(all(its > 0 for its in rep.krylov_iterations)
+               for rep, _, _ in reports[1:])
+
+
+@pytest.mark.parametrize("method", ["nitsche", "dg"])
+def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
+    """With no intermediate level the V-cycle is the two-grid cycle: a
+    sweep, the coarse correction P lu^{-1} P^T r per component and a
+    second sweep, bit for bit."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method=method, epsilon=0.4)
+    make = Space.continuous if method == "nitsche" else Space.dg
+    coarse_space = make(red_refine(lshape))
+    space = make(red_refine(coarse_space.mesh))
+    rng = np.random.default_rng(7)
+    lu = spla.splu(NonlinearSystem(coarse_space, cfg, prob.g, prob.f)
+                   .jacobian(rng.standard_normal(coarse_space.ndof)).tocsc())
+    jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
+        rng.standard_normal(space.ndof))
+    prolongation = prolongation_matrix(coarse_space, space)
+    smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)
+    restriction = prolongation.T.tocsr()
+
+    def two_grid(r):
+        x = smooth @ r
+        rc = componentwise(restriction, r - jac @ x)
+        x += componentwise(prolongation, lu.solve(rc))
+        return x + smooth @ (r - jac @ x)
+
+    cycle = solver._v_cycle(jac, smooth, CoarseLevel(lu, prolongation))
+    for _ in range(3):
+        r = rng.standard_normal(space.ndof)
+        assert np.array_equal(cycle(r), two_grid(r))
+
+
+@pytest.mark.parametrize("method, refine, levels, target_ndof", [
+    ("nitsche", "uniform", 4, None),
+    ("dg", "uniform", 4, None),
+    ("nitsche", "adaptive", 50, 400),
+], ids=["nitsche-uniform", "sipg-uniform", "nitsche-adaptive-target"])
+def test_solve_levels_releases_every_jacobian(monkeypatch, method, refine,
+                                              levels, target_ndof):
+    """Without the cyclic garbage collector, every Jacobian a study builds,
+    those kept as intermediate levels included, is freed by the time
+    ``solve_levels`` returns: the V-cycle and the hierarchy form no
+    reference cycle."""
+    built = []
+    real = NonlinearSystem.jacobian
+
+    def recording(self, coeffs):
+        jac = real(self, coeffs)
+        built.append(weakref.ref(jac))
+        return jac
+
+    monkeypatch.setattr(NonlinearSystem, "jacobian", recording)
+    gc.disable()
+    try:
+        _, _, records = _study(method, refine, levels, target_ndof)
+        alive = sum(ref() is not None for ref in built)
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    assert len(built) > len(records)
+    assert alive == 0
+
+
 def test_two_grid_fallback_refactors(lshape, monkeypatch):
-    """With the factor of an unrelated matrix as coarse solve, two-grid
-    GMRES fails on the first step; the step releases the coarse factor,
-    factors the Jacobian, and the solve still reaches the Newton
-    solution."""
+    """With the factor of an unrelated matrix as coarse solve, V-cycle
+    GMRES fails on the first step; the step drops the coarse factor and
+    the intermediate level before it factors the Jacobian, and the solve
+    still reaches the Newton solution."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="nitsche", epsilon=0.4)
     ncfg = NewtonConfig()
-    coarse_mesh = red_refine(red_refine(lshape))
-    coarse_space = Space.continuous(coarse_mesh)
-    coarse_sol, _ = newton_solve(coarse_space, cfg, prob.g, prob.f,
-                                 laplace_guess(coarse_space, cfg, prob.g,
-                                               prob.f), ncfg)
-    space = Space.continuous(red_refine(coarse_mesh))
-    guess = prolong(coarse_sol, space)
+    coarse_mesh = red_refine(lshape)
+    mid_mesh = red_refine(coarse_mesh)
+    coarse_space, mid_space = (Space.continuous(coarse_mesh),
+                               Space.continuous(mid_mesh))
+    mid_sol, _ = newton_solve(mid_space, cfg, prob.g, prob.f,
+                              laplace_guess(mid_space, cfg, prob.g, prob.f),
+                              ncfg)
+    space = Space.continuous(red_refine(mid_mesh))
+    guess = prolong(mid_sol, space)
     rng = np.random.default_rng(2)
     nc = coarse_space.ndof
     unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
                  - sp.identity(nc)).tocsc()
+    mid_jac = NonlinearSystem(mid_space, cfg, prob.g,
+                              prob.f).jacobian(mid_sol.coeffs)
+    mid_jac_ref = weakref.ref(mid_jac)
+    mid_smoother = solver.SMOOTHER_OMEGA * solver._block_jacobi(mid_jac,
+                                                                mid_space)
     coarse = CoarseLevel(spla.splu(unrelated),
-                         prolongation_matrix(coarse_space, space))
+                         prolongation_matrix(mid_space, space),
+                         [(prolongation_matrix(coarse_space, mid_space),
+                           mid_jac, mid_smoother)])
+    del mid_jac, mid_smoother
 
-    counter = _CountingLinalg()
+    held = []   # at each factorization: factor, levels, intermediate J
+
+    class Watching(_CountingLinalg):
+        def splu(self, *args, **kwargs):
+            held.append((coarse.lu, coarse.levels, mid_jac_ref()))
+            return super().splu(*args, **kwargs)
+
+    counter = Watching()
     monkeypatch.setattr(solver, "spla", counter)
-    sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
-                            coarse=coarse)
+    gc.disable()
+    try:
+        sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
+                                coarse=coarse)
+    finally:
+        gc.enable()
     monkeypatch.undo()
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    assert coarse.lu is None
+    assert held == [(None, [], None)]
+    assert coarse.lu is None and coarse.levels == []
     assert counter.factorizations == rep.factorizations == 1
     assert rep.krylov_iterations[0] == 0
     assert rep.failed_krylov_iterations[0] > 0
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
+    assert rep.jacobian is None and rep.smoother is None
 
 
 @pytest.mark.parametrize("matrix, rhs", [
