@@ -8,8 +8,8 @@ vertex value; for the dG space it is one of the three vertex values of a
 triangle, so neighbouring triangles carry independent copies.
 
 This module owns that layout: only :func:`gather`, :func:`scatter_add`,
-:func:`join`, :func:`componentwise` and :func:`coupled_matrix` index
-coefficients by component.
+:func:`join`, :func:`componentwise`, :func:`block_diagonal` and
+:func:`coupled_matrix` index coefficients by component.
 
 Quadrature values, gradients and edge traces are batched matrix products:
 the (Q, 3) barycentric points times the (T, 3, 2) nodal values of every
@@ -58,7 +58,10 @@ class Space:
     """A two-component P1 space over a mesh.
 
     ``elem_dofs[t, i]`` is the scalar dof carried by local vertex ``i`` of
-    triangle ``t``; full dof ids are ``comp * nscalar + scalar``.
+    triangle ``t``; full dof ids are ``comp * nscalar + scalar``.  The
+    mesh geometry and the scalar :class:`ElementPattern` are built once
+    per space, on first use: a level's element matrices are all filled
+    into that one pattern.
     """
 
     def __init__(self, mesh: Mesh, kind: str):
@@ -77,6 +80,7 @@ class Space:
             self.node_coords = mesh.vertices[mesh.triangles].reshape(-1, 2)
         self.ndof = 2 * self.nscalar
         self._geom = None
+        self._pattern = None
 
     @classmethod
     def continuous(cls, mesh: Mesh) -> "Space":
@@ -91,6 +95,83 @@ class Space:
         if self._geom is None:
             self._geom = MeshGeometry(self.mesh)
         return self._geom
+
+    @property
+    def pattern(self) -> "ElementPattern":
+        if self._pattern is None:
+            # continuous P1 couples the two ends of every mesh edge; a dG
+            # triangle couples its own three dofs only
+            pair_ids = (self.mesh.tri_edges if self.kind == CONTINUOUS else
+                        np.arange(3 * self.mesh.n_triangles).reshape(-1, 3))
+            self._pattern = ElementPattern(self.elem_dofs, self.nscalar,
+                                           pair_ids)
+        return self._pattern
+
+
+# the local vertex pairs (a, b) of the triangle sides, in the order of
+# Mesh.tri_edges
+_SIDE_A = np.array([0, 1, 2])
+_SIDE_B = np.array([1, 2, 0])
+
+
+class ElementPattern:
+    """The scalar sparsity pattern of a space's element matrices.
+
+    ``indptr`` and ``indices`` are the sorted CSR pattern of every coupling
+    ``(elem_dofs[t, a], elem_dofs[t, b])``, and ``slots[t, 3 a + b]`` is the
+    position of that local entry in it (int32, 9 per triangle).  A sum of
+    local matrices is then one ``np.bincount`` into the pattern, with no
+    COO sort.  The matrices built on it share its index arrays, which are
+    read-only: none of them may be mutated in place (``eliminate_zeros``
+    raises).
+
+    ``pair_ids[t, k]`` numbers the dof pair of the local vertices ``(k, k +
+    1 mod 3)``, alike in every triangle that has it, from 0 without gaps:
+    the mesh's ``tri_edges`` for continuous P1.  The entries are then the
+    diagonal (every dof lies on a triangle) and both orientations of every
+    pair, all distinct, and building the pattern is one sort of them.
+    """
+
+    def __init__(self, elem_dofs: np.ndarray, n: int, pair_ids: np.ndarray):
+        da, db = elem_dofs[:, _SIDE_A], elem_dofs[:, _SIDE_B]
+        npairs = int(pair_ids.max(initial=-1)) + 1
+        lo = np.empty(npairs, dtype=np.int64)
+        hi = np.empty(npairs, dtype=np.int64)
+        lo[pair_ids] = np.minimum(da, db)
+        hi[pair_ids] = np.maximum(da, db)
+        keys = np.concatenate([np.arange(n, dtype=np.int64) * (n + 1),
+                               lo * n + hi, hi * n + lo])
+        order = np.argsort(keys)
+        position = np.empty(len(keys), dtype=np.int32)
+        position[order] = np.arange(len(keys), dtype=np.int32)
+        diagonal, upper, lower = np.split(position, [n, n + npairs])
+        slots = np.empty((len(elem_dofs), 3, 3), dtype=np.int32)
+        slots[:, _SIDE_A, _SIDE_A] = diagonal[elem_dofs]
+        first_lower = da < db
+        upper, lower = upper[pair_ids], lower[pair_ids]
+        slots[:, _SIDE_A, _SIDE_B] = np.where(first_lower, upper, lower)
+        slots[:, _SIDE_B, _SIDE_A] = np.where(first_lower, lower, upper)
+        keys = keys[order]
+        self.shape = (n, n)
+        self.slots = slots.reshape(-1, 9)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(
+            keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+        for arr in (self.slots, self.indices, self.indptr):
+            arr.flags.writeable = False
+
+    def data(self, local: np.ndarray, tris=slice(None)) -> np.ndarray:
+        """The entries of the sum of the local matrices ``local`` (k, 3, 3)
+        or (k, 9) of the triangles ``tris``, in pattern order."""
+        return np.bincount(self.slots[tris].ravel(), weights=local.ravel(),
+                           minlength=len(self.indices))
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with the entries ``data`` on the pattern."""
+        out = sp.csr_matrix((data, self.indices, self.indptr),
+                            shape=self.shape)
+        out.has_canonical_format = True
+        return out
 
 
 class MeshGeometry:
@@ -193,26 +274,23 @@ def componentwise(op, coeffs: np.ndarray) -> np.ndarray:
     return out.T.reshape(-1)
 
 
-def _block_diagonal(scalar: sp.csr_matrix) -> sp.csr_matrix:
-    """The matrix of :func:`componentwise` for ``scalar``: its CSR arrays
-    twice, several times faster than ``sp.block_diag``'s COO path."""
-    n, nnz = scalar.shape[0], scalar.nnz
+def block_diagonal(scalar: sp.csr_matrix) -> sp.csr_matrix:
+    """The matrix that :func:`componentwise` applies for the (m, n) matrix
+    ``scalar``: diag(scalar, scalar), (2m, 2n) on the full dofs, from its
+    CSR arrays twice.  It maps a coefficient vector with no transposed copy
+    in or out."""
+    (m, n), nnz = scalar.shape, scalar.nnz
     return sp.csr_matrix(
         (np.tile(scalar.data, 2),
          np.concatenate([scalar.indices, scalar.indices + n]),
          np.concatenate([scalar.indptr, scalar.indptr[1:] + nnz])),
-        shape=(2 * n, 2 * n))
+        shape=(2 * m, 2 * n))
 
 
-def coupled_matrix(m11, m12, m22, scalar) -> sp.csr_matrix:
-    """CSR matrix [[scalar + m11, m12], [m12, scalar + m22]] on the full
-    dofs, as one sum of the coupling blocks and the lift of ``scalar``:
-    less transient memory than blocks that are themselves sums."""
-    total = (sp.bmat([[m11, m12], [m12, m22]], format="csr")
-             + _block_diagonal(scalar))
-    # scipy's sum returns views into arrays sized for the entries of both
-    # terms, up to 1.5 times its own; the copy holds only its own entries
-    return total.copy()
+def coupled_matrix(a11, a12, a22) -> sp.csr_matrix:
+    """CSR matrix [[a11, a12], [a12, a22]] of scalar blocks on the full
+    dofs."""
+    return sp.bmat([[a11, a12], [a12, a22]], format="csr")
 
 
 @dataclass

@@ -22,9 +22,16 @@ outward normal.
 Element and edge kernels are batched matrix products over all triangles
 (or edges) at once: quadrature sums are products with the barycentric
 point matrix, and the weighted masses of the quartic term are one product
-of the (T, Q) weights with the Q x 9 basis products.  Assembly is
-sequential and deterministic; a parallel implementation would only be
-reproducible up to floating-point summation order.
+of the (T, Q) weights with the Q x 9 basis products.  Every matrix of
+local 3 x 3 blocks on a triangle's own dofs (the volume stiffness, the
+boundary-edge terms, the bulk mass and the three quartic blocks) is one
+``np.bincount`` of its (T, 9) local entries into the space's element
+pattern (:class:`nematicfem.fespace.ElementPattern`), built once per
+level: no COO sort per matrix, and no sort at all per Newton step.  Only
+the dG interior-edge block, whose couplings cross triangles, is a COO
+assembly, once per level.  Assembly is sequential and deterministic; a
+parallel implementation would only be reproducible up to floating-point
+summation order.
 """
 
 from dataclasses import dataclass
@@ -81,10 +88,10 @@ def _assemble(dofs, local, n) -> sp.csr_matrix:
                          shape=(n, n)).tocsr()
 
 
-def _volume_stiffness(space: Space):
+def _volume_stiffness(space: Space) -> sp.csr_matrix:
     geom = space.geometry
     local = geom.area[:, None, None] * (geom.grads @ geom.grads.transpose(0, 2, 1))
-    return _assemble(space.elem_dofs, local, space.nscalar)
+    return space.pattern.matrix(space.pattern.data(local))
 
 
 def _edge_dof_data(space: Space, edge_ids, side: int):
@@ -108,24 +115,33 @@ def _edge_dof_data(space: Space, edge_ids, side: int):
 _EDGE_MASS = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
 
-def _edge_block(space, cfg, dofs, dn_avg, jump_trace, h):
+def _edge_local(cfg, dn_avg, jump_trace, h):
     """-<{dn theta},[phi]> - weight <{dn phi},[theta]> + sigma/h <[theta],[phi]>
-    for stacked edge dof data (n, m)."""
+    as local (n, m, m) matrices for stacked edge dof data (n, m)."""
     # integral over E of [phi_j]: endpoint hats integrate to h/2
     phi_int = jump_trace.sum(axis=2) * (h[:, None] / 2.0)
     consistency = dn_avg[:, :, None] * phi_int[:, None, :]
     penalty = cfg.sigma * (jump_trace @ _EDGE_MASS @ jump_trace.transpose(0, 2, 1))
-    local = (-consistency.transpose(0, 2, 1)
-             - _consistency_weight(cfg) * consistency + penalty)
-    return _assemble(dofs, local, space.nscalar)
+    return (-consistency.transpose(0, 2, 1)
+            - _consistency_weight(cfg) * consistency + penalty)
 
 
 def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
     """The method's gradient form (see the module docstring) on the scalar
-    dofs; symmetric exactly when the consistency weight is 1."""
+    dofs; symmetric exactly when the consistency weight is 1.  The volume
+    and boundary-edge terms lie on the element pattern; for Nitsche that
+    is the whole matrix."""
     _require_space(space, cfg, "gradient matrix")
     h = space.geometry.edge_len
-    scalar = _volume_stiffness(space)
+    pattern = space.pattern
+    data = _volume_stiffness(space).data
+    bd = space.mesh.boundary_edges
+    if len(bd):
+        # a boundary edge couples the dofs of its one triangle only
+        _, dn, trace = _edge_dof_data(space, bd, 0)
+        data += pattern.data(_edge_local(cfg, dn, trace, h[bd]),
+                             space.mesh.edge_tris[bd, 0])
+    scalar = pattern.matrix(data)
     ie = space.mesh.interior_edges
     if space.kind == DG and len(ie):
         dofs_p, dn_p, tr_p = _edge_dof_data(space, ie, 0)
@@ -133,20 +149,18 @@ def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
         dofs = np.concatenate([dofs_p, dofs_m], axis=1)           # (n, 6)
         dn_avg = 0.5 * np.concatenate([dn_p, dn_m], axis=1)
         jump = np.concatenate([tr_p, -tr_m], axis=1)              # plus minus minus
-        scalar = scalar + _edge_block(space, cfg, dofs, dn_avg, jump, h[ie])
-    bd = space.mesh.boundary_edges
-    if len(bd):
-        dofs, dn, trace = _edge_dof_data(space, bd, 0)
-        scalar = scalar + _edge_block(space, cfg, dofs, dn, trace, h[bd])
+        scalar = scalar + _assemble(
+            dofs, _edge_local(cfg, dn_avg, jump, h[ie]), space.nscalar)
     return scalar
 
 
 def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
-    """The linear bulk term -(2/eps^2) (theta, phi) on the scalar dofs."""
+    """The linear bulk term -(2/eps^2) (theta, phi) on the scalar dofs, on
+    the element pattern."""
     geom = space.geometry
     local = (-2.0 / cfg.epsilon ** 2) * geom.area[:, None, None] * (
         np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _assemble(space.elem_dofs, local, space.nscalar)
+    return space.pattern.matrix(space.pattern.data(local))
 
 
 # -- quartic coupling term -----------------------------------------------------
@@ -159,9 +173,10 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig):
                                                + 2 (w.theta)(w.phi)),
 
     i.e. the derivative of the cubic term at the state ``wbar``; the
-    (v, u) block equals m12."""
+    (v, u) block equals m12.  All three lie on the space's element
+    pattern, one ``np.bincount`` each."""
     space = wbar.space
-    geom = space.geometry
+    geom, pattern = space.geometry, space.pattern
     lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
     vals = wbar.values_at(lam)                                   # (T, Q, 2)
     w1, w2 = vals[..., 0], vals[..., 1]
@@ -175,8 +190,7 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig):
     basis_outer = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
 
     def weighted_mass(kernel):
-        local = ((aw * kernel) @ basis_outer).reshape(-1, 3, 3)
-        return _assemble(space.elem_dofs, local, space.nscalar)
+        return pattern.matrix(pattern.data((aw * kernel) @ basis_outer))
 
     return weighted_mass(k11), weighted_mass(k12), weighted_mass(k22)
 
@@ -246,19 +260,68 @@ def _nonfinite_error(what, pts, vals):
     return DataEvaluationError(f"{what} non-finite at quadrature point ({x}, {y})")
 
 
+def _union_sum(matrix, pattern, data):
+    """``matrix`` plus the entries ``data`` on the element pattern, on the
+    union of both patterns with no entry dropped, and the positions of the
+    element pattern's entries in that union.  ``matrix`` holds no duplicate
+    entry."""
+    n = matrix.shape[0]
+
+    def keys(indptr, indices):
+        return np.repeat(np.arange(n, dtype=np.int64) * n,
+                         np.diff(indptr)) + indices
+
+    own, other = keys(matrix.indptr, matrix.indices), keys(pattern.indptr,
+                                                           pattern.indices)
+    union = np.sort(np.concatenate([own, other]), kind="stable")
+    union = union[np.concatenate([[True], union[1:] != union[:-1]])]
+    positions = np.searchsorted(union, other)
+    out = np.zeros(len(union))
+    out[np.searchsorted(union, own)] = matrix.data
+    out[positions] += data
+    total = sp.csr_matrix(
+        (out, union % n, np.searchsorted(union, np.arange(n + 1) * n)),
+        shape=matrix.shape)
+    return total, positions
+
+
+def _nonzero(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix`` without its zero entries, in arrays of their own size:
+    scipy's ``eliminate_zeros`` leaves views into the longer ones."""
+    zeros = np.flatnonzero(matrix.data == 0)
+    if not len(zeros):
+        return matrix
+    return sp.csr_matrix(
+        (np.delete(matrix.data, zeros), np.delete(matrix.indices, zeros),
+         matrix.indptr - np.searchsorted(zeros, matrix.indptr)),
+        shape=matrix.shape)
+
+
 class NonlinearSystem:
     """Cached operators for one discrete problem.
 
-    The scalar gradient plus linear bulk matrix and the load vector do not
-    depend on the state, so they are assembled once; the Jacobian is built
-    per Newton step from them and the quartic-term linearization.
+    The scalar gradient plus linear bulk matrix S and the load vector do
+    not depend on the state, so they are assembled once.  For Nitsche S
+    lies on the space's element pattern; for dG it lies on the union of
+    that pattern with the interior-edge couplings, and the element
+    pattern's positions in it are kept.  The Jacobian is built per Newton
+    step from the quartic linearization, whose blocks lie on the element
+    pattern: its diagonal blocks are S's entries plus m11 (or m22) at
+    those positions, its off-diagonal blocks m12 itself, so no step sorts
+    or merges a sparsity pattern.
     """
 
     def __init__(self, space: Space, cfg: MethodConfig, g, f=None):
         self.space = space
         self.cfg = cfg
-        self.linear_part = (gradient_matrix(space, cfg)
-                            + bulk_linear_matrix(space, cfg))
+        gradient = gradient_matrix(space, cfg)
+        bulk = bulk_linear_matrix(space, cfg).data
+        if space.kind == DG:
+            self.linear_part, self._element_positions = _union_sum(
+                gradient, space.pattern, bulk)
+        else:
+            self.linear_part = space.pattern.matrix(gradient.data + bulk)
+            self._element_positions = slice(None)
         self.load = load_vector(space, cfg, g, f)
 
     def residual(self, coeffs: np.ndarray) -> np.ndarray:
@@ -269,9 +332,13 @@ class NonlinearSystem:
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
         m11, m12, m22 = quartic_linearization(Field(self.space, coeffs),
                                               self.cfg)
-        jac = coupled_matrix(m11, m12, m22, self.linear_part)
-        # J keeps only its nonzero entries: scipy's sparse sum already drops
-        # those that add up to zero, the zeros of m12 included, but does
-        # not document it
-        jac.eliminate_zeros()
-        return jac
+        linear = self.linear_part
+
+        def diagonal(block):
+            data = linear.data.copy()
+            data[self._element_positions] += block.data
+            return sp.csr_matrix((data, linear.indices, linear.indptr),
+                                 shape=linear.shape)
+
+        # J keeps only its nonzero entries, the zeros of m12 included
+        return _nonzero(coupled_matrix(diagonal(m11), m12, diagonal(m22)))

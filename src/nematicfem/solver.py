@@ -35,7 +35,10 @@ block-Jacobi sweep (damping SMOOTHER_OMEGA; one block per dG triangle or
 per continuous vertex, both components) and every transfer is the scalar
 P on each component.  With no intermediate level this is the two-grid
 cycle: a sweep, the coarse correction P lu_c^{-1} P^T r and a second
-sweep.  Point Jacobi is too weak a smoother for dG; element blocks follow
+sweep.  The transfers are the two-component lifts diag(P, P) and
+diag(P^T, P^T), built once per hierarchy, so a transfer is one sparse
+product on the flat coefficient vector.  Point Jacobi is too weak a
+smoother for dG; element blocks follow
 Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).  When that GMRES
 fails, the step drops the hierarchy and takes the refactor path above,
 which the solve then keeps.  :func:`nematicfem.adapt.solve_levels` builds
@@ -57,8 +60,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
-from .fespace import (DG, Field, Space, componentwise, discrete_norm,
-                      gather, join)
+from .fespace import (DG, Field, Space, block_diagonal, componentwise,
+                      discrete_norm, gather, join)
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
@@ -130,21 +133,27 @@ class CoarseLevel:
     the level below, Jacobian, damped block-Jacobi smoother); and
     ``prolongation``, the scalar prolongation from the top level's space
     (the last intermediate level's, else the factor's) to the solve's
-    space, composed over the levels between them.  The restrictions P^T
-    are built once, here.  The solve drops the factor and the levels when
-    it falls back to a factorization, so they are released when this
-    holder is their only reference."""
+    space, composed over the levels between them.  The cycle's transfers,
+    the two-component lifts of every P and P^T (``transfers``, coarse to
+    fine, one pair per level above the factor), are built once, here; the
+    lift of P shares the arrays of the lift of P^T.  The
+    solve drops the factor and the levels when it falls back to a
+    factorization, so they are released when this holder is their only
+    reference."""
     lu: object
     prolongation: sp.csr_matrix
     levels: list = dataclass_field(default_factory=list)
 
     def __post_init__(self):
-        self.restrictions = [p.T.tocsr() for p, _, _ in self.levels]
-        self.restrictions.append(self.prolongation.T.tocsr())
+        scalars = [p for p, _, _ in self.levels] + [self.prolongation]
+        restrictions = [block_diagonal(p.T.tocsr()) for p in scalars]
+        # the lift of P is the transpose view of the lift of P^T (a CSC
+        # product), so each level keeps one copy of its transfer's arrays
+        self.transfers = [(r.T, r) for r in restrictions]
 
     def drop(self):
-        """Release the factor and the levels."""
-        self.lu, self.levels, self.restrictions = None, [], []
+        """Release the factor, the levels and their transfers."""
+        self.lu, self.levels, self.transfers = None, [], []
 
 
 def _factor_solve(matrix, rhs):
@@ -168,14 +177,32 @@ def _factor_solve(matrix, rhs):
 def _krylov_solve(matrix, rhs, precond, rtol):
     """GMRES on matrix x = rhs, preconditioned by the map ``precond``.
     Returns (x, iterations); x is None when GMRES does not reach ``rtol``
-    within KRYLOV_CYCLES restart cycles."""
+    within KRYLOV_CYCLES restart cycles.  ``precond`` runs once per
+    iteration and once per restart cycle."""
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    operator = spla.LinearOperator(matrix.shape, matvec=precond,
+    # From a zero start scipy applies M to rhs twice: for the norm of M rhs,
+    # then to r = rhs for the first Arnoldi vector.  The second application
+    # is answered from the first.
+    calls, first = 0, None
+
+    def apply(r):
+        nonlocal calls, first
+        calls += 1
+        if calls == 2:
+            (b, mb), first = first, None
+            if np.array_equal(r, b):
+                return mb
+        out = precond(r)
+        if calls == 1:
+            first = (r, out)
+        return out
+
+    operator = spla.LinearOperator(matrix.shape, matvec=apply,
                                    dtype=matrix.dtype)
     out, info = spla.gmres(matrix, rhs, rtol=rtol, atol=0.0,
                            restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
@@ -207,12 +234,12 @@ def _v_cycle(matrix, smoother, coarse: CoarseLevel):
     level down, a sweep and the restriction of its residual per component;
     the factor's solve; from the coarsest level up, the prolonged
     correction per component and a second sweep."""
-    # (matrix, smoother, prolongation from the level below, its transpose),
-    # fine to coarse
-    down = [(matrix, smoother, coarse.prolongation, coarse.restrictions[-1])]
-    for (prolongation, jac, smooth), restriction in zip(
-            reversed(coarse.levels), reversed(coarse.restrictions[:-1])):
-        down.append((jac, smooth, prolongation, restriction))
+    # (matrix, smoother, lifted prolongation from the level below, lifted
+    # restriction to it), fine to coarse
+    down = [(matrix, smoother) + coarse.transfers[-1]]
+    for (_, jac, smooth), transfer in zip(reversed(coarse.levels),
+                                          reversed(coarse.transfers[:-1])):
+        down.append((jac, smooth) + transfer)
     lu = coarse.lu
 
     def apply(r):
@@ -220,11 +247,11 @@ def _v_cycle(matrix, smoother, coarse: CoarseLevel):
         for jac, smooth, _, restriction in down:
             x = smooth @ r
             visited.append((r, x))
-            r = componentwise(restriction, r - jac @ x)
+            r = restriction @ (r - jac @ x)
         correction = lu.solve(r)
         for (jac, smooth, prolongation, _), (r, x) in zip(reversed(down),
                                                         reversed(visited)):
-            x += componentwise(prolongation, correction)
+            x += prolongation @ correction
             correction = x + smooth @ (r - jac @ x)
         return correction
 

@@ -8,22 +8,26 @@ built from scalar operators and the component-axis sums written as
 explicit terms must equal their system-size and numpy-reduction
 references bit for bit, and so must the coefficient-layout functions of
 ``fespace`` and the block-Jacobi smoother equal the per-component slices
-and index offsets they replace.
+and index offsets they replace.  Every matrix filled into a space's
+element pattern equals its COO assembly, and a Newton Jacobian converts
+no COO matrix at all.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._coo
 
 from conftest import random_field
+from nematicfem import forms
 from nematicfem.estimator import _gradient_jump_sq
 from nematicfem.fespace import (DG, Field, Space, _edge_trace_values,
                                 boundary_misfit_sq, broken_gradient_sq,
                                 embed_continuous, gather, join, jump_sq,
                                 scatter_add, squared_norm)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
-                              bulk_linear_matrix, cubic_term_vector,
-                              gradient_matrix, load_vector,
+                              _volume_stiffness, bulk_linear_matrix,
+                              cubic_term_vector, gradient_matrix, load_vector,
                               quartic_linearization)
 from nematicfem.mesh import (DomainShape, L_SHAPE, build_initial_mesh,
                              nvb_refine, red_refine)
@@ -125,6 +129,68 @@ def test_cubic_term_vector(case):
         "tq,tqc,qi->tic", aw * (vals ** 2).sum(-1), vals, lam)
     _close(cubic_term_vector(psi, cfg),
            _ref_vector(space, space.elem_dofs, local))
+
+
+def test_element_pattern_assembly(case):
+    """Every matrix filled into the element pattern by ``np.bincount``
+    equals its COO assembly: random local matrices on all triangles and on
+    a subset with repeats, the volume stiffness, the bulk mass and the
+    three quartic blocks.  The pattern is the COO's stored pattern, its
+    arrays are read-only, and there are 9 int32 slots per triangle."""
+    space, psi, cfg = case
+    pattern = space.pattern
+    n = space.nscalar
+    assert pattern.slots.shape == (space.mesh.n_triangles, 9)
+    assert pattern.slots.dtype == np.int32
+    rng = np.random.default_rng(11)
+    local = rng.standard_normal((space.mesh.n_triangles, 3, 3))
+    reference = _ref_matrix(space.elem_dofs, local, n)
+    built = pattern.matrix(pattern.data(local))
+    assert np.array_equal(built.indptr, reference.indptr)
+    assert np.array_equal(built.indices, reference.indices)
+    _close_sparse(built, reference)
+    tris = rng.integers(0, space.mesh.n_triangles, 40)
+    _close_sparse(pattern.matrix(pattern.data(local[tris], tris)),
+                  _ref_matrix(space.elem_dofs[tris], local[tris], n))
+    with pytest.raises(ValueError):
+        built.eliminate_zeros()
+
+    geom = space.geometry
+    stiffness = geom.area[:, None, None] * np.einsum("tix,tjx->tij",
+                                                     geom.grads, geom.grads)
+    _close_sparse(_volume_stiffness(space),
+                  _ref_matrix(space.elem_dofs, stiffness, n))
+    mass = geom.area[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    _close_sparse(bulk_linear_matrix(space, cfg),
+                  _ref_matrix(space.elem_dofs, (-2.0 / EPSILON ** 2) * mass, n))
+    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
+    vals = _ref_values(psi, lam)
+    aw = geom.area[:, None] * w[None, :]
+    for (a, b), block in zip([(0, 0), (0, 1), (1, 1)],
+                             quartic_linearization(psi, cfg)):
+        kernel = (2.0 / EPSILON ** 2) * ((a == b) * (vals ** 2).sum(-1)
+                                         + 2.0 * vals[..., a] * vals[..., b])
+        local = np.einsum("tq,qi,qj->tij", aw * kernel, lam, lam)
+        _close_sparse(block, _ref_matrix(space.elem_dofs, local, n))
+        assert block.indices.base is pattern.indices
+
+
+def test_jacobian_does_no_coo_conversion(case, monkeypatch):
+    """Once the system is built, a Jacobian converts no COO matrix: every
+    block is filled into a pattern kept from set-up."""
+    space, psi, cfg = case
+    problem = lshape_problem(EPSILON)
+    system = NonlinearSystem(space, cfg, problem.g, problem.f)
+    expected = system.jacobian(psi.coeffs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("COO assembly in the Jacobian")
+
+    monkeypatch.setattr(forms, "_assemble", refuse)
+    monkeypatch.setattr(sp, "coo_matrix", refuse)
+    monkeypatch.setattr(scipy.sparse._coo._coo_base, "_coo_to_compressed",
+                        refuse)
+    _same_csr(system.jacobian(psi.coeffs), expected)
 
 
 def test_quartic_linearization(case):

@@ -382,6 +382,51 @@ def _factored_levels(reports):
     return expected
 
 
+@pytest.mark.parametrize("preconditioner, cycles", [("stale-factor", 1),
+                                                     ("block-jacobi", 2)])
+def test_krylov_solve_applies_preconditioner_once_per_step(
+        lshape, preconditioner, cycles):
+    """From a zero start scipy's GMRES applies M to the right-hand side
+    twice; the second application is answered from the first, so the
+    preconditioner runs once per iteration and once per restart cycle, and
+    the solution is bitwise that of the plain GMRES call."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    space = Space.continuous(red_refine(red_refine(lshape)))
+    system = NonlinearSystem(space, cfg, prob.g, prob.f)
+    coeffs = np.random.default_rng(3).standard_normal(space.ndof)
+    jac, rhs = system.jacobian(coeffs), -system.residual(coeffs)
+    if preconditioner == "stale-factor":
+        precond = spla.splu(system.jacobian(0.9 * coeffs).tocsc()).solve
+    else:
+        precond = (solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)).dot
+    calls, products = 0, 0
+
+    def counted_precond(r):
+        nonlocal calls
+        calls += 1
+        return precond(r)
+
+    def counted_product(x):
+        nonlocal products
+        products += 1
+        return jac @ x
+
+    rtol = 1e-8
+    x, iterations = solver._krylov_solve(
+        spla.LinearOperator(jac.shape, matvec=counted_product,
+                            dtype=jac.dtype), rhs, counted_precond, rtol)
+    # one product per iteration, and one per cycle for its true residual
+    assert products - iterations == cycles
+    assert calls == iterations + cycles
+    plain, info = spla.gmres(
+        jac, rhs, rtol=rtol, atol=0.0, restart=solver.KRYLOV_RESTART,
+        maxiter=solver.KRYLOV_CYCLES,
+        M=spla.LinearOperator(jac.shape, matvec=precond, dtype=jac.dtype))
+    assert info == 0
+    assert np.array_equal(x, plain)
+
+
 @pytest.mark.parametrize("method, refine, levels, target_ndof", [
     ("nitsche", "uniform", 4, None),
     ("dg", "uniform", 4, None),
