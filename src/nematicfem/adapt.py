@@ -19,24 +19,22 @@ import numpy as np
 
 from .estimator import EstimatorBreakdown, estimate
 from .exceptions import ConfigError, NewtonError
-from .fespace import (DG, Field, Space, discrete_norm, energy_error_norm,
-                      free_energy, l2_error_norm, l2_norm, prolong,
-                      prolongation_matrix, space_kind)
+from .fespace import (Field, Space, auxiliary_space, discrete_norm,
+                      energy_error_norm, free_energy, l2_error_norm, l2_norm,
+                      prolong, prolongation_matrix, space_kind)
 from .forms import MethodConfig
 from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
-from .solver import (CoarseLevel, NewtonConfig, director_guess, laplace_guess,
-                     newton_solve)
+from .solver import (CoarseLevel, NewtonConfig, auxiliary_factor,
+                     director_guess, laplace_guess, newton_solve)
 
 # A level solved by V-cycle joins the hierarchy, as its new top level, when
-# its ndof is at least this multiple of the top level's; the levels in
-# between are reached through the composed prolongation.  Red refinement
-# grows ndof about 4x per level, so every level of a uniform study joins,
-# and the cycle never jumps more than one uniform level; an adaptive study
-# (about 1.2x per level) keeps one level in every five or six.  dG levels
-# never join: the block-Jacobi smoother is too weak for dG (11-29 two-grid
-# GMRES iterations per step even at 1.2x), so every dG level but the last
-# factors, and the last runs the two-grid cycle on the kept factor.
+# the ndof of its auxiliary space (continuous P1 on its mesh) is at least
+# this multiple of the top level's; the levels in between are reached
+# through the composed prolongation.  Red refinement grows ndof about 4x
+# per level, so every level of a uniform study joins, and the cycle never
+# jumps more than one uniform level; an adaptive study (about 1.2x per
+# level) keeps one level in every five or six.
 HIERARCHY_GROWTH = 3
 
 # glibc's malloc_trim; None under other C libraries
@@ -163,18 +161,19 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
 
     Newton starts from the prolonged previous solution, on level 0 from
     the director guess of ``state`` or else the Laplace guess.  The study
-    keeps one multilevel hierarchy: the LU factor of the last level that
-    built one, and above it, coarse to fine, the levels solved since then
-    whose ndof is at least HIERARCHY_GROWTH times that of the level below
-    them in the hierarchy, each with its last Jacobian and smoother.  Once a
-    factor is kept, every continuous level and the last level (known before
-    its solve) are solved by V-cycle GMRES on the hierarchy, reached through
-    the prolongation composed from its top level.  Every other level (level
-    0 and the dG levels but the last) releases the hierarchy before it
-    solves, and its own factor becomes the kept one, as does the factor of
-    a V-cycle level that falls back to a factorization.  Problems with an
-    exact solution record its energy and L2 errors; the others record the
-    norms of the difference to the prolonged previous solution.
+    keeps one multilevel hierarchy on continuous P1, the auxiliary space of
+    both methods: the LU factor of the auxiliary operator of the last level
+    that built a factor (on dG, :func:`auxiliary_factor` builds it after
+    the solve), and above it, coarse to fine, the levels solved since then
+    whose auxiliary ndof is at least HIERARCHY_GROWTH times that of the
+    level below them in the hierarchy, each with its last auxiliary
+    operator and smoother.  Once a factor is kept, every level is solved by
+    V-cycle GMRES on the hierarchy, reached through the continuous
+    prolongation composed from its top level.  Level 0 solves without one,
+    and its factor becomes the kept one, as does the factor of a V-cycle
+    level that falls back to a factorization.  Problems with an exact
+    solution record its energy and L2 errors; the others record the norms
+    of the difference to the prolonged previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
     nonconvergence aborts with the completed level records attached to the
     raised :class:`NewtonError`.
@@ -185,13 +184,14 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     factor = None        # the kept LU factor, the hierarchy's coarsest level
     levels = []          # its intermediate levels, coarse to fine
     top_ndof = 0         # the ndof of its top level
-    prolongation = None  # scalar P from the top level's space to previous.space
+    prolongation = None  # scalar P from it to the last auxiliary space
     for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
             out.mkdir(parents=True, exist_ok=True)
             mesh.dump(out / f"level_{level:03d}.mesh.txt")
         space = Space(mesh, kind)
+        aux_space = auxiliary_space(space)
         last = level == max_levels - 1 or (target_ndof is not None
                                            and space.ndof >= target_ndof)
         step = None
@@ -205,7 +205,10 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         # the holder is the only reference to the factor and the levels, so
         # the solve can release them before a fallback factorization
         coarse = None
-        if factor is not None and (last or kind != DG):
+        if factor is not None:
+            if aux_space is not space:   # the hierarchy's step on dG meshes
+                step = prolongation_matrix(auxiliary_space(previous.space),
+                                           aux_space)
             prolongation = step if prolongation is None else step @ prolongation
             coarse = CoarseLevel(factor, prolongation, levels)
         factor, levels = None, []
@@ -218,15 +221,15 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
             exc.level_records = records
             raise
         if not last:
-            if report.factor is not None:   # the hierarchy restarts here
-                factor, top_ndof = report.factor, space.ndof
+            if report.smoother is None:   # the hierarchy restarts here
+                factor, top_ndof = auxiliary_factor(report), aux_space.ndof
                 prolongation = None
             else:   # solved by V-cycle: the hierarchy stays
                 factor, levels = coarse.lu, coarse.levels
-                if space.ndof >= HIERARCHY_GROWTH * top_ndof:
+                if aux_space.ndof >= HIERARCHY_GROWTH * top_ndof:
                     levels.append((prolongation, report.jacobian,
                                    report.smoother))
-                    top_ndof, prolongation = space.ndof, None
+                    top_ndof, prolongation = aux_space.ndof, None
         coarse = None
         report.factor = report.jacobian = report.smoother = None
         _release_free_heap()

@@ -8,8 +8,9 @@ vertex value; for the dG space it is one of the three vertex values of a
 triangle, so neighbouring triangles carry independent copies.
 
 This module owns that layout: only :func:`gather`, :func:`scatter_add`,
-:func:`join`, :func:`componentwise`, :func:`block_diagonal` and
-:func:`coupled_matrix` index coefficients by component.
+:func:`join`, :func:`componentwise`, :func:`block_diagonal`,
+:func:`coupled_matrix`, :func:`vertex_blocks` and
+:func:`vertex_block_matrix` index coefficients by component.
 
 Quadrature values, gradients and edge traces are batched matrix products:
 the (Q, 3) barycentric points times the (T, 3, 2) nodal values of every
@@ -293,6 +294,34 @@ def coupled_matrix(a11, a12, a22) -> sp.csr_matrix:
     return sp.bmat([[a11, a12], [a12, a22]], format="csr")
 
 
+def vertex_blocks(matrix) -> np.ndarray:
+    """The 2 x 2 blocks (n, 2, 2) of a matrix on the full dofs that couple
+    the two components of each scalar dof: its main diagonal and its
+    diagonals at +-nscalar."""
+    n = matrix.shape[0] // 2
+    blocks = np.empty((n, 2, 2))
+    diagonal = matrix.diagonal()
+    blocks[:, 0, 0], blocks[:, 1, 1] = diagonal[:n], diagonal[n:]
+    blocks[:, 0, 1], blocks[:, 1, 0] = matrix.diagonal(n), matrix.diagonal(-n)
+    return blocks
+
+
+def vertex_block_matrix(blocks: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix on the full dofs whose only entries are the 2 x 2
+    blocks ``blocks`` (n, 2, 2) of the scalar dofs, as :func:`vertex_blocks`
+    reads them."""
+    n = len(blocks)
+    # row i (u) and row n + i (v) both hold the columns i and n + i
+    data = np.empty((2, n, 2))
+    data[...] = blocks.transpose(1, 0, 2)
+    indices = np.empty((2, n, 2), dtype=np.int32)
+    indices[..., 0] = np.arange(n, dtype=np.int32)
+    indices[..., 1] = indices[..., 0] + n
+    return sp.csr_matrix((data.ravel(), indices.ravel(),
+                          np.arange(0, 4 * n + 1, 2, dtype=np.int32)),
+                         shape=(2 * n, 2 * n))
+
+
 @dataclass
 class Field:
     """Coefficient vector of one two-component piecewise-linear function."""
@@ -396,15 +425,36 @@ def prolong(coarse: Field, fine_space: Space, matrix=None) -> Field:
     return Field(fine_space, componentwise(matrix, coarse.coeffs))
 
 
+def auxiliary_space(space: Space) -> Space:
+    """The continuous P1 space on the mesh of ``space``: ``space`` itself
+    when it is continuous."""
+    return space if space.kind == CONTINUOUS else Space(space.mesh, CONTINUOUS)
+
+
+def embedding_matrix(dg_space: Space) -> sp.csr_matrix:
+    """Scalar embedding E of continuous P1 into the dG space on the same
+    mesh, shape (nscalar_dg, n_vertices): row (t, i) holds a 1 at vertex
+    ``triangles[t, i]``, so E copies every vertex value into each triangle
+    at that vertex."""
+    if dg_space.kind != DG:
+        raise SpaceMismatchError("embedding maps continuous P1 into dG")
+    mesh = dg_space.mesh
+    n = dg_space.nscalar
+    # dG scalar dofs are numbered triangle by triangle, local vertex by
+    # local vertex: the order of the raveled triangles
+    return sp.csr_matrix((np.ones(n), mesh.triangles.ravel(),
+                          np.arange(n + 1)), shape=(n, mesh.n_vertices))
+
+
 def embed_continuous(field: Field, dg_space: Space) -> Field:
-    """Copy a continuous field into the dG space on the same mesh."""
-    if field.space.kind != CONTINUOUS or dg_space.kind != DG:
+    """Copy a continuous field into the dG space on the same mesh: the
+    :func:`embedding_matrix` applied to each component."""
+    if field.space.kind != CONTINUOUS:
         raise SpaceMismatchError("embedding maps a continuous field into dG")
     if dg_space.mesh is not field.space.mesh:
         raise SpaceMismatchError("embedding requires the same mesh")
-    # dG scalar dofs are numbered triangle by triangle, local vertex by
-    # local vertex: the order of the (T, 3) nodal values
-    return Field(dg_space, join(field.element_values()))
+    return Field(dg_space,
+                 componentwise(embedding_matrix(dg_space), field.coeffs))
 
 
 # -- norms and integrals -------------------------------------------------------

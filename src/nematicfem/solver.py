@@ -25,24 +25,34 @@ up to the GMRES tolerance.
 A V-cycle solve builds no factor.  Given the multilevel hierarchy that a
 study on nested meshes has kept from its coarser levels
 (:class:`CoarseLevel`: the kept factor of the coarsest level, the kept
-intermediate levels and the prolongation into the solve's space), every
-step runs GMRES preconditioned by a V-cycle on the current Jacobian J, the
-first step to KRYLOV_RTOL_FLOOR and the later ones to the Eisenstat-Walker
-tolerance.  The cycle smooths down from J through the intermediate levels,
+intermediate levels and the prolongation into the solve's auxiliary space),
+every step runs GMRES preconditioned by a V-cycle on the current Jacobian
+J, the first step to KRYLOV_RTOL_FLOOR and the later ones to the
+Eisenstat-Walker tolerance.  The hierarchy always lives on continuous P1.
+The auxiliary space of a solve is continuous P1 on its mesh, reached by
+the scalar embedding E (the identity on continuous P1), and its auxiliary
+operator is the Galerkin product A = E^T J E.  A dG solve is thereby the
+auxiliary-space preconditioner (Xu, Computing 56, 1996; Dobrev, Lazarov,
+Vassilevski & Zikatanov, NLAA 13, 2006): a sweep on J, the restriction by
+E^T, the continuous cycle on A, the prolongation by E and a second sweep.
+The cycle smooths down from J through A and the intermediate levels,
 restricting the residual by P^T, solves with the kept factor, then
 prolongs the correction and smooths back up; every smoothing is a damped
 block-Jacobi sweep (damping SMOOTHER_OMEGA; one block per dG triangle or
-per continuous vertex, both components) and every transfer is the scalar
-P on each component.  With no intermediate level this is the two-grid
-cycle: a sweep, the coarse correction P lu_c^{-1} P^T r and a second
-sweep.  The transfers are the two-component lifts diag(P, P) and
-diag(P^T, P^T), built once per hierarchy, so a transfer is one sparse
-product on the flat coefficient vector.  Point Jacobi is too weak a
-smoother for dG; element blocks follow
-Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).  When that GMRES
-fails, the step drops the hierarchy and takes the refactor path above,
-which the solve then keeps.  :func:`nematicfem.adapt.solve_levels` builds
-the hierarchy and decides which levels are solved this way.
+per continuous vertex, both components, the vertex blocks inverted in
+closed form) and every transfer is the scalar P or E on each component.
+With no intermediate level this is the two-grid cycle on A: a sweep, the
+coarse correction P lu_c^{-1} P^T r and a second sweep.  The transfers are
+the two-component lifts diag(P, P) and diag(P^T, P^T), built once per
+hierarchy (those of E once per solve), so a transfer is one sparse product
+on the flat coefficient vector.  Point Jacobi is too weak a smoother for
+dG; element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95
+(2003).  When that GMRES fails, the step drops the hierarchy and takes the
+refactor path above, which the solve then keeps.  A solve hands the
+hierarchy its auxiliary operator: the factor of A when it ended on a
+factor (built by :func:`auxiliary_factor` on dG), else A with its
+smoother.  :func:`nematicfem.adapt.solve_levels` builds the hierarchy and
+decides which levels are solved this way.
 
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
@@ -60,8 +70,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
-from .fespace import (DG, Field, Space, block_diagonal, componentwise,
-                      discrete_norm, gather, join)
+from .fespace import (DG, Field, Space, auxiliary_space, block_diagonal,
+                      componentwise, discrete_norm, embedding_matrix, gather,
+                      join, vertex_block_matrix, vertex_blocks)
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
@@ -105,12 +116,15 @@ class NewtonReport:
     factor) and those of every step's failed GMRES attempt (0 for a step
     without one).
 
-    ``factor`` is the solve's last LU factor (None when it built none) for
-    the caller to keep as the coarsest level of later V-cycles.  A solve
-    whose last step ran V-cycle GMRES passes back that step's Jacobian and
-    smoother as ``jacobian`` and ``smoother`` instead, for the caller to
-    keep as an intermediate level.  All three are None in the report of a
-    :class:`NewtonError`."""
+    The other fields pass back the solve's auxiliary operator A = E^T J E
+    (J itself on continuous P1) for the caller to keep as a level of later
+    V-cycles.  A solve whose last step ran V-cycle GMRES passes back that
+    step's A and its smoother as ``jacobian`` and ``smoother``, an
+    intermediate level.  A solve that ended on a factor leaves the coarsest
+    level: on continuous P1 its last LU factor as ``factor``; on dG, whose
+    own factor is of no use to the hierarchy, the A of its last step as
+    ``jacobian`` (no smoother), for :func:`auxiliary_factor`.  All three
+    are None in the report of a :class:`NewtonError`."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
@@ -128,18 +142,18 @@ class NewtonReport:
 @dataclass
 class CoarseLevel:
     """The hierarchy of a V-cycle solve, kept from coarser levels of the
-    same study: ``lu``, the LU factor of the coarsest level; ``levels``,
-    the kept intermediate levels from coarse to fine as (prolongation from
-    the level below, Jacobian, damped block-Jacobi smoother); and
-    ``prolongation``, the scalar prolongation from the top level's space
-    (the last intermediate level's, else the factor's) to the solve's
-    space, composed over the levels between them.  The cycle's transfers,
-    the two-component lifts of every P and P^T (``transfers``, coarse to
-    fine, one pair per level above the factor), are built once, here; the
-    lift of P shares the arrays of the lift of P^T.  The
-    solve drops the factor and the levels when it falls back to a
-    factorization, so they are released when this holder is their only
-    reference."""
+    same study, all on continuous P1: ``lu``, the LU factor of the coarsest
+    level's auxiliary operator; ``levels``, the kept intermediate levels
+    from coarse to fine as (prolongation from the level below, auxiliary
+    operator, damped block-Jacobi smoother); and ``prolongation``, the
+    scalar prolongation from the top level's space (the last intermediate
+    level's, else the factor's) to the solve's auxiliary space, composed
+    over the levels between them.  The cycle's transfers, the
+    two-component lifts of every P and P^T (``transfers``, coarse to fine,
+    one pair per level above the factor), are built once, here; the lift of
+    P shares the arrays of the lift of P^T.  The solve drops the factor and
+    the levels when it falls back to a factorization, so they are released
+    when this holder is their only reference."""
     lu: object
     prolongation: sp.csr_matrix
     levels: list = dataclass_field(default_factory=list)
@@ -156,22 +170,39 @@ class CoarseLevel:
         self.lu, self.levels, self.transfers = None, [], []
 
 
+def _factor(matrix):
+    """SuperLU factor of ``matrix``.  Raises :class:`LinearSolveError` when
+    the factorization fails."""
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as exc:  # superlu reports singularity this way
+        raise LinearSolveError(
+            f"sparse direct factorization failed ({exc}); "
+            f"matrix inf-norm {abs(matrix).sum(axis=1).max():.3e}") from exc
+
+
 def _factor_solve(matrix, rhs):
     """SuperLU factor of ``matrix`` and the solution of matrix x = rhs.
 
     Raises :class:`LinearSolveError` when the factorization fails or the
     solution is not finite."""
-    try:
-        lu = spla.splu(matrix.tocsc())
-        out = lu.solve(rhs)
-    except RuntimeError as exc:  # superlu reports singularity this way
-        raise LinearSolveError(
-            f"sparse direct factorization failed ({exc}); "
-            f"matrix inf-norm {abs(matrix).sum(axis=1).max():.3e}") from exc
+    lu = _factor(matrix)
+    out = lu.solve(rhs)
     if not np.all(np.isfinite(out)):
         raise LinearSolveError("sparse direct solve produced non-finite values "
                                "(singular linear system)")
     return lu, out
+
+
+def auxiliary_factor(report: NewtonReport):
+    """The LU factor that a solve which ended on a factor (``smoother`` is
+    None) leaves for the coarsest level of later V-cycles: the factor of
+    its auxiliary operator.  On continuous P1, where E = I, that is the
+    solve's own factor; on dG it is built here from the auxiliary operator
+    E^T J E of the last Jacobian, which the report passes back as
+    ``jacobian``.  Raises :class:`LinearSolveError` where SuperLU fails."""
+    return report.factor if report.jacobian is None else _factor(
+        report.jacobian)
 
 
 def _krylov_solve(matrix, rhs, precond, rtol):
@@ -215,12 +246,19 @@ def _krylov_solve(matrix, rhs, precond, rtol):
 def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
     """Inverse of the block diagonal of ``matrix``: one block per dG
     triangle (its 3 scalar dofs) or per continuous vertex, each with both
-    components."""
-    scalar = (space.elem_dofs if space.kind == DG
-              else np.arange(space.nscalar)[:, None])
+    components.  A vertex block [[a, b], [c, d]] is inverted in closed form,
+    [[d, -b], [-c, a]] / (a d - b c); the 6 x 6 triangle blocks by LAPACK."""
+    if space.kind != DG:
+        blocks = vertex_blocks(matrix)
+        (a, b), (c, d) = blocks.transpose(1, 2, 0)
+        det = a * d - b * c
+        inverse = np.empty_like(blocks)
+        inverse[:, 0, 0], inverse[:, 0, 1] = d / det, -b / det
+        inverse[:, 1, 0], inverse[:, 1, 1] = -c / det, a / det
+        return vertex_block_matrix(inverse)
     # the full dofs of each block: its u dofs, then its v dofs
-    dofs = gather(np.arange(space.ndof), scalar).transpose(0, 2, 1)
-    dofs = dofs.reshape(len(scalar), -1)
+    dofs = gather(np.arange(space.ndof), space.elem_dofs).transpose(0, 2, 1)
+    dofs = dofs.reshape(len(dofs), -1)
     nblocks, k = dofs.shape
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, k).ravel()
@@ -229,14 +267,17 @@ def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
                          shape=matrix.shape)
 
 
-def _v_cycle(matrix, smoother, coarse: CoarseLevel):
-    """V-cycle on ``matrix`` over the hierarchy ``coarse``: from the finest
-    level down, a sweep and the restriction of its residual per component;
-    the factor's solve; from the coarsest level up, the prolonged
-    correction per component and a second sweep."""
+def _v_cycle(own, coarse: CoarseLevel):
+    """V-cycle over the solve's own levels ``own`` and then the hierarchy
+    ``coarse``: from the finest level down, a sweep and the restriction of
+    its residual per component; the factor's solve; from the coarsest level
+    up, the prolonged correction per component and a second sweep.
+    ``own`` runs fine to coarse as (matrix, smoother, lifted prolongation
+    from the next level, lifted restriction to it); its last level, on
+    continuous P1, comes without transfers, which are the hierarchy's."""
     # (matrix, smoother, lifted prolongation from the level below, lifted
     # restriction to it), fine to coarse
-    down = [(matrix, smoother) + coarse.transfers[-1]]
+    down = own[:-1] + [own[-1] + coarse.transfers[-1]]
     for (_, jac, smooth), transfer in zip(reversed(coarse.levels),
                                           reversed(coarse.transfers[:-1])):
         down.append((jac, smooth) + transfer)
@@ -256,6 +297,21 @@ def _v_cycle(matrix, smoother, coarse: CoarseLevel):
         return correction
 
     return apply
+
+
+def _lifted_embedding(dg_space: Space):
+    """The two-component lifts (E, E^T) of the embedding of continuous P1
+    into ``dg_space``; the lift of E is the transpose view of the lift of
+    E^T, as for the hierarchy's transfers."""
+    restriction = block_diagonal(embedding_matrix(dg_space).T.tocsr())
+    return restriction.T, restriction
+
+
+def _auxiliary_operator(jac, embedding):
+    """The Galerkin auxiliary operator E^T J E of a dG Jacobian on the
+    continuous dofs, from the lifted embedding (E, E^T)."""
+    prolongation, restriction = embedding
+    return restriction @ (jac @ prolongation)
 
 
 def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
@@ -311,19 +367,25 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  coarse: Optional[CoarseLevel] = None):
     """Newton iteration from the given guess; returns (solution, report).
 
-    With ``coarse`` every step runs V-cycle preconditioned GMRES and no
-    factor is built unless that GMRES fails (see the module docstring).
+    With ``coarse`` every step runs V-cycle preconditioned GMRES, through
+    the auxiliary space on dG, and no factor is built unless that GMRES
+    fails (see the module docstring).
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
     if guess.space is not space:
         raise ConfigError("initial guess does not live on the target space")
     system = NonlinearSystem(space, cfg, g, f)
+    # a dG solve reaches the continuous hierarchy through the embedding
+    # into its auxiliary space; E = I on continuous P1
+    aux_space = auxiliary_space(space)
+    embedding = None if aux_space is space else _lifted_embedding(space)
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
     lu, prev_res = None, None
     for _ in range(ncfg.max_iter):
-        smoother = None   # released before this step's Jacobian is built
+        # released before this step's Jacobian is built
+        own = aux = smoother = None
         jac = system.jacobian(coeffs)
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
@@ -334,12 +396,18 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                         KRYLOV_RTOL_CAP))
         delta, krylov_its = None, 0
         if coarse is not None and coarse.lu is not None:
-            smoother = SMOOTHER_OMEGA * _block_jacobi(jac, space)
-            delta, krylov_its = _krylov_solve(
-                jac, rhs, _v_cycle(jac, smoother, coarse), rtol)
+            own, aux = [], jac
+            if embedding is not None:
+                own.append((jac, SMOOTHER_OMEGA * _block_jacobi(jac, space))
+                           + embedding)
+                aux = _auxiliary_operator(jac, embedding)
+            smoother = SMOOTHER_OMEGA * _block_jacobi(aux, aux_space)
+            own.append((aux, smoother))
+            delta, krylov_its = _krylov_solve(jac, rhs,
+                                              _v_cycle(own, coarse), rtol)
             if delta is None:
                 coarse.drop()
-                smoother = None
+                own = aux = smoother = None
         elif lu is not None:
             delta, krylov_its = _krylov_solve(jac, rhs, lu.solve, rtol)
         failed_its = 0
@@ -358,9 +426,12 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.increments.append(inc)
         if inc <= ncfg.tol:
             report.converged = True
-            report.factor = lu
-            if smoother is not None:
-                report.jacobian, report.smoother = jac, smoother
+            if smoother is not None:   # the last step ran the V-cycle
+                report.jacobian, report.smoother = aux, smoother
+            elif embedding is None:
+                report.factor = lu
+            else:
+                report.jacobian = _auxiliary_operator(jac, embedding)
             return Field(space, coeffs), report
     raise NewtonError(
         f"Newton iteration did not reach tol={ncfg.tol} within "

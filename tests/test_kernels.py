@@ -421,23 +421,66 @@ def test_layout_join(case):
         reference = np.empty(dg.ndof)
         reference[:dg.nscalar] = ev[..., 0].reshape(-1)
         reference[dg.nscalar:] = ev[..., 1].reshape(-1)
+        # embed_continuous applies the embedding matrix; the gather it
+        # replaced is join(element_values())
         assert np.array_equal(embed_continuous(psi, dg).coeffs, reference)
+        assert np.array_equal(embed_continuous(psi, dg).coeffs, join(ev))
 
 
-def test_block_jacobi_dof_layout(case):
-    """The block-Jacobi inverse equals, bitwise, the one whose blocks take
-    the scalar dofs and the same dofs offset by nscalar."""
-    space, psi, cfg = case
-    problem = lshape_problem(EPSILON)
-    jac = NonlinearSystem(space, cfg, problem.g, problem.f).jacobian(
-        psi.coeffs)
+def _inverse_blocks(blocks):
+    """Inverse of every block (n, k, k): the 2 x 2 vertex blocks in closed
+    form, the 6 x 6 triangle blocks by ``np.linalg.inv``."""
+    if blocks.shape[1] != 2:
+        return np.linalg.inv(blocks)
+    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    inverse = np.stack([d, -b, -c, a], axis=1) / (a * d - b * c)[:, None]
+    return inverse.reshape(-1, 2, 2)
+
+
+def _diagonal_blocks(jac, space):
+    """(blocks, rows, cols): the block-Jacobi blocks of ``jac``, whose
+    blocks take the scalar dofs and the same dofs offset by nscalar, and
+    their row and column dofs."""
     scalar = (space.elem_dofs if space.kind == DG
               else np.arange(space.nscalar)[:, None])
     dofs = np.concatenate([scalar, scalar + space.nscalar], axis=1)
     nblocks, k = dofs.shape
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, k).ravel()
-    blocks = np.asarray(jac[rows, cols]).reshape(nblocks, k, k)
-    reference = sp.csr_matrix((np.linalg.inv(blocks).ravel(), (rows, cols)),
+    return np.asarray(jac[rows, cols]).reshape(nblocks, k, k), rows, cols
+
+
+def _case_jacobian(case):
+    space, psi, cfg = case
+    problem = lshape_problem(EPSILON)
+    return NonlinearSystem(space, cfg, problem.g, problem.f).jacobian(
+        psi.coeffs)
+
+
+def test_block_jacobi_dof_layout(case):
+    """The block-Jacobi inverse equals, bitwise, the one whose blocks take
+    the scalar dofs and the same dofs offset by nscalar, each inverted the
+    same way (vertex blocks in closed form, triangle blocks by LAPACK)."""
+    space = case[0]
+    jac = _case_jacobian(case)
+    blocks, rows, cols = _diagonal_blocks(jac, space)
+    reference = sp.csr_matrix((_inverse_blocks(blocks).ravel(), (rows, cols)),
                               shape=jac.shape)
     _same_csr(_block_jacobi(jac, space), reference)
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_vertex_block_inverse_matches_lapack(mesh_name):
+    """The closed-form inverse of every 2 x 2 vertex block agrees with
+    ``np.linalg.inv`` to rounding: per block, a few units of roundoff times
+    its condition number, relative to the largest entry of the inverse."""
+    space = Space.continuous(MESHES[mesh_name]())
+    cfg = MethodConfig(method="nitsche", epsilon=EPSILON)
+    jac = _case_jacobian((space, random_field(space, seed=7), cfg))
+    blocks, rows, cols = _diagonal_blocks(jac, space)
+    lapack = np.linalg.inv(blocks)
+    got = np.asarray(_block_jacobi(jac, space)[rows, cols]).reshape(
+        blocks.shape)
+    bound = (8 * np.finfo(float).eps * np.linalg.cond(blocks, 1)
+             * np.abs(lapack).max(axis=(1, 2)))
+    assert (np.abs(got - lapack).max(axis=(1, 2)) <= bound).all()

@@ -9,10 +9,11 @@ import pytest
 from conftest import constant_fn
 from nematicfem import adapt, solver
 from nematicfem.exceptions import ConfigError, LinearSolveError, NewtonError
-from nematicfem.fespace import (DG, Field, Space, componentwise,
-                                discrete_norm, interpolate, prolong,
+from nematicfem.fespace import (Field, Space, componentwise, discrete_norm,
+                                embedding_matrix, interpolate, prolong,
                                 prolongation_matrix)
-from nematicfem.forms import MethodConfig, NonlinearSystem, cubic_term_vector
+from nematicfem.forms import (MethodConfig, NonlinearSystem,
+                              cubic_term_vector, gradient_matrix)
 from nematicfem.mesh import build_initial_mesh, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
                                  slit_problem)
@@ -374,12 +375,9 @@ def _study(method, refine, levels, target_ndof=None,
 
 def _factored_levels(reports):
     """Per non-last level, whether ``solve_levels`` has it build a factor:
-    its space is dG or no factor is kept yet."""
-    expected, kept = [], False
-    for _, _, solution in reports[:-1]:
-        expected.append(solution.space.kind == DG or not kept)
-        kept = True
-    return expected
+    exactly when no factor is kept yet, on either space.  Level 0 keeps one
+    (on dG, the factor of its auxiliary operator), so only level 0."""
+    return [k == 0 for k in range(len(reports) - 1)]
 
 
 @pytest.mark.parametrize("preconditioner, cycles", [("stale-factor", 1),
@@ -492,22 +490,43 @@ def test_continuous_level_reuses_kept_factor(monkeypatch):
         assert np.abs(solution.coeffs - ref).max() <= 1e-10
 
 
-def test_dg_levels_do_not_reuse_kept_factor(monkeypatch):
-    """A dG level that is not the last builds its own factor however close
-    it is to the kept factor's ndof: the block-Jacobi two-grid cycle needs
-    11-29 GMRES iterations per Newton step on dG even at a 1.2x dof ratio
-    (measured on the README slit-dG example), so reuse costs about twice
-    a factored level."""
+@pytest.mark.parametrize("refine, levels, prob", [
+    ("uniform", 4, lshape_problem(0.4)),
+    ("adaptive", 5, slit_problem(1.0)),
+], ids=["lshape-uniform", "slit-adaptive"])
+def test_dg_study_factors_on_level_zero_only(monkeypatch, refine, levels,
+                                             prob):
+    """A dG study factors on level 0 only: the Laplace guess, level 0's
+    Jacobian and, once level 0 is solved, its auxiliary operator E^T J E,
+    the coarsest level of the continuous hierarchy.  Every later level is
+    solved by V-cycle GMRES through its auxiliary space and reaches the
+    factor-every-step Newton solution from its prolonged guess in the same
+    number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
-    _, _, records = _study("dg", "adaptive", 5,
-                                  prob=slit_problem(1.0))
+    recording, starts = adapt.newton_solve, []
+
+    def marking(*args, **kwargs):
+        starts.append(counter.factorizations)
+        return recording(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "newton_solve", marking)
+    _, cfg, records = _study("dg", refine, levels, prob=prob)
+    total = counter.factorizations
     monkeypatch.undo()
-    assert len(records) == 5
-    ndofs = [rec.ndof for rec in records]
-    assert ndofs[-2] <= adapt.HIERARCHY_GROWTH * ndofs[0]
-    assert all(built >= 1 for _, built, _ in reports[:-1])
-    assert reports[-1][1] == 0
+    assert len(records) == len(reports) == levels
+    assert starts[0] == 1                     # the Laplace guess
+    assert reports[0][1] >= 1                 # level 0's Jacobian
+    assert starts[1] == total == 1 + reports[0][1] + 1
+    for k in range(1, levels):
+        rep, built, solution = reports[k]
+        assert built == rep.factorizations == 0
+        assert all(its > 0 for its in rep.krylov_iterations)
+        guess = prolong(reports[k - 1][2], solution.space)
+        ref, ref_iterations = _reference_newton(
+            solution.space, cfg, prob.g, prob.f, guess, NewtonConfig().tol)
+        assert rep.iterations == ref_iterations
+        assert np.abs(solution.coeffs - ref).max() <= 1e-10
 
 
 def test_uniform_continuous_study_factors_once(monkeypatch):
@@ -538,31 +557,95 @@ def test_uniform_continuous_study_factors_once(monkeypatch):
 def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
     """With no intermediate level the V-cycle is the two-grid cycle: a
     sweep, the coarse correction P lu^{-1} P^T r per component and a
-    second sweep, bit for bit."""
+    second sweep, bit for bit.  On dG that two-grid cycle runs on the
+    auxiliary operator A = E^T J E, between a sweep on J, the restriction
+    by E^T, the prolongation by E and a second sweep on J."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method=method, epsilon=0.4)
-    make = Space.continuous if method == "nitsche" else Space.dg
-    coarse_space = make(red_refine(lshape))
-    space = make(red_refine(coarse_space.mesh))
+    coarse_space = Space.continuous(red_refine(lshape))
+    mesh = red_refine(coarse_space.mesh)
+    space = (Space.continuous if method == "nitsche" else Space.dg)(mesh)
+    aux_space = Space.continuous(mesh)
     rng = np.random.default_rng(7)
-    lu = spla.splu(NonlinearSystem(coarse_space, cfg, prob.g, prob.f)
+    coarse_cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    lu = spla.splu(NonlinearSystem(coarse_space, coarse_cfg, prob.g, prob.f)
                    .jacobian(rng.standard_normal(coarse_space.ndof)).tocsc())
     jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
         rng.standard_normal(space.ndof))
-    prolongation = prolongation_matrix(coarse_space, space)
-    smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)
+    prolongation = prolongation_matrix(coarse_space, aux_space)
     restriction = prolongation.T.tocsr()
+    smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)
+    if method == "dg":
+        embedding = solver._lifted_embedding(space)
+        aux = embedding[1] @ jac @ embedding[0]
+        aux_smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(aux,
+                                                                  aux_space)
+        own = [(jac, smooth) + embedding, (aux, aux_smooth)]
+    else:
+        aux, aux_smooth = jac, smooth
+        own = [(jac, smooth)]
 
     def two_grid(r):
-        x = smooth @ r
-        rc = componentwise(restriction, r - jac @ x)
+        x = aux_smooth @ r
+        rc = componentwise(restriction, r - aux @ x)
         x += componentwise(prolongation, lu.solve(rc))
+        return x + aux_smooth @ (r - aux @ x)
+
+    def reference(r):
+        if method != "dg":
+            return two_grid(r)
+        scalar = embedding_matrix(space)
+        x = smooth @ r
+        x += componentwise(scalar, two_grid(
+            componentwise(scalar.T.tocsr(), r - jac @ x)))
         return x + smooth @ (r - jac @ x)
 
-    cycle = solver._v_cycle(jac, smooth, CoarseLevel(lu, prolongation))
+    cycle = solver._v_cycle(own, CoarseLevel(lu, prolongation))
     for _ in range(3):
         r = rng.standard_normal(space.ndof)
-        assert np.array_equal(cycle(r), two_grid(r))
+        assert np.array_equal(cycle(r), reference(r))
+
+
+def test_auxiliary_operator_of_sipg_is_nitsche(lshape):
+    """For lambda = 1 the auxiliary operator of the dG gradient form,
+    E^T S_dG E, is the Nitsche gradient form on the same mesh: on
+    continuous functions the interior jump terms vanish and the boundary
+    terms agree.  Equal to rounding: an entry of either side sums at most
+    n local terms, so both lie within n eps times the sum of the terms'
+    magnitudes of the exact value."""
+    mesh = red_refine(red_refine(lshape))
+    dg, continuous = Space.dg(mesh), Space.continuous(mesh)
+    embed = embedding_matrix(dg)
+    s_dg = gradient_matrix(dg, MethodConfig(method="dg", epsilon=0.4))
+    nitsche = gradient_matrix(continuous,
+                              MethodConfig(method="nitsche", epsilon=0.4))
+    aux = embed.T @ s_dg @ embed
+    terms = (embed.T @ abs(s_dg).sign() @ embed).max()
+    magnitude = (embed.T @ abs(s_dg) @ embed + abs(nitsche)).toarray()
+    bound = 2 * terms * np.finfo(float).eps * magnitude
+    assert (np.abs((aux - nitsche).toarray()) <= bound).all()
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_auxiliary_operator_is_galerkin_product(lshape, lam):
+    """For lambda != 1 the dG boundary weight differs from Nitsche's, so the
+    auxiliary operator is no Nitsche operator; it is still the Galerkin
+    product E^T J E of the lifted embedding, to rounding (as above, n eps
+    times the sum of the magnitudes of at most n terms)."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="dg", epsilon=0.4, lam=lam)
+    space = Space.dg(red_refine(red_refine(lshape)))
+    jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
+        np.random.default_rng(5).standard_normal(space.ndof))
+    embedding = solver._lifted_embedding(space)
+    aux = solver._auxiliary_operator(jac, embedding)
+    lift = embedding[0].toarray()
+    exact = lift.T @ jac.toarray() @ lift
+    terms = (embedding[1] @ abs(jac).sign() @ embedding[0]).max()
+    magnitude = lift.T @ abs(jac).toarray() @ lift
+    bound = terms * np.finfo(float).eps * magnitude
+    assert aux.shape == (2 * space.mesh.n_vertices,) * 2
+    assert (np.abs(aux.toarray() - exact) <= bound).all()
 
 
 @pytest.mark.parametrize("method, refine, levels, target_ndof", [
@@ -655,6 +738,72 @@ def test_two_grid_fallback_refactors(lshape, monkeypatch):
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
     assert rep.jacobian is None and rep.smoother is None
+
+
+def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
+    """dG: with the factor of an unrelated matrix as coarse solve, the
+    auxiliary-space V-cycle GMRES fails on the first step; the step drops
+    the coarse factor and the intermediate level before it factors the dG
+    Jacobian, and the solve still reaches the Newton solution.  It keeps
+    no dG factor: it passes back the auxiliary operator E^T J E of its last
+    Jacobian for the caller to factor."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="dg", epsilon=0.4)
+    ncfg = NewtonConfig()
+    coarse_mesh = red_refine(lshape)
+    mid_mesh = red_refine(coarse_mesh)
+    mid_space = Space.dg(mid_mesh)
+    mid_sol, _ = newton_solve(mid_space, cfg, prob.g, prob.f,
+                              laplace_guess(mid_space, cfg, prob.g, prob.f),
+                              ncfg)
+    space = Space.dg(red_refine(mid_mesh))
+    guess = prolong(mid_sol, space)
+    coarse_aux, mid_aux, aux = (Space.continuous(m) for m in
+                                (coarse_mesh, mid_mesh, space.mesh))
+    rng = np.random.default_rng(2)
+    nc = coarse_aux.ndof
+    unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
+                 - sp.identity(nc)).tocsc()
+    mid_jac = solver._auxiliary_operator(
+        NonlinearSystem(mid_space, cfg, prob.g, prob.f).jacobian(
+            mid_sol.coeffs), solver._lifted_embedding(mid_space))
+    mid_jac_ref = weakref.ref(mid_jac)
+    mid_smoother = solver.SMOOTHER_OMEGA * solver._block_jacobi(mid_jac,
+                                                                mid_aux)
+    coarse = CoarseLevel(spla.splu(unrelated),
+                         prolongation_matrix(mid_aux, aux),
+                         [(prolongation_matrix(coarse_aux, mid_aux),
+                           mid_jac, mid_smoother)])
+    del mid_jac, mid_smoother
+
+    held = []   # at each factorization: factor, levels, intermediate J
+
+    class Watching(_CountingLinalg):
+        def splu(self, *args, **kwargs):
+            held.append((coarse.lu, coarse.levels, mid_jac_ref()))
+            return super().splu(*args, **kwargs)
+
+    counter = Watching()
+    monkeypatch.setattr(solver, "spla", counter)
+    gc.disable()
+    try:
+        sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
+                                coarse=coarse)
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
+                                            guess, ncfg.tol)
+
+    assert held == [(None, [], None)]
+    assert coarse.lu is None and coarse.levels == []
+    assert counter.factorizations == rep.factorizations == 1
+    assert rep.krylov_iterations[0] == 0
+    assert rep.failed_krylov_iterations[0] > 0
+    assert rep.iterations == ref_iterations
+    assert np.abs(sol.coeffs - ref).max() <= 1e-10
+    assert rep.factor is None and rep.smoother is None
+    assert rep.jacobian.shape == (aux.ndof, aux.ndof)
 
 
 @pytest.mark.parametrize("matrix, rhs", [
