@@ -159,21 +159,24 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     breakdown)``, for at most ``max_levels`` levels or until a level reaches
     ``target_ndof``; returns a list of LevelRecord.
 
-    Newton starts from the prolonged previous solution, on level 0 from
-    the director guess of ``state`` or else the Laplace guess.  The study
-    keeps one multilevel hierarchy on continuous P1, the auxiliary space of
-    both methods: the LU factor of the auxiliary operator of the last level
-    that built a factor (on dG, :func:`auxiliary_factor` builds it after
-    the solve), and above it, coarse to fine, the levels solved since then
-    whose auxiliary ndof is at least HIERARCHY_GROWTH times that of the
-    level below them in the hierarchy, each with its last auxiliary
-    operator and smoother.  Once a factor is kept, every level is solved by
-    V-cycle GMRES on the hierarchy, reached through the continuous
-    prolongation composed from its top level.  Level 0 solves without one,
-    and its factor becomes the kept one, as does the factor of a V-cycle
-    level that falls back to a factorization.  Problems with an exact
-    solution record its energy and L2 errors; the others record the norms
-    of the difference to the prolonged previous solution.
+    Newton starts from the prolonged previous solution, on level 0 from the
+    director guess of ``state`` or else the Laplace guess; once that guess
+    and the level's prolongations are built, nothing of the coarser level's
+    space (its geometry, pattern and solution) is held during the solve.
+    The study keeps one multilevel hierarchy on continuous P1, the
+    auxiliary space of both methods: the LU factor of the auxiliary
+    operator of the last level that built a factor (on dG,
+    :func:`auxiliary_factor` builds it after the solve), and above it,
+    coarse to fine, the levels solved since then whose auxiliary ndof is at
+    least HIERARCHY_GROWTH times that of the level below them in the
+    hierarchy, each with its last auxiliary operator and smoother.  Once a
+    factor is kept, every level is solved by V-cycle GMRES on the
+    hierarchy, reached through the continuous prolongation composed from
+    its top level.  Level 0 solves without one, and its factor becomes the
+    kept one, as does the factor of a V-cycle level that falls back to a
+    factorization.  Problems with an exact solution record its energy and L2
+    errors; the others record the norms of the difference to the prolonged
+    previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
     nonconvergence aborts with the completed level records attached to the
     raised :class:`NewtonError`.
@@ -198,6 +201,13 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         if previous is not None:
             step = prolongation_matrix(previous.space, space)
             guess = prolong(previous, space, step)
+            if factor is not None and aux_space is not space:
+                # the hierarchy's step on dG meshes
+                step = prolongation_matrix(auxiliary_space(previous.space),
+                                           aux_space)
+            # the coarser level's space, with its geometry and pattern, is
+            # released before this level is solved
+            previous = None
         elif state is not None:
             guess = director_guess(space, problem.epsilon, state)
         else:
@@ -206,9 +216,6 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         # the solve can release them before a fallback factorization
         coarse = None
         if factor is not None:
-            if aux_space is not space:   # the hierarchy's step on dG meshes
-                step = prolongation_matrix(auxiliary_space(previous.space),
-                                           aux_space)
             prolongation = step if prolongation is None else step @ prolongation
             coarse = CoarseLevel(factor, prolongation, levels)
         factor, levels = None, []
@@ -244,7 +251,7 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
                                                problem.g, cfg.method, cfg.sigma)
             rec.err_l2 = l2_error_norm(field, problem.exact)
             rec.c_eff = rec.estimator / rec.err_energy
-        elif previous is not None:
+        elif level > 0:
             diff = Field(space, field.coeffs - guess.coeffs)
             rec.err_energy = discrete_norm(diff, cfg.method, cfg.sigma)
             rec.err_l2 = l2_norm(diff)
@@ -259,7 +266,8 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         if last:
             break
         mesh = refine(mesh, breakdown)
-        previous = field
+        # of what refers to this level's space, only the solution is kept
+        previous, field, diff = field, None, None
     return records
 
 

@@ -25,7 +25,7 @@ from .exceptions import SpaceMismatchError
 from .fespace import (DG, Field, _error_blocks, boundary_misfit_sq, jump_sq,
                       space_kind, squared_norm)
 from .forms import MethodConfig
-from .quadrature import ERROR_DEGREE
+from .quadrature import ERROR_DEGREE, triangle_rule
 
 
 @dataclass
@@ -51,18 +51,18 @@ class EstimatorBreakdown:
 
 def _volume_term(psi: Field, cfg: MethodConfig, f):
     """Per-triangle volume term, its quadrature taken over blocks of
-    ERROR_BLOCK triangles, so the data and the residual at the points of
-    one block are live at a time."""
+    ERROR_BLOCK triangles, so the field values, the data and the residual
+    at the points of one block are live at a time."""
     geom = psi.space.geometry
-    lam, w, pts = geom.triangle_points(ERROR_DEGREE)
-    nodal = psi.element_values()
-    sq = np.empty(len(pts))
-    for blk in _error_blocks(len(pts)):
-        bp = pts[blk]
-        vals = np.matmul(lam, nodal[blk])
+    rule = triangle_rule(ERROR_DEGREE)
+    lam, w = rule.points, rule.weights
+    sq = np.empty(len(geom.area))
+    for blk in _error_blocks(len(sq)):
+        vals = psi.values_at(lam, blk)
         resid = (-2.0 / cfg.epsilon ** 2
                  * (squared_norm(vals) - 1.0)[..., None] * vals)
         if f is not None:
+            _, _, bp = geom.triangle_points(ERROR_DEGREE, blk)
             resid = np.asarray(f(bp.reshape(-1, 2)), dtype=float).reshape(
                 bp.shape[:2] + (2,)) + resid
         sq[blk] = (geom.area[blk, None] * w[None, :]

@@ -9,17 +9,22 @@ triangle, so neighbouring triangles carry independent copies.
 
 This module owns that layout: only :func:`gather`, :func:`scatter_add`,
 :func:`join`, :func:`componentwise`, :func:`block_diagonal`,
-:func:`coupled_matrix`, :func:`vertex_blocks` and
-:func:`vertex_block_matrix` index coefficients by component.
+:class:`CoupledLayout` (the CSR layout of the Newton Jacobian),
+:func:`vertex_blocks` and :func:`vertex_block_matrix` index coefficients
+by component.
 
 Quadrature values, gradients and edge traces are batched matrix products:
-the (Q, 3) barycentric points times the (T, 3, 2) nodal values of every
-triangle, and the transposed nodal values times the (T, 3, 2) basis
-gradients.
+the (Q, 3) barycentric points times the (k, 3, 2) nodal values of a block
+of triangles (or of all of them), and the transposed nodal values times
+the (T, 3, 2) basis gradients.  Physical quadrature points are not kept:
+only data evaluation needs them, and it computes them a block of
+ERROR_BLOCK triangles at a time (:func:`_error_blocks`), as do the error
+norms and the Newton step's kernels for their values, so the memory of a
+quadrature loop does not grow with the mesh.
 
-Spaces and quadrature caches are immutable and safe to share across
-threads; fields are value-like (a space reference plus a coefficient
-vector).
+Spaces, their geometry, patterns and layouts are immutable and safe to
+share across threads; fields are value-like (a space reference plus a
+coefficient vector).
 """
 
 from dataclasses import dataclass
@@ -121,10 +126,10 @@ class ElementPattern:
     ``indptr`` and ``indices`` are the sorted CSR pattern of every coupling
     ``(elem_dofs[t, a], elem_dofs[t, b])``, and ``slots[t, 3 a + b]`` is the
     position of that local entry in it (int32, 9 per triangle).  A sum of
-    local matrices is then one ``np.bincount`` into the pattern, with no
-    COO sort.  The matrices built on it share its index arrays, which are
-    read-only: none of them may be mutated in place (``eliminate_zeros``
-    raises).
+    local matrices is then one ``np.bincount`` into the pattern, or one
+    ``np.add.at`` per block of triangles, with no COO sort.  The matrices
+    built on it share its index arrays, which are read-only: none of them
+    may be mutated in place (``eliminate_zeros`` raises).
 
     ``pair_ids[t, k]`` numbers the dof pair of the local vertices ``(k, k +
     1 mod 3)``, alike in every triangle that has it, from 0 without gaps:
@@ -167,6 +172,13 @@ class ElementPattern:
         return np.bincount(self.slots[tris].ravel(), weights=local.ravel(),
                            minlength=len(self.indices))
 
+    def add(self, out: np.ndarray, local: np.ndarray, tris):
+        """Add the local matrices ``local`` of the triangles ``tris`` into
+        the entries ``out``.  Every entry sums in the order of the local
+        entries, as in :meth:`data`: adding the blocks of a partition of
+        the triangles in turn to zeros gives :meth:`data` bit for bit."""
+        np.add.at(out, self.slots[tris].ravel(), local.ravel())
+
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix with the entries ``data`` on the pattern."""
         out = sp.csr_matrix((data, self.indices, self.indptr),
@@ -180,7 +192,10 @@ class MeshGeometry:
 
     Normals on interior edges point from the lower-id adjacent triangle
     (the "plus" side of jumps) to the higher-id one; boundary normals point
-    outward.
+    outward.  ``loc[e, side, end]`` is the local index (int8, 0-2; -1 for
+    the missing side of a boundary edge) of edge ``e``'s endpoint ``end``
+    in its triangle on ``side``.  No quadrature data is cached: see
+    :meth:`triangle_points`.
     """
 
     def __init__(self, mesh: Mesh):
@@ -208,7 +223,7 @@ class MeshGeometry:
 
         # local index of each edge endpoint within the adjacent triangles
         tris = mesh.triangles
-        self.loc = np.full((mesh.n_edges, 2, 2), -1, dtype=np.int64)
+        self.loc = np.full((mesh.n_edges, 2, 2), -1, dtype=np.int8)
         for side in range(2):
             t = mesh.edge_tris[:, side]
             valid = t >= 0
@@ -217,16 +232,15 @@ class MeshGeometry:
                 v = mesh.edges[valid, end]
                 self.loc[valid, side, end] = np.argmax(tv == v[:, None], axis=1)
 
-        self._tri_rules = {}
-
-    def triangle_points(self, degree: int):
+    def triangle_points(self, degree: int, tris=slice(None)):
         """Quadrature data: barycentric weights ``lam`` (Q, 3), physical
-        points (T, Q, 2) and combined weights (Q,) to scale by area."""
-        if degree not in self._tri_rules:
-            rule = triangle_rule(degree)
-            pts = np.matmul(rule.points, self.mesh.vertices[self.mesh.triangles])
-            self._tri_rules[degree] = (rule.points, rule.weights, pts)
-        return self._tri_rules[degree]
+        points (k, Q, 2) of the triangles ``tris`` and combined weights (Q,)
+        to scale by area.  The points are computed on every call, for data
+        evaluation a block of triangles at a time."""
+        rule = triangle_rule(degree)
+        pts = np.matmul(rule.points,
+                        self.mesh.vertices[self.mesh.triangles[tris]])
+        return rule.points, rule.weights, pts
 
     def edge_points(self, edge_ids):
         """1D Gauss data on the given edges: hat values (Q, 2), physical
@@ -288,10 +302,105 @@ def block_diagonal(scalar: sp.csr_matrix) -> sp.csr_matrix:
         shape=(2 * m, 2 * n))
 
 
-def coupled_matrix(a11, a12, a22) -> sp.csr_matrix:
-    """CSR matrix [[a11, a12], [a12, a22]] of scalar blocks on the full
-    dofs."""
-    return sp.bmat([[a11, a12], [a12, a22]], format="csr")
+class CoupledLayout:
+    """The CSR layout of the matrices [[S + m11, m12], [m12, S + m22]] on
+    the full dofs, such as the Newton Jacobian, built once per system.
+
+    ``linear`` is the scalar CSR matrix S (sorted, no duplicate entry) and
+    the blocks m11, m12 and m22 lie on the :class:`ElementPattern`
+    ``pattern``, whose entries are S's entries at ``positions`` (an index
+    array, or ``slice(None)`` when both patterns are one).  Row i holds S's
+    row i, then the pattern's row i shifted by nscalar; row nscalar + i the
+    pattern's row i, then S's row i shifted.  ``indptr`` and ``indices``
+    are read-only and shared by the matrices built here.  Boolean masks
+    over the entries of the u rows and of the v rows say where S's entries,
+    the diagonal blocks' and the coupling block's go, each in its own
+    order, so :meth:`fill` is a few masked writes into one data array.
+    """
+
+    def __init__(self, linear: sp.csr_matrix, pattern: "ElementPattern",
+                 positions=slice(None)):
+        n = linear.shape[0]
+        s_len, p_len = np.diff(linear.indptr), np.diff(pattern.indptr)
+        self.shape = (2 * n, 2 * n)
+        self._linear_data = linear.data
+        # S's entries at the pattern's positions, to add to m11 and m22
+        self._linear_on_pattern = linear.data[positions]
+        # the u rows hold S's entries and then the pattern's, the v rows
+        # the pattern's and then S's
+        self._linear_u = np.repeat(np.tile([True, False], n),
+                                   np.stack([s_len, p_len], 1).ravel())
+        self._linear_v = np.repeat(np.tile([False, True], n),
+                                   np.stack([p_len, s_len], 1).ravel())
+        self._coupling_u, self._coupling_v = ~self._linear_u, ~self._linear_v
+        if isinstance(positions, slice):
+            self._block_u, self._block_v = self._linear_u, self._linear_v
+        else:
+            on_pattern = np.zeros(len(linear.data), dtype=bool)
+            on_pattern[positions] = True
+            self._block_u = np.zeros(len(self._linear_u), dtype=bool)
+            self._block_u[self._linear_u] = on_pattern
+            self._block_v = np.zeros(len(self._linear_v), dtype=bool)
+            self._block_v[self._linear_v] = on_pattern
+        half = len(self._linear_u)
+        self.indptr = np.zeros(2 * n + 1, dtype=np.int32)
+        np.cumsum(np.tile(s_len + p_len, 2), out=self.indptr[1:])
+        self.indices = np.empty(2 * half, dtype=np.int32)
+        u, v = self.indices[:half], self.indices[half:]
+        u[self._linear_u] = linear.indices
+        u[self._coupling_u] = pattern.indices + n
+        v[self._coupling_v] = pattern.indices
+        v[self._linear_v] = linear.indices + n
+        for arr in (self.indptr, self.indices):
+            arr.flags.writeable = False
+
+    def fill(self, m11, m12, m22) -> np.ndarray:
+        """The data, in layout order, of the matrix with the block entries
+        ``m11``, ``m12`` and ``m22`` (in pattern order).  ``m11`` and
+        ``m22`` are overwritten."""
+        data = np.empty(len(self.indices))
+        half = len(self._linear_u)
+        for out, linear_mask, block_mask, coupling_mask, block in (
+                (data[:half], self._linear_u, self._block_u, self._coupling_u,
+                 m11),
+                (data[half:], self._linear_v, self._block_v, self._coupling_v,
+                 m22)):
+            if block_mask is not linear_mask:
+                out[linear_mask] = self._linear_data
+            # m + S is S + m, bit for bit
+            block += self._linear_on_pattern
+            out[block_mask] = block
+            out[coupling_mask] = m12
+        return data
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix of the data :meth:`fill` made, with its zero entries
+        dropped.  With no zero entry it shares ``indices`` and ``indptr``;
+        else ``data`` is compacted in place, a block of rows at a time, and
+        shrunk, next to index arrays of the matrix's own, so no second
+        data array of its size is made."""
+        nnz = np.count_nonzero(data)
+        indices, indptr = self.indices, self.indptr
+        if nnz < len(data):
+            indices = np.empty(nnz, dtype=np.int32)
+            indptr = np.empty_like(self.indptr)
+            indptr[0] = end = 0
+            nrows = len(indptr) - 1
+            for rows in _error_blocks(nrows):
+                stop = min(rows.stop, nrows)
+                lo, hi = self.indptr[rows.start], self.indptr[stop]
+                keep = data[lo:hi] != 0
+                kept = np.concatenate([[0], np.cumsum(keep)])
+                indptr[rows.start + 1:stop + 1] = (
+                    end + kept[self.indptr[rows.start + 1:stop + 1] - lo])
+                # end <= lo: the block is read before it is overwritten
+                data[end:end + kept[-1]] = data[lo:hi][keep]
+                indices[end:end + kept[-1]] = self.indices[lo:hi][keep]
+                end += kept[-1]
+            data.resize(nnz, refcheck=False)
+        out = sp.csr_matrix((data, indices, indptr), shape=self.shape)
+        out.has_canonical_format = True
+        return out
 
 
 def vertex_blocks(matrix) -> np.ndarray:
@@ -338,14 +447,15 @@ class Field:
         if not np.all(np.isfinite(self.coeffs)):
             raise DataEvaluationError("field coefficients contain non-finite values")
 
-    def element_values(self):
-        """Nodal values per triangle, shape (T, 3, 2)."""
-        return gather(self.coeffs, self.space.elem_dofs)
+    def element_values(self, tris=slice(None)):
+        """Nodal values of the triangles ``tris`` (all by default), shape
+        (k, 3, 2)."""
+        return gather(self.coeffs, self.space.elem_dofs[tris])
 
-    def values_at(self, lam):
-        """Values at the barycentric points ``lam`` (Q, 3) of every
-        triangle, shape (T, Q, 2)."""
-        return np.matmul(lam, self.element_values())
+    def values_at(self, lam, tris=slice(None)):
+        """Values at the barycentric points ``lam`` (Q, 3) of the triangles
+        ``tris`` (all by default), shape (k, Q, 2)."""
+        return np.matmul(lam, self.element_values(tris))
 
     def gradients(self):
         """Constant gradient per triangle, shape (T, 2, 2) with axes
@@ -523,9 +633,9 @@ def discrete_norm(field: Field, method: str, sigma: float) -> float:
 
 def l2_norm(field: Field) -> float:
     geom = field.space.geometry
-    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = field.values_at(lam)
-    return float(np.sqrt((geom.area[:, None] * w[None, :]
+    rule = triangle_rule(ASSEMBLY_DEGREE)
+    vals = field.values_at(rule.points)
+    return float(np.sqrt((geom.area[:, None] * rule.weights[None, :]
                           * squared_norm(vals)).sum()))
 
 
@@ -535,16 +645,17 @@ def free_energy(field: Field, epsilon: float) -> float:
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     geom = field.space.geometry
-    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    well = (squared_norm(field.values_at(lam)) - 1.0) ** 2
-    bulk = (geom.area[:, None] * w[None, :] * well).sum()
+    rule = triangle_rule(ASSEMBLY_DEGREE)
+    well = (squared_norm(field.values_at(rule.points)) - 1.0) ** 2
+    bulk = (geom.area[:, None] * rule.weights[None, :] * well).sum()
     return float(broken_gradient_sq(field) + bulk / epsilon ** 2)
 
 
-# Triangles per block of the ERROR_DEGREE quadrature of the error norms and
-# of the estimator's volume term.  The data and its temporaries at the points
-# of a block take a few MB; over a whole fine mesh they took tens of MB and
-# set a study's peak memory.
+# Triangles per block of the quadrature loops: the ERROR_DEGREE quadrature of
+# the error norms and of the estimator's volume term, and the Newton step's
+# quartic and cubic kernels and source term.  The data and its temporaries at
+# the points of a block take a few MB; over a whole fine mesh they took tens
+# to hundreds of MB and set a study's peak memory.
 ERROR_BLOCK = 4096
 
 
@@ -562,11 +673,10 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
         raise ConfigError("penalty parameter sigma must be positive")
     kind = space_kind(method)
     geom = field.space.geometry
-    _, w, pts = geom.triangle_points(ERROR_DEGREE)
     grads = field.gradients()
     total = 0.0
-    for blk in _error_blocks(len(pts)):
-        bp = pts[blk]
+    for blk in _error_blocks(len(grads)):
+        _, w, bp = geom.triangle_points(ERROR_DEGREE, blk)
         eg = np.asarray(exact_grad(bp.reshape(-1, 2)), dtype=float).reshape(
             bp.shape[:2] + (2, 2))
         diff = eg - grads[blk, None, :, :]
@@ -585,13 +695,11 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
 
 def l2_error_norm(field: Field, exact) -> float:
     geom = field.space.geometry
-    lam, w, pts = geom.triangle_points(ERROR_DEGREE)
-    nodal = field.element_values()
     total = 0.0
-    for blk in _error_blocks(len(pts)):
-        bp = pts[blk]
+    for blk in _error_blocks(len(geom.area)):
+        lam, w, bp = geom.triangle_points(ERROR_DEGREE, blk)
         ev = np.asarray(exact(bp.reshape(-1, 2)), dtype=float).reshape(
             bp.shape[:2] + (2,))
-        diff = squared_norm(ev - np.matmul(lam, nodal[blk]))
+        diff = squared_norm(ev - field.values_at(lam, blk))
         total += (geom.area[blk, None] * w[None, :] * diff).sum()
     return float(np.sqrt(total))

@@ -12,26 +12,36 @@ Nitsche is the same form on the boundary edges only, with weight 1.  All
 matrices are scipy CSR and, but for the Newton Jacobian, scalar: only the
 cubic term couples the components, so the Jacobian is the one
 two-component matrix.  :mod:`nematicfem.fespace` owns the (u, v) layout
-of the vectors and of J (``scatter_add``, ``coupled_matrix``).
+of the vectors and of J (``scatter_add``, ``CoupledLayout``).
 
 Jump and average conventions: on an interior edge the triangle with the
 smaller id is the plus side, the edge normal points from plus to minus,
 and [w] = w_plus - w_minus; boundary edges use the single trace and an
 outward normal.
 
-Element and edge kernels are batched matrix products over all triangles
-(or edges) at once: quadrature sums are products with the barycentric
-point matrix, and the weighted masses of the quartic term are one product
-of the (T, Q) weights with the Q x 9 basis products.  Every matrix of
-local 3 x 3 blocks on a triangle's own dofs (the volume stiffness, the
-boundary-edge terms, the bulk mass and the three quartic blocks) is one
-``np.bincount`` of its (T, 9) local entries into the space's element
-pattern (:class:`nematicfem.fespace.ElementPattern`), built once per
-level: no COO sort per matrix, and no sort at all per Newton step.  Only
-the dG interior-edge block, whose couplings cross triangles, is a COO
-assembly, once per level.  Assembly is sequential and deterministic; a
-parallel implementation would only be reproducible up to floating-point
-summation order.
+Element and edge kernels are batched matrix products: quadrature sums
+are products with the barycentric point matrix, and the weighted masses
+of the quartic term are products of the (k, Q) weights with the Q x 9
+basis products.  Every matrix of local 3 x 3 blocks on a triangle's own
+dofs (the volume stiffness, the boundary-edge terms, the bulk mass and the
+three quartic blocks) is summed into the space's element pattern
+(:class:`nematicfem.fespace.ElementPattern`), built once per level: no
+COO sort per matrix, and no sort at all per Newton step.  Only the dG
+interior-edge block, whose couplings cross triangles, is a COO assembly,
+once per level.
+
+A Newton step's memory is J plus transients of one block of ERROR_BLOCK
+triangles.  The quartic and cubic kernels and the source term run over
+such blocks: the values (or the data) at the quadrature points of a
+block give its kernels and local entries, which are added into the
+quartic blocks' entries (``ElementPattern.add``) or the vector
+(``scatter_add``) before the next block; no array over all triangles and
+points is made.  Each entry is summed in the order of a whole-mesh pass,
+with the same per-triangle arithmetic, so J, the residual and the load
+are bitwise independent of the block size.  J's CSR layout is built once
+per :class:`NonlinearSystem`, and every J is one data array filled into
+it.  Assembly is sequential and deterministic; a parallel implementation
+would only be reproducible up to floating-point summation order.
 """
 
 from dataclasses import dataclass
@@ -40,9 +50,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ConfigError, SpaceMismatchError
-from .fespace import (DG, DG_METHOD, NITSCHE, Field, Space, componentwise,
-                      coupled_matrix, scatter_add, space_kind, squared_norm)
-from .quadrature import ASSEMBLY_DEGREE
+from .fespace import (DG, DG_METHOD, NITSCHE, CoupledLayout, Field, Space,
+                      _error_blocks, componentwise, scatter_add, space_kind,
+                      squared_norm)
+from .quadrature import ASSEMBLY_DEGREE, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,17 @@ def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
 # -- quartic coupling term -----------------------------------------------------
 
 
+def _product_blocks(n_triangles):
+    """The triangle blocks of ``_error_blocks``, with a lone last triangle
+    joined to the block before it: numpy computes a one-row matrix product
+    by BLAS gemv, whose sums round differently from gemm's, and a local
+    matrix must not depend on the block it was computed in."""
+    blocks = list(_error_blocks(n_triangles))
+    if len(blocks) > 1 and n_triangles - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, n_triangles)]
+    return blocks
+
+
 def quartic_linearization(wbar: Field, cfg: MethodConfig):
     """Scalar blocks (m11, m12, m22) of the frozen-coefficient bilinear form
 
@@ -174,40 +196,43 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig):
 
     i.e. the derivative of the cubic term at the state ``wbar``; the
     (v, u) block equals m12.  All three lie on the space's element
-    pattern, one ``np.bincount`` each."""
+    pattern.  ERROR_BLOCK triangles at a time, the values of ``wbar`` at
+    their quadrature points give the three kernels, whose local entries
+    are added into the three blocks' entries at once."""
     space = wbar.space
     geom, pattern = space.geometry, space.pattern
-    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = wbar.values_at(lam)                                   # (T, Q, 2)
-    w1, w2 = vals[..., 0], vals[..., 1]
-    norm2 = w1 ** 2 + w2 ** 2
-    scale = 2.0 / cfg.epsilon ** 2
-    k11 = scale * (norm2 + 2.0 * w1 * w1)
-    k12 = scale * (2.0 * w1 * w2)
-    k22 = scale * (norm2 + 2.0 * w2 * w2)
-
-    aw = geom.area[:, None] * w[None, :]
+    rule = triangle_rule(ASSEMBLY_DEGREE)
+    lam, w = rule.points, rule.weights
     basis_outer = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
-
-    def weighted_mass(kernel):
-        return pattern.matrix(pattern.data((aw * kernel) @ basis_outer))
-
-    return weighted_mass(k11), weighted_mass(k12), weighted_mass(k22)
+    scale = 2.0 / cfg.epsilon ** 2
+    blocks = [np.zeros(len(pattern.indices)) for _ in range(3)]
+    for blk in _product_blocks(len(geom.area)):
+        vals = wbar.values_at(lam, blk)                          # (k, Q, 2)
+        w1, w2 = vals[..., 0], vals[..., 1]
+        norm2 = w1 ** 2 + w2 ** 2
+        aw = geom.area[blk, None] * w[None, :]
+        kernels = (scale * (norm2 + 2.0 * w1 * w1), scale * (2.0 * w1 * w2),
+                   scale * (norm2 + 2.0 * w2 * w2))
+        for data, kernel in zip(blocks, kernels):
+            pattern.add(data, (aw * kernel) @ basis_outer, blk)
+    return tuple(pattern.matrix(data) for data in blocks)
 
 
 def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
     """Vector of (2/eps^2) integral of |psi|^2 (psi . phi_i) over all test
-    basis functions, the cubic part of the residual."""
+    basis functions, the cubic part of the residual, scattered ERROR_BLOCK
+    triangles at a time."""
     space = psi.space
     geom = space.geometry
-    lam, w, _ = geom.triangle_points(ASSEMBLY_DEGREE)
-    vals = psi.values_at(lam)
-    norm2 = squared_norm(vals)
+    rule = triangle_rule(ASSEMBLY_DEGREE)
+    lam, w = rule.points, rule.weights
     scale = 2.0 / cfg.epsilon ** 2
-    aw = geom.area[:, None] * w[None, :]
-    local = scale * (lam.T @ ((aw * norm2)[..., None] * vals))   # (T, 3, 2)
     out = np.zeros(space.ndof)
-    scatter_add(out, space.elem_dofs, local)
+    for blk in _error_blocks(len(geom.area)):
+        vals = psi.values_at(lam, blk)
+        aw = geom.area[blk, None] * w[None, :]
+        local = scale * (lam.T @ ((aw * squared_norm(vals))[..., None] * vals))
+        scatter_add(out, space.elem_dofs[blk], local)
     return out
 
 
@@ -242,13 +267,15 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
         scatter_add(out, dofs, cons + pen)
 
     if f is not None:
-        lam, w, pts = geom.triangle_points(ASSEMBLY_DEGREE)
-        nt, nq, _ = pts.shape
-        fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
-        if not np.isfinite(fv).all():
-            raise _nonfinite_error("source data", pts, fv)
-        aw = geom.area[:, None] * w[None, :]
-        scatter_add(out, space.elem_dofs, lam.T @ (aw[..., None] * fv))
+        # the source at the points of one block of triangles at a time
+        for blk in _error_blocks(len(geom.area)):
+            lam, w, pts = geom.triangle_points(ASSEMBLY_DEGREE, blk)
+            fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
+                pts.shape)
+            if not np.isfinite(fv).all():
+                raise _nonfinite_error("source data", pts, fv)
+            aw = geom.area[blk, None] * w[None, :]
+            scatter_add(out, space.elem_dofs[blk], lam.T @ (aw[..., None] * fv))
     return out
 
 
@@ -285,30 +312,18 @@ def _union_sum(matrix, pattern, data):
     return total, positions
 
 
-def _nonzero(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """``matrix`` without its zero entries, in arrays of their own size:
-    scipy's ``eliminate_zeros`` leaves views into the longer ones."""
-    zeros = np.flatnonzero(matrix.data == 0)
-    if not len(zeros):
-        return matrix
-    return sp.csr_matrix(
-        (np.delete(matrix.data, zeros), np.delete(matrix.indices, zeros),
-         matrix.indptr - np.searchsorted(zeros, matrix.indptr)),
-        shape=matrix.shape)
-
-
 class NonlinearSystem:
     """Cached operators for one discrete problem.
 
     The scalar gradient plus linear bulk matrix S and the load vector do
     not depend on the state, so they are assembled once.  For Nitsche S
     lies on the space's element pattern; for dG it lies on the union of
-    that pattern with the interior-edge couplings, and the element
-    pattern's positions in it are kept.  The Jacobian is built per Newton
-    step from the quartic linearization, whose blocks lie on the element
-    pattern: its diagonal blocks are S's entries plus m11 (or m22) at
-    those positions, its off-diagonal blocks m12 itself, so no step sorts
-    or merges a sparsity pattern.
+    that pattern with the interior-edge couplings.  The Jacobian's CSR
+    layout (:class:`nematicfem.fespace.CoupledLayout`) is built here too,
+    once: each Newton step computes the quartic linearization, whose blocks
+    lie on the element pattern, a block of triangles at a time, and fills
+    S and those blocks into one data array of that layout, so no step sorts
+    or merges a sparsity pattern or builds a second matrix of J's size.
     """
 
     def __init__(self, space: Space, cfg: MethodConfig, g, f=None):
@@ -317,11 +332,13 @@ class NonlinearSystem:
         gradient = gradient_matrix(space, cfg)
         bulk = bulk_linear_matrix(space, cfg).data
         if space.kind == DG:
-            self.linear_part, self._element_positions = _union_sum(
-                gradient, space.pattern, bulk)
+            self.linear_part, positions = _union_sum(gradient, space.pattern,
+                                                     bulk)
         else:
             self.linear_part = space.pattern.matrix(gradient.data + bulk)
-            self._element_positions = slice(None)
+            positions = slice(None)
+        self._layout = CoupledLayout(self.linear_part, space.pattern,
+                                     positions)
         self.load = load_vector(space, cfg, g, f)
 
     def residual(self, coeffs: np.ndarray) -> np.ndarray:
@@ -330,15 +347,10 @@ class NonlinearSystem:
                 + cubic_term_vector(psi, self.cfg) - self.load)
 
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
-        m11, m12, m22 = quartic_linearization(Field(self.space, coeffs),
-                                              self.cfg)
-        linear = self.linear_part
-
-        def diagonal(block):
-            data = linear.data.copy()
-            data[self._element_positions] += block.data
-            return sp.csr_matrix((data, linear.indices, linear.indptr),
-                                 shape=linear.shape)
-
-        # J keeps only its nonzero entries, the zeros of m12 included
-        return _nonzero(coupled_matrix(diagonal(m11), m12, diagonal(m22)))
+        """J at ``coeffs``, with only its nonzero entries (the zeros of m12
+        included)."""
+        # the quartic blocks are released once they are filled in
+        data = self._layout.fill(*(block.data for block in
+                                   quartic_linearization(
+                                       Field(self.space, coeffs), self.cfg)))
+        return self._layout.matrix(data)

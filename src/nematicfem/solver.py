@@ -57,6 +57,13 @@ decides which levels are solved this way.
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
 
+A step holds one Jacobian: the last step's J, and the smoothers and
+auxiliary operator built from it, are released before the next J is
+assembled, so a step's memory is J, the system's set-up and the kept
+factor or hierarchy, plus the block-sized transients of the assembly
+(see :mod:`nematicfem.forms`).  The report records the process's peak
+resident set after every step.
+
 A single solve is sequential over iterations; independent solves (e.g. a
 level sweep) can run concurrently since spaces, configs and data are
 immutable.
@@ -64,6 +71,11 @@ immutable.
 
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
+
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,7 +136,12 @@ class NewtonReport:
     level: on continuous P1 its last LU factor as ``factor``; on dG, whose
     own factor is of no use to the hierarchy, the A of its last step as
     ``jacobian`` (no smoother), for :func:`auxiliary_factor`.  All three
-    are None in the report of a :class:`NewtonError`."""
+    are None in the report of a :class:`NewtonError`.
+
+    ``peak_rss_mb`` is the process's peak resident set (``ru_maxrss``, in
+    MB) after every step, NaN where the platform has no ``resource``
+    module.  Like the Krylov counts it is a record of the run, not of its
+    numbers: it goes into no output file."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
@@ -132,6 +149,7 @@ class NewtonReport:
     factorizations: int = 0
     krylov_iterations: list = dataclass_field(default_factory=list)
     failed_krylov_iterations: list = dataclass_field(default_factory=list)
+    peak_rss_mb: list = dataclass_field(default_factory=list, compare=False)
     factor: object = dataclass_field(default=None, repr=False, compare=False)
     jacobian: object = dataclass_field(default=None, repr=False,
                                        compare=False)
@@ -168,6 +186,14 @@ class CoarseLevel:
     def drop(self):
         """Release the factor, the levels and their transfers."""
         self.lu, self.levels, self.transfers = None, [], []
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (``ru_maxrss`` is in
+    KB on Linux)."""
+    if resource is None:
+        return float("nan")
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _factor(matrix):
@@ -384,8 +410,9 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     report = NewtonReport()
     lu, prev_res = None, None
     for _ in range(ncfg.max_iter):
-        # released before this step's Jacobian is built
-        own = aux = smoother = None
+        # the last step's Jacobian and its smoothers are released before
+        # this step's Jacobian is built
+        jac = own = aux = smoother = None
         jac = system.jacobian(coeffs)
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
@@ -424,6 +451,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         inc = discrete_norm(Field(space, delta), cfg.method, cfg.sigma)
         report.iterations += 1
         report.increments.append(inc)
+        report.peak_rss_mb.append(_peak_rss_mb())
         if inc <= ncfg.tol:
             report.converged = True
             if smoother is not None:   # the last step ran the V-cycle

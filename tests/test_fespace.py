@@ -1,4 +1,7 @@
-"""Spaces, fields, interpolation, prolongation and norms."""
+"""Spaces, fields, interpolation, prolongation, norms and the coupled
+layout of the Newton Jacobian."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from conftest import constant_fn, linear_fn, random_field
 from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
 from nematicfem import fespace
-from nematicfem.fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
+from nematicfem.fespace import (CONTINUOUS, DG, CoupledLayout, Field, Space,
+                                discrete_norm,
                                 embed_continuous, energy_error_norm,
                                 free_energy, interpolate, l2_error_norm,
                                 l2_norm, prolong, prolongation_matrix)
-from nematicfem.mesh import nvb_refine, red_refine
+from nematicfem.forms import MethodConfig, NonlinearSystem, quartic_linearization
+from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
                                  slit_problem, trapezoid_profile)
 
@@ -268,3 +273,39 @@ def test_free_energy_zero_field(unit_square):
     assert free_energy(field, 0.5) == pytest.approx(4.0)
     with pytest.raises(ConfigError):
         free_energy(field, 0.0)
+
+
+def test_coupled_layout_drops_zeros_in_place():
+    """A matrix with zero entries (m12 = 0 at a state with v = 0) drops
+    them without a second data array: filling the layout and making the
+    matrix allocate the layout-sized data, the matrix's own index arrays
+    and, per block of ERROR_BLOCK rows, a mask, its running count and the
+    kept entries, each at most 8 bytes per entry of the block."""
+    problem = device_problem(0.02)
+    mesh = build_initial_mesh(problem.shape)
+    for _ in range(7):
+        mesh = red_refine(mesh)
+    space = Space.continuous(mesh)
+    cfg = MethodConfig(method="nitsche", epsilon=0.02)
+    system = NonlinearSystem(space, cfg, problem.g)
+    layout = CoupledLayout(system.linear_part, space.pattern)
+    coeffs = random_field(space, seed=2).coeffs
+    coeffs[space.nscalar:] = 0.0
+    blocks = [m.data for m in quartic_linearization(Field(space, coeffs),
+                                                     cfg)]
+    assert space.ndof >= 2 * fespace.ERROR_BLOCK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        jac = layout.matrix(layout.fill(*blocks))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert jac.nnz < len(layout.indices)
+    reference = system.jacobian(coeffs)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(jac, name), getattr(reference, name))
+    longest = int(np.diff(layout.indptr).max())
+    block = 4 * 8 * fespace.ERROR_BLOCK * longest
+    assert peak <= (8 * len(layout.indices) + jac.indices.nbytes
+                    + jac.indptr.nbytes + block)

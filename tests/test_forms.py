@@ -1,10 +1,14 @@
-"""Assembled operators: values, symmetry, coercivity, derivative checks."""
+"""Assembled operators: values, symmetry, coercivity, derivative checks,
+and the memory one Newton step's operators take."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import constant_fn, random_field
+from nematicfem import fespace
 from nematicfem.exceptions import ConfigError, SpaceMismatchError
 from nematicfem.fespace import (Field, Space, componentwise, embed_continuous,
                                 interpolate)
@@ -12,8 +16,9 @@ from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
                               gradient_matrix, load_vector,
                               quartic_linearization, _volume_stiffness)
-from nematicfem.mesh import red_refine
-from nematicfem.problems import lshape_problem
+from nematicfem.mesh import build_initial_mesh, red_refine
+from nematicfem.problems import device_problem, lshape_problem
+from nematicfem.quadrature import ASSEMBLY_DEGREE, triangle_rule
 
 
 def nitsche_cfg(epsilon=1.0, sigma=10.0):
@@ -289,3 +294,54 @@ def test_consistency_residual_of_interpolant_decays(lshape):
         mesh = red_refine(mesh)
     assert norms[1] < norms[0]
     assert norms[2] < norms[1]
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method, refinements", [("nitsche", 7), ("dg", 6)])
+def test_newton_step_memory_is_bounded(method, refinements):
+    """The quartic linearization, one Jacobian and one residual on a
+    device mesh of several blocks of ERROR_BLOCK triangles stay within
+    what their design holds at once.  The linearization: the data of its
+    three blocks on the element pattern and per-block temporaries.  J: its
+    own arrays, those three blocks' data and per-block temporaries (the
+    blocks are released before J drops its zeros, and J has its own
+    index arrays only then).  The residual: four coefficient
+    vectors (the linear part's product and its transposed copy, the cubic
+    term and a sum) and per-block temporaries.  A block's temporaries are
+    the values at its quadrature points and a few arrays of that size or
+    half of it, the kernels and the local entries: eight (ERROR_BLOCK, Q,
+    2) arrays of doubles bound them."""
+    problem = device_problem(0.02)
+    mesh = build_initial_mesh(problem.shape)
+    for _ in range(refinements):
+        mesh = red_refine(mesh)
+    assert mesh.n_triangles >= 2 * fespace.ERROR_BLOCK
+    make = Space.continuous if method == "nitsche" else Space.dg
+    space = make(mesh)
+    system = NonlinearSystem(space, MethodConfig(method=method, epsilon=0.02),
+                             problem.g, problem.f)
+    coeffs = random_field(space, seed=1).coeffs
+    nq = len(triangle_rule(ASSEMBLY_DEGREE).weights)
+    block = 8 * fespace.ERROR_BLOCK * nq * 2 * 8
+
+    blocks = 3 * 8 * len(space.pattern.indices)
+    _, peak = _traced_peak(lambda: quartic_linearization(
+        Field(space, coeffs), system.cfg))
+    assert peak <= blocks + block
+
+    jac, peak = _traced_peak(lambda: system.jacobian(coeffs))
+    own = jac.data.nbytes + jac.indices.nbytes + jac.indptr.nbytes
+    assert peak <= own + blocks + block
+
+    _, peak = _traced_peak(lambda: system.residual(coeffs))
+    assert peak <= 4 * 8 * space.ndof + block

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse._coo
 
 from conftest import random_field
-from nematicfem import forms
+from nematicfem import fespace, forms
 from nematicfem.estimator import _gradient_jump_sq
 from nematicfem.fespace import (DG, Field, Space, _edge_trace_values,
                                 boundary_misfit_sq, broken_gradient_sq,
@@ -339,6 +339,30 @@ def test_system_matches_system_size_reference(case, state):
     for arr in (jac.data, jac.indices):
         assert arr.base is None or arr.base.nbytes == arr.nbytes
     assert np.array_equal(system.residual(coeffs), residual)
+
+
+@pytest.mark.parametrize("state", ["random", "v-free"])
+def test_system_does_not_depend_on_block_size(case, state, monkeypatch):
+    """The quartic and cubic kernels and the source term run over blocks of
+    ERROR_BLOCK triangles, and J drops its zeros over blocks of as many
+    rows.  Blocks of 7 and blocks of all triangles but one (the last
+    block a lone triangle) give the one-block Jacobian and residual bit
+    for bit."""
+    space, psi, cfg = case
+    problem = lshape_problem(EPSILON)
+    coeffs = psi.coeffs.copy()
+    if state == "v-free":
+        coeffs[space.nscalar:] = 0.0
+    n = space.mesh.n_triangles
+    assert space.ndof < fespace.ERROR_BLOCK
+    whole = NonlinearSystem(space, cfg, problem.g, problem.f)
+    jacobian, residual = whole.jacobian(coeffs), whole.residual(coeffs)
+    for block in (7, n - 1):
+        monkeypatch.setattr(fespace, "ERROR_BLOCK", block)
+        system = NonlinearSystem(space, cfg, problem.g, problem.f)
+        _same_csr(system.jacobian(coeffs), jacobian)
+        assert np.array_equal(system.residual(coeffs), residual)
+        monkeypatch.undo()
 
 
 def test_component_sums_keep_numpy_order(case):

@@ -679,6 +679,75 @@ def test_solve_levels_releases_every_jacobian(monkeypatch, method, refine,
     assert alive == 0
 
 
+@pytest.mark.parametrize("method", ["nitsche", "dg"])
+def test_newton_releases_previous_jacobian(monkeypatch, method):
+    """Without the cyclic garbage collector, the Jacobian of every Newton
+    step is freed by the time the next step starts building its own: at
+    the entry of every later ``jacobian`` call of the same system, on the
+    factored level 0 and on the V-cycle levels above it."""
+    real = NonlinearSystem.jacobian
+    alive, earlier_calls = [], []
+
+    def recording(self, coeffs):
+        built = self.__dict__.setdefault("built", [])
+        earlier_calls.append(len(built))
+        alive.append(sum(ref() is not None for ref in built))
+        jac = real(self, coeffs)
+        built.append(weakref.ref(jac))
+        return jac
+
+    monkeypatch.setattr(NonlinearSystem, "jacobian", recording)
+    gc.disable()
+    try:
+        _study(method, "uniform", 3)
+    finally:
+        gc.enable()
+    assert max(earlier_calls) >= 2
+    assert alive == [0] * len(alive)
+
+
+def test_newton_report_records_peak_rss(lshape):
+    """The report holds the process's peak RSS after every step, also when
+    the solve raises; it never decreases."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    space = Space.continuous(red_refine(lshape))
+    guess = laplace_guess(space, cfg, prob.g, prob.f)
+    _, report = newton_solve(space, cfg, prob.g, prob.f, guess)
+    with pytest.raises(NewtonError) as err:
+        newton_solve(space, cfg, prob.g, prob.f, guess,
+                     NewtonConfig(tol=1e-13, max_iter=2))
+    for rep in (report, err.value.report):
+        peaks = rep.peak_rss_mb
+        assert len(peaks) == rep.iterations
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+
+
+@pytest.mark.parametrize("method, refine, levels", [
+    ("nitsche", "uniform", 3), ("dg", "uniform", 3),
+    ("nitsche", "adaptive", 4)])
+def test_solve_levels_releases_coarser_space(monkeypatch, method, refine,
+                                             levels):
+    """Without the cyclic garbage collector, no coarser level's space (with
+    its geometry and pattern) is alive while a level is solved: the study
+    keeps only the prolonged guess and the hierarchy's matrices."""
+    real = adapt.newton_solve
+    spaces, alive = [], []
+
+    def recording(space, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in spaces))
+        spaces.append(weakref.ref(space))
+        return real(space, *args, **kwargs)
+
+    monkeypatch.setattr(adapt, "newton_solve", recording)
+    gc.disable()
+    try:
+        _study(method, refine, levels)
+    finally:
+        gc.enable()
+    assert alive == [0] * levels
+
+
 def test_two_grid_fallback_refactors(lshape, monkeypatch):
     """With the factor of an unrelated matrix as coarse solve, V-cycle
     GMRES fails on the first step; the step drops the coarse factor and
