@@ -25,17 +25,8 @@ from .fespace import (Field, Space, auxiliary_space, discrete_norm,
 from .forms import MethodConfig
 from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
-from .solver import (CoarseLevel, NewtonConfig, auxiliary_factor,
-                     director_guess, laplace_guess, newton_solve)
-
-# A level solved by V-cycle joins the hierarchy, as its new top level, when
-# the ndof of its auxiliary space (continuous P1 on its mesh) is at least
-# this multiple of the top level's; the levels in between are reached
-# through the composed prolongation.  Red refinement grows ndof about 4x
-# per level, so every level of a uniform study joins, and the cycle never
-# jumps more than one uniform level; an adaptive study (about 1.2x per
-# level) keeps one level in every five or six.
-HIERARCHY_GROWTH = 3
+from .solver import (Hierarchy, NewtonConfig, director_guess, laplace_guess,
+                     newton_solve)
 
 # glibc's malloc_trim; None under other C libraries
 try:
@@ -164,17 +155,13 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     and the level's prolongations are built, nothing of the coarser level's
     space (its geometry, pattern and solution) is held during the solve.
     The study keeps one multilevel hierarchy on continuous P1, the
-    auxiliary space of both methods: the LU factor of the auxiliary
-    operator of the last level that built a factor (on dG,
-    :func:`auxiliary_factor` builds it after the solve), and above it,
-    coarse to fine, the levels solved since then whose auxiliary ndof is at
-    least HIERARCHY_GROWTH times that of the level below them in the
-    hierarchy, each with its last auxiliary operator and smoother.  Once a
-    factor is kept, every level is solved by V-cycle GMRES on the
-    hierarchy, reached through the continuous prolongation composed from
-    its top level.  Level 0 solves without one, and its factor becomes the
-    kept one, as does the factor of a V-cycle level that falls back to a
-    factorization.  Problems with an exact solution record its energy and L2
+    auxiliary space of both methods (:class:`Hierarchy`): each solve
+    updates it, and each move to a finer level refines it by the continuous
+    prolongation; the last level drops it.  Level 0 solves without a
+    factor to cycle on, and its factor becomes the hierarchy's coarsest
+    level, as does the factor of a V-cycle level that falls back to a
+    factorization; every other level is solved by V-cycle GMRES on the
+    hierarchy.  Problems with an exact solution record its energy and L2
     errors; the others record the norms of the difference to the prolonged
     previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
@@ -184,10 +171,9 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     kind = space_kind(cfg.method)
     records = []
     previous = None
-    factor = None        # the kept LU factor, the hierarchy's coarsest level
-    levels = []          # its intermediate levels, coarse to fine
-    top_ndof = 0         # the ndof of its top level
-    prolongation = None  # scalar P from it to the last auxiliary space
+    # the only holder of the hierarchy's factor and levels, so a solve can
+    # release them before a fallback factorization
+    hierarchy = Hierarchy()
     for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
@@ -197,48 +183,31 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         aux_space = auxiliary_space(space)
         last = level == max_levels - 1 or (target_ndof is not None
                                            and space.ndof >= target_ndof)
-        step = None
         if previous is not None:
             step = prolongation_matrix(previous.space, space)
             guess = prolong(previous, space, step)
-            if factor is not None and aux_space is not space:
-                # the hierarchy's step on dG meshes
+            if aux_space is not space:   # the hierarchy's step on dG meshes
                 step = prolongation_matrix(auxiliary_space(previous.space),
                                            aux_space)
             # the coarser level's space, with its geometry and pattern, is
-            # released before this level is solved
+            # released before this level is solved and before the
+            # hierarchy builds its factor and transfers
             previous = None
+            hierarchy.refine(step)
         elif state is not None:
             guess = director_guess(space, problem.epsilon, state)
         else:
             guess = laplace_guess(space, cfg, problem.g, problem.f)
-        # the holder is the only reference to the factor and the levels, so
-        # the solve can release them before a fallback factorization
-        coarse = None
-        if factor is not None:
-            prolongation = step if prolongation is None else step @ prolongation
-            coarse = CoarseLevel(factor, prolongation, levels)
-        factor, levels = None, []
         try:
             # looked up as this module's global on every call: the benchmark
             # rebinds ``adapt.newton_solve`` to capture each level's solution
             field, report = newton_solve(space, cfg, problem.g, problem.f,
-                                         guess, ncfg, coarse=coarse)
+                                         guess, ncfg, hierarchy=hierarchy)
         except NewtonError as exc:
             exc.level_records = records
             raise
-        if not last:
-            if report.smoother is None:   # the hierarchy restarts here
-                factor, top_ndof = auxiliary_factor(report), aux_space.ndof
-                prolongation = None
-            else:   # solved by V-cycle: the hierarchy stays
-                factor, levels = coarse.lu, coarse.levels
-                if aux_space.ndof >= HIERARCHY_GROWTH * top_ndof:
-                    levels.append((prolongation, report.jacobian,
-                                   report.smoother))
-                    top_ndof, prolongation = aux_space.ndof, None
-        coarse = None
-        report.factor = report.jacobian = report.smoother = None
+        if last:
+            hierarchy = None
         _release_free_heap()
 
         breakdown = estimate(field, cfg, problem.g, problem.f)

@@ -216,7 +216,7 @@ class MeshGeometry:
         normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                       + mesh.vertices[mesh.edges[:, 1]])
-        cent_plus = mesh.vertices[mesh.triangles[mesh.edge_tris[:, 0]]].mean(axis=1)
+        cent_plus = p.mean(axis=1)[mesh.edge_tris[:, 0]]
         flip = ((mids - cent_plus) * normal).sum(axis=1) < 0
         normal[flip] *= -1
         self.edge_normal = normal

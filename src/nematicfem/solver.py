@@ -23,36 +23,33 @@ the Newton step, so the iterates match a solve that factors at every step
 up to the GMRES tolerance.
 
 A V-cycle solve builds no factor.  Given the multilevel hierarchy that a
-study on nested meshes has kept from its coarser levels
-(:class:`CoarseLevel`: the kept factor of the coarsest level, the kept
-intermediate levels and the prolongation into the solve's auxiliary space),
-every step runs GMRES preconditioned by a V-cycle on the current Jacobian
-J, the first step to KRYLOV_RTOL_FLOOR and the later ones to the
-Eisenstat-Walker tolerance.  The hierarchy always lives on continuous P1.
-The auxiliary space of a solve is continuous P1 on its mesh, reached by
-the scalar embedding E (the identity on continuous P1), and its auxiliary
-operator is the Galerkin product A = E^T J E.  A dG solve is thereby the
-auxiliary-space preconditioner (Xu, Computing 56, 1996; Dobrev, Lazarov,
-Vassilevski & Zikatanov, NLAA 13, 2006): a sweep on J, the restriction by
-E^T, the continuous cycle on A, the prolongation by E and a second sweep.
-The cycle smooths down from J through A and the intermediate levels,
-restricting the residual by P^T, solves with the kept factor, then
-prolongs the correction and smooths back up; every smoothing is a damped
-block-Jacobi sweep (damping SMOOTHER_OMEGA; one block per dG triangle or
-per continuous vertex, both components, the vertex blocks inverted in
-closed form) and every transfer is the scalar P or E on each component.
-With no intermediate level this is the two-grid cycle on A: a sweep, the
-coarse correction P lu_c^{-1} P^T r and a second sweep.  The transfers are
-the two-component lifts diag(P, P) and diag(P^T, P^T), built once per
-hierarchy (those of E once per solve), so a transfer is one sparse product
-on the flat coefficient vector.  Point Jacobi is too weak a smoother for
-dG; element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95
-(2003).  When that GMRES fails, the step drops the hierarchy and takes the
-refactor path above, which the solve then keeps.  A solve hands the
-hierarchy its auxiliary operator: the factor of A when it ended on a
-factor (built by :func:`auxiliary_factor` on dG), else A with its
-smoother.  :func:`nematicfem.adapt.solve_levels` builds the hierarchy and
-decides which levels are solved this way.
+study on nested meshes keeps from its coarser levels (:class:`Hierarchy`:
+the factor of the coarsest level, the kept levels above it and the
+prolongation into the solve's auxiliary space), every step runs GMRES
+preconditioned by a V-cycle on the current Jacobian J, the first step to
+KRYLOV_RTOL_FLOOR and the later ones to the Eisenstat-Walker tolerance.
+The hierarchy always lives on continuous P1.  The auxiliary space of a
+solve is continuous P1 on its mesh, reached by the scalar embedding E (the
+identity on continuous P1), and its auxiliary operator is the Galerkin
+product A = E^T J E.  A dG solve is thereby the auxiliary-space
+preconditioner (Xu, Computing 56, 1996; Dobrev, Lazarov, Vassilevski &
+Zikatanov, NLAA 13, 2006): a sweep on J, the restriction by E^T, the
+continuous cycle on A, the prolongation by E and a second sweep.  The
+cycle smooths down from J through A and the kept levels, restricting the
+residual by P^T, solves with the kept factor, then prolongs the correction
+and smooths back up; every smoothing is a damped block-Jacobi sweep
+(damping SMOOTHER_OMEGA; one block per dG triangle or per continuous
+vertex, both components, the vertex blocks inverted in closed form) and
+every transfer is the scalar P or E on each component.  With no kept level
+above the factor this is the two-grid cycle on A: a sweep, the coarse
+correction P lu_c^{-1} P^T r and a second sweep.  The transfers are the
+two-component lifts diag(P, P) and diag(P^T, P^T), built once per level
+(those of E once per solve), so a transfer is one sparse product on the
+flat coefficient vector.  Point Jacobi is too weak a smoother for dG;
+element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).
+When that GMRES fails, the step drops the hierarchy and takes the refactor
+path above, which the solve then keeps.  The solve updates the hierarchy
+in place, and :func:`nematicfem.adapt.solve_levels` keeps one per study.
 
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
@@ -118,6 +115,14 @@ KRYLOV_RTOL_FLOOR = 1e-10
 KRYLOV_RTOL_CAP = 1e-4
 # damping of the block-Jacobi sweeps of the V-cycle
 SMOOTHER_OMEGA = 0.8
+# A level solved by V-cycle joins the hierarchy, as its new top level, when
+# the ndof of its auxiliary space (continuous P1 on its mesh) is at least
+# this multiple of the top level's; the levels in between are reached
+# through the composed prolongation.  Red refinement grows ndof about 4x
+# per level, so every level of a uniform study joins, and the cycle never
+# jumps more than one uniform level; an adaptive study (about 1.2x per
+# level) keeps one level in every five or six.
+HIERARCHY_GROWTH = 3
 
 
 @dataclass
@@ -127,16 +132,6 @@ class NewtonReport:
     GMRES iterations of every step (0 for a step solved with a fresh
     factor) and those of every step's failed GMRES attempt (0 for a step
     without one).
-
-    The other fields pass back the solve's auxiliary operator A = E^T J E
-    (J itself on continuous P1) for the caller to keep as a level of later
-    V-cycles.  A solve whose last step ran V-cycle GMRES passes back that
-    step's A and its smoother as ``jacobian`` and ``smoother``, an
-    intermediate level.  A solve that ended on a factor leaves the coarsest
-    level: on continuous P1 its last LU factor as ``factor``; on dG, whose
-    own factor is of no use to the hierarchy, the A of its last step as
-    ``jacobian`` (no smoother), for :func:`auxiliary_factor`.  All three
-    are None in the report of a :class:`NewtonError`.
 
     ``peak_rss_mb`` is the process's peak resident set (``ru_maxrss``, in
     MB) after every step, NaN where the platform has no ``resource``
@@ -150,42 +145,6 @@ class NewtonReport:
     krylov_iterations: list = dataclass_field(default_factory=list)
     failed_krylov_iterations: list = dataclass_field(default_factory=list)
     peak_rss_mb: list = dataclass_field(default_factory=list, compare=False)
-    factor: object = dataclass_field(default=None, repr=False, compare=False)
-    jacobian: object = dataclass_field(default=None, repr=False,
-                                       compare=False)
-    smoother: object = dataclass_field(default=None, repr=False,
-                                       compare=False)
-
-
-@dataclass
-class CoarseLevel:
-    """The hierarchy of a V-cycle solve, kept from coarser levels of the
-    same study, all on continuous P1: ``lu``, the LU factor of the coarsest
-    level's auxiliary operator; ``levels``, the kept intermediate levels
-    from coarse to fine as (prolongation from the level below, auxiliary
-    operator, damped block-Jacobi smoother); and ``prolongation``, the
-    scalar prolongation from the top level's space (the last intermediate
-    level's, else the factor's) to the solve's auxiliary space, composed
-    over the levels between them.  The cycle's transfers, the
-    two-component lifts of every P and P^T (``transfers``, coarse to fine,
-    one pair per level above the factor), are built once, here; the lift of
-    P shares the arrays of the lift of P^T.  The solve drops the factor and
-    the levels when it falls back to a factorization, so they are released
-    when this holder is their only reference."""
-    lu: object
-    prolongation: sp.csr_matrix
-    levels: list = dataclass_field(default_factory=list)
-
-    def __post_init__(self):
-        scalars = [p for p, _, _ in self.levels] + [self.prolongation]
-        restrictions = [block_diagonal(p.T.tocsr()) for p in scalars]
-        # the lift of P is the transpose view of the lift of P^T (a CSC
-        # product), so each level keeps one copy of its transfer's arrays
-        self.transfers = [(r.T, r) for r in restrictions]
-
-    def drop(self):
-        """Release the factor, the levels and their transfers."""
-        self.lu, self.levels, self.transfers = None, [], []
 
 
 def _peak_rss_mb() -> float:
@@ -218,17 +177,6 @@ def _factor_solve(matrix, rhs):
         raise LinearSolveError("sparse direct solve produced non-finite values "
                                "(singular linear system)")
     return lu, out
-
-
-def auxiliary_factor(report: NewtonReport):
-    """The LU factor that a solve which ended on a factor (``smoother`` is
-    None) leaves for the coarsest level of later V-cycles: the factor of
-    its auxiliary operator.  On continuous P1, where E = I, that is the
-    solve's own factor; on dG it is built here from the auxiliary operator
-    E^T J E of the last Jacobian, which the report passes back as
-    ``jacobian``.  Raises :class:`LinearSolveError` where SuperLU fails."""
-    return report.factor if report.jacobian is None else _factor(
-        report.jacobian)
 
 
 def _krylov_solve(matrix, rhs, precond, rtol):
@@ -293,44 +241,98 @@ def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
                          shape=matrix.shape)
 
 
-def _v_cycle(own, coarse: CoarseLevel):
-    """V-cycle over the solve's own levels ``own`` and then the hierarchy
-    ``coarse``: from the finest level down, a sweep and the restriction of
-    its residual per component; the factor's solve; from the coarsest level
-    up, the prolonged correction per component and a second sweep.
-    ``own`` runs fine to coarse as (matrix, smoother, lifted prolongation
-    from the next level, lifted restriction to it); its last level, on
-    continuous P1, comes without transfers, which are the hierarchy's."""
-    # (matrix, smoother, lifted prolongation from the level below, lifted
-    # restriction to it), fine to coarse
-    down = own[:-1] + [own[-1] + coarse.transfers[-1]]
-    for (_, jac, smooth), transfer in zip(reversed(coarse.levels),
-                                          reversed(coarse.transfers[:-1])):
-        down.append((jac, smooth) + transfer)
-    lu = coarse.lu
-
-    def apply(r):
-        visited = []
-        for jac, smooth, _, restriction in down:
-            x = smooth @ r
-            visited.append((r, x))
-            r = restriction @ (r - jac @ x)
-        correction = lu.solve(r)
-        for (jac, smooth, prolongation, _), (r, x) in zip(reversed(down),
-                                                        reversed(visited)):
-            x += prolongation @ correction
-            correction = x + smooth @ (r - jac @ x)
-        return correction
-
-    return apply
-
-
-def _lifted_embedding(dg_space: Space):
-    """The two-component lifts (E, E^T) of the embedding of continuous P1
-    into ``dg_space``; the lift of E is the transpose view of the lift of
-    E^T, as for the hierarchy's transfers."""
-    restriction = block_diagonal(embedding_matrix(dg_space).T.tocsr())
+def _lifts(scalar: sp.csr_matrix):
+    """The two-component lifts (diag(S, S), diag(S^T, S^T)) of a scalar
+    transfer S, a prolongation P or the embedding E; the first is the
+    transpose view of the second (a CSC product), so a transfer keeps one
+    copy of its arrays."""
+    restriction = block_diagonal(scalar.T.tocsr())
     return restriction.T, restriction
+
+
+class Hierarchy:
+    """The multilevel hierarchy that a study on nested meshes keeps for its
+    V-cycle solves, all on continuous P1: ``lu``, the LU factor of the
+    coarsest level's auxiliary operator (on dG ``operator``, that operator,
+    until :meth:`refine` factors it); ``levels``, the kept levels above it,
+    coarse to fine, as (auxiliary operator, damped block-Jacobi smoother,
+    lifted prolongation from the level below, lifted restriction to it);
+    ``prolongation``, the scalar prolongation from the top level to the
+    auxiliary space being solved, composed over the levels between them,
+    and ``transfer``, its lifts, which a joining level keeps, so each
+    level's lifts are built once.
+
+    The study calls :meth:`refine` when it moves to a finer level;
+    :func:`newton_solve` calls :meth:`restart` when a solve ends on a
+    factor, :meth:`offer` when its last step ran the V-cycle and
+    :meth:`drop` when V-cycle GMRES fails.  As the only holder of its
+    factor and levels, the hierarchy releases them on a drop, before the
+    fallback factorization."""
+
+    def __init__(self):
+        self.drop()
+
+    def drop(self):
+        """Release the factor, the levels and the transfer."""
+        self.lu = self.operator = self.prolongation = self.transfer = None
+        self.levels = []
+
+    def restart(self, lu=None, operator=None):
+        """Restart on the level just solved as the coarsest level: with its
+        LU factor ``lu`` on continuous P1, where the solve's own factor is
+        that of its auxiliary operator; on dG with the auxiliary operator
+        E^T J E itself (``operator``), which the next :meth:`refine`
+        factors, so a study's last level builds no unused factor."""
+        self.drop()
+        self.lu, self.operator = lu, operator
+
+    def offer(self, operator, smoother):
+        """Offer the auxiliary operator and smoother of a V-cycle solve's
+        last step: the level joins as the new top level, with the transfer
+        built for it, when its ndof is at least HIERARCHY_GROWTH times the
+        top level's; else the prolongation is composed on from it."""
+        top = self.levels[-1][0] if self.levels else self.lu
+        if operator.shape[0] >= HIERARCHY_GROWTH * top.shape[0]:
+            self.levels.append((operator, smoother) + self.transfer)
+            self.prolongation = None
+        self.transfer = None
+
+    def refine(self, step: sp.csr_matrix):
+        """Move to the next finer level: ``step`` is the scalar continuous P1
+        prolongation into its auxiliary space.  A pending auxiliary operator
+        is factored first.  Raises :class:`LinearSolveError` where SuperLU
+        fails."""
+        if self.operator is not None:
+            self.lu, self.operator = _factor(self.operator), None
+        self.prolongation = (step if self.prolongation is None
+                             else step @ self.prolongation)
+        self.transfer = _lifts(self.prolongation)
+
+    def cycle(self, own):
+        """The V-cycle over a solve's own levels ``own`` and then the kept
+        ones: from the finest level down, a sweep and the restriction of its
+        residual; the factor's solve; from the coarsest level up, the
+        prolonged correction and a second sweep.  ``own`` runs fine to
+        coarse as (matrix, smoother, lifted prolongation from the next
+        level, lifted restriction to it); its last level, on continuous P1,
+        comes without transfers, which are ``transfer``."""
+        down = own[:-1] + [own[-1] + self.transfer] + self.levels[::-1]
+        lu = self.lu
+
+        def apply(r):
+            visited = []
+            for jac, smooth, _, restriction in down:
+                x = smooth @ r
+                visited.append((r, x))
+                r = restriction @ (r - jac @ x)
+            correction = lu.solve(r)
+            for (jac, smooth, prolongation, _), (r, x) in zip(
+                    reversed(down), reversed(visited)):
+                x += prolongation @ correction
+                correction = x + smooth @ (r - jac @ x)
+            return correction
+
+        return apply
 
 
 def _auxiliary_operator(jac, embedding):
@@ -390,12 +392,15 @@ def director_guess(space: Space, epsilon: float, state: str) -> Field:
 
 def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  ncfg: NewtonConfig = NewtonConfig(),
-                 coarse: Optional[CoarseLevel] = None):
+                 hierarchy: Optional[Hierarchy] = None):
     """Newton iteration from the given guess; returns (solution, report).
 
-    With ``coarse`` every step runs V-cycle preconditioned GMRES, through
-    the auxiliary space on dG, and no factor is built unless that GMRES
-    fails (see the module docstring).
+    With a ``hierarchy`` that holds a factor every step runs V-cycle
+    preconditioned GMRES, through the auxiliary space on dG, and no factor
+    is built unless that GMRES fails (see the module docstring).  A given
+    ``hierarchy`` is updated in place from the solve: dropped when V-cycle
+    GMRES fails, restarted when the solve ends on a factor, else offered
+    the last step's level.
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
@@ -405,7 +410,8 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     # a dG solve reaches the continuous hierarchy through the embedding
     # into its auxiliary space; E = I on continuous P1
     aux_space = auxiliary_space(space)
-    embedding = None if aux_space is space else _lifted_embedding(space)
+    embedding = (None if aux_space is space or hierarchy is None
+                 else _lifts(embedding_matrix(space)))
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
     lu, prev_res = None, None
@@ -422,7 +428,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                 np.clip((res / prev_res) ** 2, KRYLOV_RTOL_FLOOR,
                         KRYLOV_RTOL_CAP))
         delta, krylov_its = None, 0
-        if coarse is not None and coarse.lu is not None:
+        if hierarchy is not None and hierarchy.lu is not None:
             own, aux = [], jac
             if embedding is not None:
                 own.append((jac, SMOOTHER_OMEGA * _block_jacobi(jac, space))
@@ -430,10 +436,10 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                 aux = _auxiliary_operator(jac, embedding)
             smoother = SMOOTHER_OMEGA * _block_jacobi(aux, aux_space)
             own.append((aux, smoother))
-            delta, krylov_its = _krylov_solve(jac, rhs,
-                                              _v_cycle(own, coarse), rtol)
+            delta, krylov_its = _krylov_solve(jac, rhs, hierarchy.cycle(own),
+                                              rtol)
             if delta is None:
-                coarse.drop()
+                hierarchy.drop()
                 own = aux = smoother = None
         elif lu is not None:
             delta, krylov_its = _krylov_solve(jac, rhs, lu.solve, rtol)
@@ -455,11 +461,11 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         if inc <= ncfg.tol:
             report.converged = True
             if smoother is not None:   # the last step ran the V-cycle
-                report.jacobian, report.smoother = aux, smoother
-            elif embedding is None:
-                report.factor = lu
-            else:
-                report.jacobian = _auxiliary_operator(jac, embedding)
+                hierarchy.offer(aux, smoother)
+            elif embedding is not None:   # a dG solve that ended on a factor
+                hierarchy.restart(operator=_auxiliary_operator(jac, embedding))
+            elif hierarchy is not None:   # ended on a factor of its A = J
+                hierarchy.restart(lu=lu)
             return Field(space, coeffs), report
     raise NewtonError(
         f"Newton iteration did not reach tol={ncfg.tol} within "

@@ -184,6 +184,25 @@ def test_prolong_dg_matches_parent_linears_on_nvb_slit(slit):
     assert np.abs(fine.element_values() - expect).max() <= 1e-13
 
 
+def test_edge_normals_orient_by_the_plus_centroid(unit_square, lshape, slit):
+    """Each edge normal points away from the centroid of its "plus"
+    triangle, taken from the triangles' corners: bitwise the normal from a
+    fresh gather of the plus triangle's corners, on red- and NVB-refined
+    device, L-shape and slit meshes."""
+    for mesh in (unit_square, lshape, slit):
+        mesh = red_refine(red_refine(red_refine(mesh)))
+        mesh = nvb_refine(mesh, np.arange(0, mesh.n_triangles, 3))
+        ev = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+        tangent = ev / np.hypot(ev[:, 0], ev[:, 1])[:, None]
+        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+        mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
+                      + mesh.vertices[mesh.edges[:, 1]])
+        cent_plus = mesh.vertices[
+            mesh.triangles[mesh.edge_tris[:, 0]]].mean(axis=1)
+        normal[((mids - cent_plus) * normal).sum(axis=1) < 0] *= -1
+        assert np.array_equal(fespace.MeshGeometry(mesh).edge_normal, normal)
+
+
 def test_discrete_norm_zero_field(unit_square):
     space = Space.continuous(unit_square)
     assert discrete_norm(Field(space, np.zeros(space.ndof)), "nitsche", 10.0) == 0.0

@@ -17,7 +17,7 @@ from nematicfem.forms import (MethodConfig, NonlinearSystem,
 from nematicfem.mesh import build_initial_mesh, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
                                  slit_problem)
-from nematicfem.solver import (CoarseLevel, NewtonConfig, director_guess,
+from nematicfem.solver import (Hierarchy, NewtonConfig, director_guess,
                                laplace_guess, newton_solve)
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -447,12 +447,9 @@ def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
     assert len(reports) == len(records) >= 2
     assert [built >= 1 for _, built, _ in reports[:-1]] == \
         _factored_levels(reports)
-    assert all(rep.factor is None and rep.jacobian is None
-               and rep.smoother is None for rep, _, _ in reports)  # none kept
     last, built, solution = reports[-1]
     assert built == 0
     assert last.factorizations == 0
-    assert last.factor is None
     assert all(k > 0 for k in last.krylov_iterations)
     assert last.failed_krylov_iterations == [0] * last.iterations
 
@@ -473,7 +470,6 @@ def test_continuous_level_reuses_kept_factor(monkeypatch):
     reports = _level_reports(monkeypatch, counter)
     prob, cfg, _ = _study("nitsche", "adaptive", 50, 400)
     monkeypatch.undo()
-    assert all(rep.factor is None for rep, _, _ in reports)
     reused = [k for k in range(1, len(reports) - 1) if reports[k][1] == 0]
     assert reused
     # some kept factor is two or more levels coarser: a composed prolongation
@@ -488,6 +484,51 @@ def test_continuous_level_reuses_kept_factor(monkeypatch):
             solution.space, cfg, prob.g, prob.f, guess, NewtonConfig().tol)
         assert rep.iterations == ref_iterations
         assert np.abs(solution.coeffs - ref).max() <= 1e-10
+
+
+def test_hierarchy_growth_rule(monkeypatch):
+    """In an adaptive Nitsche study the hierarchy's levels grow by at least
+    HIERARCHY_GROWTH in auxiliary ndof from the factor up, and a level
+    solved by V-cycle joins exactly when its ndof meets that bound over the
+    top level's, with the transfer built for its solve.  A kept level's
+    lifted transfers are built once: the same objects on every later
+    level."""
+    real = adapt.newton_solve
+    offers = []   # (ndof, top ndof, levels before, transfer, levels after)
+
+    def recording(space, *args, hierarchy=None, **kwargs):
+        if hierarchy.lu is None:   # level 0: nothing to cycle on yet
+            return real(space, *args, hierarchy=hierarchy, **kwargs)
+        before, transfer = list(hierarchy.levels), hierarchy.transfer
+        ndofs = [hierarchy.lu.shape[0]] + [level[0].shape[0]
+                                           for level in before]
+        assert all(high >= solver.HIERARCHY_GROWTH * low
+                   for low, high in zip(ndofs, ndofs[1:]))
+        result = real(space, *args, hierarchy=hierarchy, **kwargs)
+        assert result[1].factorizations == 0   # it ran the V-cycle
+        offers.append((2 * space.mesh.n_vertices, ndofs[-1], before,
+                       transfer, list(hierarchy.levels)))
+        return result
+
+    monkeypatch.setattr(adapt, "newton_solve", recording)
+    _study("nitsche", "adaptive", 50, 1000)
+    monkeypatch.undo()
+    joined = 0
+    for ndof, top, before, transfer, after in offers:
+        if ndof >= solver.HIERARCHY_GROWTH * top:
+            joined += 1
+            assert after[:-1] == before and after[-1][0].shape[0] == ndof
+            assert after[-1][2] is transfer[0] and after[-1][3] is transfer[1]
+        else:
+            assert after == before
+    assert 2 <= joined < len(offers)
+    # every kept level's tuple, lifts included, is the same object later on
+    kept = {}
+    for *_, after in offers:
+        for level in after:
+            first = kept.setdefault(id(level[0]), level)
+            assert all(a is b for a, b in zip(level, first))
+            assert level[3].data is first[3].data
 
 
 @pytest.mark.parametrize("refine, levels, prob", [
@@ -576,7 +617,7 @@ def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
     restriction = prolongation.T.tocsr()
     smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)
     if method == "dg":
-        embedding = solver._lifted_embedding(space)
+        embedding = solver._lifts(embedding_matrix(space))
         aux = embedding[1] @ jac @ embedding[0]
         aux_smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(aux,
                                                                   aux_space)
@@ -600,7 +641,10 @@ def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
             componentwise(scalar.T.tocsr(), r - jac @ x)))
         return x + smooth @ (r - jac @ x)
 
-    cycle = solver._v_cycle(own, CoarseLevel(lu, prolongation))
+    hierarchy = Hierarchy()
+    hierarchy.restart(lu=lu)
+    hierarchy.refine(prolongation)
+    cycle = hierarchy.cycle(own)
     for _ in range(3):
         r = rng.standard_normal(space.ndof)
         assert np.array_equal(cycle(r), reference(r))
@@ -637,7 +681,7 @@ def test_auxiliary_operator_is_galerkin_product(lshape, lam):
     space = Space.dg(red_refine(red_refine(lshape)))
     jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
         np.random.default_rng(5).standard_normal(space.ndof))
-    embedding = solver._lifted_embedding(space)
+    embedding = solver._lifts(embedding_matrix(space))
     aux = solver._auxiliary_operator(jac, embedding)
     lift = embedding[0].toarray()
     exact = lift.T @ jac.toarray() @ lift
@@ -748,11 +792,56 @@ def test_solve_levels_releases_coarser_space(monkeypatch, method, refine,
     assert alive == [0] * levels
 
 
+def _unrelated_hierarchy(coarse_space, mid_space, mid_jac, aux_space):
+    """A hierarchy on continuous P1 whose factor is that of an unrelated
+    matrix on ``coarse_space``, with the kept level (``mid_jac``, its
+    smoother) on ``mid_space`` above it, refined into ``aux_space``."""
+    rng = np.random.default_rng(2)
+    nc = coarse_space.ndof
+    unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
+                 - sp.identity(nc)).tocsc()
+    hierarchy = Hierarchy()
+    hierarchy.restart(lu=spla.splu(unrelated))
+    hierarchy.refine(prolongation_matrix(coarse_space, mid_space))
+    hierarchy.offer(mid_jac, solver.SMOOTHER_OMEGA
+                    * solver._block_jacobi(mid_jac, mid_space))
+    assert [level[0] for level in hierarchy.levels] == [mid_jac]   # joined
+    hierarchy.refine(prolongation_matrix(mid_space, aux_space))
+    return hierarchy
+
+
+def _watched_fallback(monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob,
+                      guess, ncfg):
+    """The solve of ``space`` on ``hierarchy`` without the cyclic garbage
+    collector; returns (solution, report, the factorizations it built, and
+    at each of them the hierarchy's factor and levels and whether the kept
+    level's J was alive)."""
+    held = []
+
+    class Watching(_CountingLinalg):
+        def splu(self, *args, **kwargs):
+            held.append((hierarchy.lu, hierarchy.levels,
+                         mid_jac_ref() is not None))
+            return super().splu(*args, **kwargs)
+
+    counter = Watching()
+    monkeypatch.setattr(solver, "spla", counter)
+    gc.disable()
+    try:
+        sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
+                                hierarchy=hierarchy)
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    return sol, rep, counter.factorizations, held
+
+
 def test_two_grid_fallback_refactors(lshape, monkeypatch):
     """With the factor of an unrelated matrix as coarse solve, V-cycle
     GMRES fails on the first step; the step drops the coarse factor and
     the intermediate level before it factors the Jacobian, and the solve
-    still reaches the Newton solution."""
+    still reaches the Newton solution.  The hierarchy restarts on the
+    solve's own factor."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="nitsche", epsilon=0.4)
     ncfg = NewtonConfig()
@@ -765,48 +854,26 @@ def test_two_grid_fallback_refactors(lshape, monkeypatch):
                               ncfg)
     space = Space.continuous(red_refine(mid_mesh))
     guess = prolong(mid_sol, space)
-    rng = np.random.default_rng(2)
-    nc = coarse_space.ndof
-    unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
-                 - sp.identity(nc)).tocsc()
     mid_jac = NonlinearSystem(mid_space, cfg, prob.g,
                               prob.f).jacobian(mid_sol.coeffs)
     mid_jac_ref = weakref.ref(mid_jac)
-    mid_smoother = solver.SMOOTHER_OMEGA * solver._block_jacobi(mid_jac,
-                                                                mid_space)
-    coarse = CoarseLevel(spla.splu(unrelated),
-                         prolongation_matrix(mid_space, space),
-                         [(prolongation_matrix(coarse_space, mid_space),
-                           mid_jac, mid_smoother)])
-    del mid_jac, mid_smoother
+    hierarchy = _unrelated_hierarchy(coarse_space, mid_space, mid_jac, space)
+    del mid_jac
 
-    held = []   # at each factorization: factor, levels, intermediate J
-
-    class Watching(_CountingLinalg):
-        def splu(self, *args, **kwargs):
-            held.append((coarse.lu, coarse.levels, mid_jac_ref()))
-            return super().splu(*args, **kwargs)
-
-    counter = Watching()
-    monkeypatch.setattr(solver, "spla", counter)
-    gc.disable()
-    try:
-        sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
-                                coarse=coarse)
-    finally:
-        gc.enable()
-    monkeypatch.undo()
+    sol, rep, built, held = _watched_fallback(
+        monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob, guess, ncfg)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    assert held == [(None, [], None)]
-    assert coarse.lu is None and coarse.levels == []
-    assert counter.factorizations == rep.factorizations == 1
+    assert held == [(None, [], False)]
+    assert built == rep.factorizations == 1
     assert rep.krylov_iterations[0] == 0
     assert rep.failed_krylov_iterations[0] > 0
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
-    assert rep.jacobian is None and rep.smoother is None
+    # restarted on the solve's factor, which is of J = A
+    assert hierarchy.levels == [] and hierarchy.operator is None
+    assert hierarchy.lu.shape == (space.ndof, space.ndof)
 
 
 def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
@@ -814,8 +881,8 @@ def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
     auxiliary-space V-cycle GMRES fails on the first step; the step drops
     the coarse factor and the intermediate level before it factors the dG
     Jacobian, and the solve still reaches the Newton solution.  It keeps
-    no dG factor: it passes back the auxiliary operator E^T J E of its last
-    Jacobian for the caller to factor."""
+    no dG factor: the hierarchy restarts on the auxiliary operator E^T J E
+    of its last Jacobian, which the next refinement factors."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="dg", epsilon=0.4)
     ncfg = NewtonConfig()
@@ -829,50 +896,39 @@ def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
     guess = prolong(mid_sol, space)
     coarse_aux, mid_aux, aux = (Space.continuous(m) for m in
                                 (coarse_mesh, mid_mesh, space.mesh))
-    rng = np.random.default_rng(2)
-    nc = coarse_aux.ndof
-    unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
-                 - sp.identity(nc)).tocsc()
     mid_jac = solver._auxiliary_operator(
         NonlinearSystem(mid_space, cfg, prob.g, prob.f).jacobian(
-            mid_sol.coeffs), solver._lifted_embedding(mid_space))
+            mid_sol.coeffs), solver._lifts(embedding_matrix(mid_space)))
     mid_jac_ref = weakref.ref(mid_jac)
-    mid_smoother = solver.SMOOTHER_OMEGA * solver._block_jacobi(mid_jac,
-                                                                mid_aux)
-    coarse = CoarseLevel(spla.splu(unrelated),
-                         prolongation_matrix(mid_aux, aux),
-                         [(prolongation_matrix(coarse_aux, mid_aux),
-                           mid_jac, mid_smoother)])
-    del mid_jac, mid_smoother
+    hierarchy = _unrelated_hierarchy(coarse_aux, mid_aux, mid_jac, aux)
+    del mid_jac
 
-    held = []   # at each factorization: factor, levels, intermediate J
-
-    class Watching(_CountingLinalg):
-        def splu(self, *args, **kwargs):
-            held.append((coarse.lu, coarse.levels, mid_jac_ref()))
-            return super().splu(*args, **kwargs)
-
-    counter = Watching()
-    monkeypatch.setattr(solver, "spla", counter)
-    gc.disable()
-    try:
-        sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg,
-                                coarse=coarse)
-    finally:
-        gc.enable()
-    monkeypatch.undo()
+    sol, rep, built, held = _watched_fallback(
+        monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob, guess, ncfg)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    assert held == [(None, [], None)]
-    assert coarse.lu is None and coarse.levels == []
-    assert counter.factorizations == rep.factorizations == 1
+    assert held == [(None, [], False)]
+    assert built == rep.factorizations == 1
     assert rep.krylov_iterations[0] == 0
     assert rep.failed_krylov_iterations[0] > 0
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
-    assert rep.factor is None and rep.smoother is None
-    assert rep.jacobian.shape == (aux.ndof, aux.ndof)
+    assert hierarchy.lu is None and hierarchy.levels == []
+
+    factored = []
+
+    class Recording(_CountingLinalg):
+        def splu(self, matrix, *args, **kwargs):
+            factored.append(matrix.shape)
+            return super().splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "spla", Recording())
+    hierarchy.refine(prolongation_matrix(
+        aux, Space.continuous(red_refine(space.mesh))))
+    monkeypatch.undo()
+    assert factored == [(aux.ndof, aux.ndof)]
+    assert hierarchy.lu is not None and hierarchy.operator is None
 
 
 @pytest.mark.parametrize("matrix, rhs", [
