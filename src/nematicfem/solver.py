@@ -13,21 +13,31 @@ below the tolerance.
 
 The linear solves are a lagged-factorization Newton-Krylov scheme (Knoll &
 Keyes, JCP 193, 2004).  The first step of a solve factors its Jacobian with
-SuperLU; every later step runs GMRES on the current Jacobian, preconditioned
-by that stale factor, to a relative tolerance set by the residual ratio of
-the last two steps (Eisenstat & Walker, SISC 17, 1996) and floored at
-KRYLOV_RTOL_FLOOR.  When GMRES does not converge within KRYLOV_CYCLES
-restart cycles, the step refactors the current Jacobian and solves with the
-fresh factor, which is kept for the steps after it.  The update is still
-the Newton step, so the iterates match a solve that factors at every step
-up to the GMRES tolerance.
+SuperLU.  A later step runs GMRES on the current Jacobian, preconditioned
+by that stale factor, when the last step cut the residual to at most
+REFACTOR_RATIO of the one before; otherwise (a cold start, far from the
+solution, where the stale factor preconditions poorly) it refactors at
+once.  When GMRES does not converge within KRYLOV_CYCLES restart cycles,
+the step refactors too.  Either way the fresh factor is kept for the steps
+after it.
+
+GMRES solves to no more accuracy than Newton can use.  The first step of a
+solve runs to KRYLOV_RTOL_FLOOR; a later one to the squared residual ratio
+of the last two steps (Eisenstat & Walker, SISC 17, 1996) or, where larger,
+to the tolerance that leaves an error of INCREMENT_SHARE times the Newton
+tolerance in the step's predicted increment (the last increment times the
+residual ratio), so no step resolves an increment past what the stopping
+test can see (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, 6.3); both clipped to [KRYLOV_RTOL_FLOOR,
+KRYLOV_RTOL_CAP].  The update is still the Newton step, so the iterates
+match a solve that factors at every step up to the GMRES tolerance.
 
 A V-cycle solve builds no factor.  Given the multilevel hierarchy that a
 study on nested meshes keeps from its coarser levels (:class:`Hierarchy`:
 the factor of the coarsest level, the kept levels above it and the
 prolongation into the solve's auxiliary space), every step runs GMRES
-preconditioned by a V-cycle on the current Jacobian J, the first step to
-KRYLOV_RTOL_FLOOR and the later ones to the Eisenstat-Walker tolerance.
+preconditioned by a V-cycle on the current Jacobian J, to the tolerances
+above.
 The hierarchy always lives on continuous P1.  The auxiliary space of a
 solve is continuous P1 on its mesh, reached by the scalar embedding E (the
 identity on continuous P1), and its auxiliary operator is the Galerkin
@@ -104,15 +114,23 @@ class NewtonConfig:
 
 # GMRES settings of the lagged-factorization steps.  The cap keeps every
 # step close enough to the exact Newton step that the step count and the
-# solution match a factor-every-step solve (to 7e-15 relative at 132k
-# dofs).  A tolerance of 1e-12 sits at the rounding floor and stalls GMRES
-# on large levels, hence the floor of 1e-10.  scipy can end a restart cycle
-# on the preconditioned residual estimate and then fail its true-residual
-# check, so one cycle is too few.
+# solution match a factor-every-step solve (to 9e-15 relative at 132k dofs,
+# with the increment share below).  A tolerance of 1e-12 sits at the
+# rounding floor and stalls GMRES on large levels, hence the floor of
+# 1e-10.  scipy can end a restart cycle on the preconditioned residual
+# estimate and then fail its true-residual check, so one cycle is too few.
 KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL_FLOOR = 1e-10
 KRYLOV_RTOL_CAP = 1e-4
+# A step solves its increment only to the accuracy the Newton stopping test
+# can see: GMRES stops once the error of the predicted increment is below
+# this share of NewtonConfig.tol.
+INCREMENT_SHARE = 0.1
+# The lagged-factor step runs GMRES on the stale factor only when the last
+# step cut the residual at least this much (res <= REFACTOR_RATIO * prev_res);
+# on a cold start, where it did not, the step refactors at once.
+REFACTOR_RATIO = 0.2
 # damping of the block-Jacobi sweeps of the V-cycle
 SMOOTHER_OMEGA = 0.8
 # A level solved by V-cycle joins the hierarchy, as its new top level, when
@@ -130,13 +148,14 @@ class NewtonReport:
     """History of one Newton solve: the increment norm and the residual
     2-norm at the start of every step, the number of LU factorizations, the
     GMRES iterations of every step (0 for a step solved with a fresh
-    factor) and those of every step's failed GMRES attempt (0 for a step
-    without one).
+    factor), those of every step's failed GMRES attempt (0 for a step
+    without one) and the relative tolerance every step gave GMRES (NaN for
+    a step that ran no GMRES).
 
     ``peak_rss_mb`` is the process's peak resident set (``ru_maxrss``, in
     MB) after every step, NaN where the platform has no ``resource``
-    module.  Like the Krylov counts it is a record of the run, not of its
-    numbers: it goes into no output file."""
+    module.  Like the Krylov counts and tolerances it is a record of the
+    run, not of its numbers: it goes into no output file."""
     iterations: int = 0
     increments: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
@@ -144,6 +163,7 @@ class NewtonReport:
     factorizations: int = 0
     krylov_iterations: list = dataclass_field(default_factory=list)
     failed_krylov_iterations: list = dataclass_field(default_factory=list)
+    krylov_rtols: list = dataclass_field(default_factory=list, compare=False)
     peak_rss_mb: list = dataclass_field(default_factory=list, compare=False)
 
 
@@ -215,6 +235,22 @@ def _krylov_solve(matrix, rhs, precond, rtol):
     if info != 0 or not np.all(np.isfinite(out)):
         return None, iterations
     return out, iterations
+
+
+def _krylov_rtol(res, prev_res, prev_inc, tol):
+    """GMRES tolerance of a Newton step that starts at residual ``res``: the
+    floor on the first step (``prev_res`` None); later, the Eisenstat-Walker
+    squared residual ratio, or, where larger, the tolerance that leaves an
+    error of INCREMENT_SHARE * tol in the predicted increment
+    prev_inc * res / prev_res; clipped to [KRYLOV_RTOL_FLOOR,
+    KRYLOV_RTOL_CAP].  A zero predicted increment takes the cap."""
+    if prev_res is None:
+        return KRYLOV_RTOL_FLOOR
+    predicted = prev_inc * res
+    oversolve = (np.inf if predicted == 0
+                 else INCREMENT_SHARE * tol * prev_res / predicted)
+    return float(np.clip(max((res / prev_res) ** 2, oversolve),
+                         KRYLOV_RTOL_FLOOR, KRYLOV_RTOL_CAP))
 
 
 def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
@@ -414,7 +450,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  else _lifts(embedding_matrix(space)))
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
-    lu, prev_res = None, None
+    lu, prev_res, prev_inc = None, None, None
     for _ in range(ncfg.max_iter):
         # the last step's Jacobian and its smoothers are released before
         # this step's Jacobian is built
@@ -423,12 +459,15 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
         report.residuals.append(float(res))
-        # Eisenstat-Walker choice 2: the squared residual ratio
-        rtol = (KRYLOV_RTOL_FLOOR if prev_res is None else
-                np.clip((res / prev_res) ** 2, KRYLOV_RTOL_FLOOR,
-                        KRYLOV_RTOL_CAP))
+        v_cycle = hierarchy is not None and hierarchy.lu is not None
+        # a cold step refactors at once rather than try the stale factor
+        lagged = (not v_cycle and lu is not None
+                  and res <= REFACTOR_RATIO * prev_res)
+        rtol = (_krylov_rtol(res, prev_res, prev_inc, ncfg.tol)
+                if v_cycle or lagged else float("nan"))
+        report.krylov_rtols.append(rtol)
         delta, krylov_its = None, 0
-        if hierarchy is not None and hierarchy.lu is not None:
+        if v_cycle:
             own, aux = [], jac
             if embedding is not None:
                 own.append((jac, SMOOTHER_OMEGA * _block_jacobi(jac, space))
@@ -441,7 +480,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
             if delta is None:
                 hierarchy.drop()
                 own = aux = smoother = None
-        elif lu is not None:
+        elif lagged:
             delta, krylov_its = _krylov_solve(jac, rhs, lu.solve, rtol)
         failed_its = 0
         if delta is None:
@@ -452,9 +491,9 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
             report.factorizations += 1
         report.krylov_iterations.append(krylov_its)
         report.failed_krylov_iterations.append(failed_its)
-        prev_res = res
         coeffs = coeffs + delta
         inc = discrete_norm(Field(space, delta), cfg.method, cfg.sigma)
+        prev_res, prev_inc = res, inc
         report.iterations += 1
         report.increments.append(inc)
         report.peak_rss_mb.append(_peak_rss_mb())
