@@ -157,13 +157,14 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     The study keeps one multilevel hierarchy on continuous P1, the
     auxiliary space of both methods (:class:`Hierarchy`): each solve
     updates it, and each move to a finer level refines it by the continuous
-    prolongation; the last level drops it.  Level 0 solves without a
-    factor to cycle on, and its factor becomes the hierarchy's coarsest
-    level, as does the factor of a V-cycle level that falls back to a
-    factorization; every other level is solved by V-cycle GMRES on the
-    hierarchy.  Problems with an exact solution record its energy and L2
-    errors; the others record the norms of the difference to the prolonged
-    previous solution.
+    prolongation; the last level drops it.  Level 0 has no factor to cycle
+    on, so each of its Newton steps factors its Jacobian, and its last
+    step's factor (on dG, that of its last auxiliary operator) becomes the
+    hierarchy's coarsest level, as does that of a level whose V-cycle GMRES
+    fails and which factors from then on; every other level is solved by
+    V-cycle GMRES on the hierarchy.  Problems with an exact solution record
+    its energy and L2 errors; the others record the norms of the difference
+    to the prolonged previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
     nonconvergence aborts with the completed level records attached to the
     raised :class:`NewtonError`.

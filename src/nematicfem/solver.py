@@ -11,15 +11,14 @@ psi_{k+1} = psi_k - J(psi_k)^{-1} residual(psi_k); the implementation uses
 the increment form and stops when the discrete norm of the increment drops
 below the tolerance.
 
-The linear solves are a lagged-factorization Newton-Krylov scheme (Knoll &
-Keyes, JCP 193, 2004).  The first step of a solve factors its Jacobian with
-SuperLU.  A later step runs GMRES on the current Jacobian, preconditioned
-by that stale factor, when the last step cut the residual to at most
-REFACTOR_RATIO of the one before; otherwise (a cold start, far from the
-solution, where the stale factor preconditions poorly) it refactors at
-once.  When GMRES does not converge within KRYLOV_CYCLES restart cycles,
-the step refactors too.  Either way the fresh factor is kept for the steps
-after it.
+A step solves its linear system in one of two ways.  Given the multilevel
+hierarchy that a study on nested meshes keeps from its coarser levels
+(:class:`Hierarchy`: the factor of the coarsest level, the kept levels
+above it and the prolongation into the solve's auxiliary space), it runs
+GMRES on the current Jacobian J preconditioned by a V-cycle and builds no
+factor.  Without a hierarchy that holds a factor (a study's level 0, a
+single solve, or the steps after a V-cycle GMRES failure) it factors J with
+SuperLU and solves directly.
 
 GMRES solves to no more accuracy than Newton can use.  The first step of a
 solve runs to KRYLOV_RTOL_FLOOR; a later one to the squared residual ratio
@@ -32,12 +31,6 @@ Equations, SIAM 1995, 6.3); both clipped to [KRYLOV_RTOL_FLOOR,
 KRYLOV_RTOL_CAP].  The update is still the Newton step, so the iterates
 match a solve that factors at every step up to the GMRES tolerance.
 
-A V-cycle solve builds no factor.  Given the multilevel hierarchy that a
-study on nested meshes keeps from its coarser levels (:class:`Hierarchy`:
-the factor of the coarsest level, the kept levels above it and the
-prolongation into the solve's auxiliary space), every step runs GMRES
-preconditioned by a V-cycle on the current Jacobian J, to the tolerances
-above.
 The hierarchy always lives on continuous P1.  The auxiliary space of a
 solve is continuous P1 on its mesh, reached by the scalar embedding E (the
 identity on continuous P1), and its auxiliary operator is the Galerkin
@@ -57,17 +50,18 @@ two-component lifts diag(P, P) and diag(P^T, P^T), built once per level
 (those of E once per solve), so a transfer is one sparse product on the
 flat coefficient vector.  Point Jacobi is too weak a smoother for dG;
 element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).
-When that GMRES fails, the step drops the hierarchy and takes the refactor
-path above, which the solve then keeps.  The solve updates the hierarchy
-in place, and :func:`nematicfem.adapt.solve_levels` keeps one per study.
+When GMRES does not converge within KRYLOV_CYCLES restart cycles, the step
+drops the hierarchy and factors J, and so do the solve's later steps.  The
+solve updates the hierarchy in place, and
+:func:`nematicfem.adapt.solve_levels` keeps one per study.
 
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
 
-A step holds one Jacobian: the last step's J, and the smoothers and
-auxiliary operator built from it, are released before the next J is
-assembled, so a step's memory is J, the system's set-up and the kept
-factor or hierarchy, plus the block-sized transients of the assembly
+A step holds one Jacobian: the last step's J, and the smoothers, auxiliary
+operator and factor built from it, are released before the next J is
+assembled, so a step's memory is J, the system's set-up and its factor or
+the hierarchy, plus the block-sized transients of the assembly
 (see :mod:`nematicfem.forms`).  The report records the process's peak
 resident set after every step.
 
@@ -112,13 +106,13 @@ class NewtonConfig:
             raise ConfigError("Newton iteration budget must be at least 1")
 
 
-# GMRES settings of the lagged-factorization steps.  The cap keeps every
-# step close enough to the exact Newton step that the step count and the
-# solution match a factor-every-step solve (to 9e-15 relative at 132k dofs,
-# with the increment share below).  A tolerance of 1e-12 sits at the
-# rounding floor and stalls GMRES on large levels, hence the floor of
-# 1e-10.  scipy can end a restart cycle on the preconditioned residual
-# estimate and then fail its true-residual check, so one cycle is too few.
+# GMRES settings of the V-cycle steps.  The cap keeps every step close
+# enough to the exact Newton step that the step count and the solution match
+# a factor-every-step solve (to 7e-15 relative at 132k dofs, with the
+# increment share below).  A tolerance of 1e-12 sits at the rounding floor
+# and stalls GMRES on large levels, hence the floor of 1e-10.  scipy can end
+# a restart cycle on the preconditioned residual estimate and then fail its
+# true-residual check, so one cycle is too few.
 KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL_FLOOR = 1e-10
@@ -127,10 +121,6 @@ KRYLOV_RTOL_CAP = 1e-4
 # can see: GMRES stops once the error of the predicted increment is below
 # this share of NewtonConfig.tol.
 INCREMENT_SHARE = 0.1
-# The lagged-factor step runs GMRES on the stale factor only when the last
-# step cut the residual at least this much (res <= REFACTOR_RATIO * prev_res);
-# on a cold start, where it did not, the step refactors at once.
-REFACTOR_RATIO = 0.2
 # damping of the block-Jacobi sweeps of the V-cycle
 SMOOTHER_OMEGA = 0.8
 # A level solved by V-cycle joins the hierarchy, as its new top level, when
@@ -147,10 +137,9 @@ HIERARCHY_GROWTH = 3
 class NewtonReport:
     """History of one Newton solve: the increment norm and the residual
     2-norm at the start of every step, the number of LU factorizations, the
-    GMRES iterations of every step (0 for a step solved with a fresh
-    factor), those of every step's failed GMRES attempt (0 for a step
-    without one) and the relative tolerance every step gave GMRES (NaN for
-    a step that ran no GMRES).
+    GMRES iterations of every step (0 for a factored step), those of every
+    step's failed GMRES attempt (0 for a step without one) and the relative
+    tolerance every step gave GMRES (NaN for a step that ran no GMRES).
 
     ``peak_rss_mb`` is the process's peak resident set (``ru_maxrss``, in
     MB) after every step, NaN where the platform has no ``resource``
@@ -299,11 +288,12 @@ class Hierarchy:
     level's lifts are built once.
 
     The study calls :meth:`refine` when it moves to a finer level;
-    :func:`newton_solve` calls :meth:`restart` when a solve ends on a
+    :func:`newton_solve` calls :meth:`restart` when a solve's last step
+    factored (level 0, or after a V-cycle GMRES failure), with that step's
     factor, :meth:`offer` when its last step ran the V-cycle and
     :meth:`drop` when V-cycle GMRES fails.  As the only holder of its
     factor and levels, the hierarchy releases them on a drop, before the
-    fallback factorization."""
+    step factors its Jacobian."""
 
     def __init__(self):
         self.drop()
@@ -432,11 +422,12 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     """Newton iteration from the given guess; returns (solution, report).
 
     With a ``hierarchy`` that holds a factor every step runs V-cycle
-    preconditioned GMRES, through the auxiliary space on dG, and no factor
-    is built unless that GMRES fails (see the module docstring).  A given
-    ``hierarchy`` is updated in place from the solve: dropped when V-cycle
-    GMRES fails, restarted when the solve ends on a factor, else offered
-    the last step's level.
+    preconditioned GMRES, through the auxiliary space on dG; otherwise, and
+    from a step whose GMRES fails on, every step factors its own Jacobian
+    (see the module docstring).  A given ``hierarchy`` is updated in place
+    from the solve: dropped when V-cycle GMRES fails, restarted on the last
+    step's factor (on dG, on its auxiliary operator) when the solve ends on
+    a factored step, else offered the last step's level.
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
@@ -450,21 +441,18 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  else _lifts(embedding_matrix(space)))
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
-    lu, prev_res, prev_inc = None, None, None
+    prev_res, prev_inc = None, None
     for _ in range(ncfg.max_iter):
-        # the last step's Jacobian and its smoothers are released before
-        # this step's Jacobian is built
-        jac = own = aux = smoother = None
+        # the last step's Jacobian, its smoothers and its factor are released
+        # before this step's Jacobian is built
+        jac = own = aux = smoother = lu = None
         jac = system.jacobian(coeffs)
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
         report.residuals.append(float(res))
         v_cycle = hierarchy is not None and hierarchy.lu is not None
-        # a cold step refactors at once rather than try the stale factor
-        lagged = (not v_cycle and lu is not None
-                  and res <= REFACTOR_RATIO * prev_res)
-        rtol = (_krylov_rtol(res, prev_res, prev_inc, ncfg.tol)
-                if v_cycle or lagged else float("nan"))
+        rtol = (_krylov_rtol(res, prev_res, prev_inc, ncfg.tol) if v_cycle
+                else float("nan"))
         report.krylov_rtols.append(rtol)
         delta, krylov_its = None, 0
         if v_cycle:
@@ -480,12 +468,8 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
             if delta is None:
                 hierarchy.drop()
                 own = aux = smoother = None
-        elif lagged:
-            delta, krylov_its = _krylov_solve(jac, rhs, lu.solve, rtol)
         failed_its = 0
         if delta is None:
-            # release the stale factor before SuperLU builds the new one
-            lu = None
             lu, delta = _factor_solve(jac, rhs)
             failed_its, krylov_its = krylov_its, 0
             report.factorizations += 1

@@ -12,10 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from nematicfem import adapt
 from nematicfem.adapt import check_dorfler, dorfler_mark, element_indicators
 from nematicfem.bench import RunConfig, run_study
 from nematicfem.estimator import estimate
-from nematicfem.fespace import Field, Space, embed_continuous, prolong
+from nematicfem.fespace import Field, Space, embed_continuous
 from nematicfem.forms import MethodConfig, NonlinearSystem
 from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import lshape_problem
@@ -196,31 +197,34 @@ class TracedLevel:
 
 @pytest.fixture(scope="module")
 def adaptive_trace():
-    """The criterion-5 adaptive run (L-shape, eps 0.4, theta 0.3) with
-    indicators and marked sets captured per level."""
+    """The criterion-5 adaptive run (L-shape, eps 0.4, theta 0.3), solved by
+    the level driver, with indicators and marked sets captured per level
+    from the estimate of every level, the last included."""
     start = time.time()
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="nitsche", epsilon=0.4, sigma=10.0)
-    ncfg = NewtonConfig()
-    mesh = red_refine(build_initial_mesh(prob.shape))
+    estimated = []   # (mesh, breakdown) of every level
+
+    def estimating(field, *args):
+        breakdown = estimate(field, *args)
+        estimated.append((field.space.mesh, breakdown))
+        return breakdown
+
+    def refine(mesh, breakdown):
+        marked = dorfler_mark(element_indicators(breakdown, mesh), 0.3)
+        return nvb_refine(mesh, marked)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "estimate", estimating)
+        records = adapt.solve_levels(
+            prob, red_refine(build_initial_mesh(prob.shape)), cfg,
+            NewtonConfig(), refine, max_levels=100, target_ndof=50000)
+    assert records[-1].ndof >= 50000
     levels = []
-    previous = None
-    from nematicfem.fespace import energy_error_norm
-    while True:
-        space = Space.continuous(mesh)
-        guess = (laplace_guess(space, cfg, prob.g, prob.f) if previous is None
-                 else prolong(previous, space))
-        sol, _ = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg)
-        breakdown = estimate(sol, cfg, prob.g, prob.f)
-        err = energy_error_norm(sol, prob.exact_grad, prob.g, "nitsche", 10.0)
+    for rec, (mesh, breakdown) in zip(records, estimated, strict=True):
         xi = element_indicators(breakdown, mesh)
-        marked = dorfler_mark(xi, 0.3)
-        levels.append(TracedLevel(space.ndof, err, breakdown.total,
-                                  breakdown.total / err, xi, marked, mesh))
-        if space.ndof >= 50000:
-            break
-        mesh = nvb_refine(mesh, marked)
-        previous = sol
+        levels.append(TracedLevel(rec.ndof, rec.err_energy, rec.estimator,
+                                  rec.c_eff, xi, dorfler_mark(xi, 0.3), mesh))
     return levels, time.time() - start
 
 

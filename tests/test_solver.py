@@ -247,7 +247,7 @@ def test_dg_lambda_weighted_load_is_consistent(unit_square):
         assert np.abs(sol.coeffs - expect.coeffs).max() <= 1e-10, lam
 
 
-# -- lagged-factorization Newton-Krylov ------------------------------------------
+# -- factored Newton steps ------------------------------------------------------
 
 
 class _CountingLinalg:
@@ -279,10 +279,10 @@ def _reference_newton(space, cfg, g, f, guess, tol):
 
 
 @pytest.mark.parametrize("method", ["nitsche", "dg"])
-def test_warm_started_solve_factors_once(lshape, method, monkeypatch):
-    """A warm-started level factors its first Jacobian only and solves the
-    later steps by GMRES, reaching the factor-every-step Newton solution in
-    the same number of steps."""
+def test_warm_started_solve_factors_every_step(lshape, method, monkeypatch):
+    """A warm-started solve without a hierarchy factors the Jacobian of
+    every step and runs no GMRES, reaching the factor-every-step Newton
+    solution in the same number of steps."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method=method, epsilon=0.4)
     make = Space.continuous if method == "nitsche" else Space.dg
@@ -302,20 +302,18 @@ def test_warm_started_solve_factors_once(lshape, method, monkeypatch):
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    assert counter.factorizations == 1
-    assert rep.factorizations == 1
     assert rep.iterations == ref_iterations >= 2
-    assert len(rep.krylov_iterations) == rep.iterations
-    assert rep.krylov_iterations[0] == 0
-    assert all(k > 0 for k in rep.krylov_iterations[1:])
+    assert counter.factorizations == rep.factorizations == rep.iterations
+    assert rep.krylov_iterations == [0] * rep.iterations
+    assert np.isnan(rep.krylov_rtols).all()
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
 
 
 def test_cold_device_start_refactors():
-    """From the cold director guess the first factor is a poor
-    preconditioner for the later Jacobians: a step whose predecessor did not
-    cut the residual by REFACTOR_RATIO refactors at once, with no failed
-    GMRES attempt, and the solution is still the Newton solution."""
+    """From the cold director guess, far from the solution, a solve
+    without a hierarchy factors the Jacobian of every step with no GMRES
+    attempt, and takes the steps of the factor-every-step Newton iteration
+    to its solution."""
     prob = device_problem(0.02)
     cfg = MethodConfig(method="nitsche", epsilon=0.02)
     mesh = build_initial_mesh(prob.shape)
@@ -327,21 +325,37 @@ def test_cold_device_start_refactors():
     sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
-    assert rep.factorizations > 1
-    assert rep.krylov_iterations.count(0) >= rep.factorizations
     assert rep.iterations == ref_iterations
+    assert rep.factorizations == rep.iterations
+    assert rep.krylov_iterations == [0] * rep.iterations
+    assert rep.failed_krylov_iterations == [0] * rep.iterations
+    assert np.isnan(rep.krylov_rtols).all()
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
-    # a later step refactors exactly when the last one cut the residual
-    # by less than REFACTOR_RATIO, and no GMRES attempt fails
-    failed = rep.failed_krylov_iterations
-    assert len(failed) == rep.iterations
-    assert sum(failed) == 0
-    res = rep.residuals
-    refactored = [k for k in range(1, rep.iterations)
-                  if rep.krylov_iterations[k] == 0]
-    assert refactored == [k for k in range(1, rep.iterations)
-                          if res[k] > solver.REFACTOR_RATIO * res[k - 1]]
-    assert len(refactored) == rep.factorizations - 1
+
+
+def test_level_zero_hands_hierarchy_its_last_factor(lshape, monkeypatch):
+    """A solve on an empty hierarchy factors every step, and the hierarchy
+    restarts on the factor of the solve's last Jacobian itself, not a copy
+    and not an earlier one."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    space = Space.continuous(red_refine(red_refine(lshape)))
+    guess = laplace_guess(space, cfg, prob.g, prob.f)
+    real, factors = solver._factor_solve, []
+
+    def recording(matrix, rhs):
+        lu, out = real(matrix, rhs)
+        factors.append(lu)
+        return lu, out
+
+    monkeypatch.setattr(solver, "_factor_solve", recording)
+    hierarchy = Hierarchy()
+    _, rep = newton_solve(space, cfg, prob.g, prob.f, guess,
+                          hierarchy=hierarchy)
+    monkeypatch.undo()
+    assert len(factors) == rep.factorizations == rep.iterations >= 2
+    assert hierarchy.lu is factors[-1]
+    assert hierarchy.levels == [] and hierarchy.operator is None
 
 
 # -- two-grid last level ---------------------------------------------------------
@@ -627,18 +641,19 @@ def test_dg_study_factors_on_level_zero_only(monkeypatch, refine, levels,
         assert np.abs(solution.coeffs - ref).max() <= 1e-10
 
 
-def test_uniform_continuous_study_factors_once(monkeypatch):
-    """A uniform Nitsche study factors on level 0 only: every later level
-    is solved by V-cycle on the hierarchy of the levels below it, and each
-    level reaches the factor-every-step Newton solution from its guess in
-    the same number of steps."""
+def test_uniform_continuous_study_factors_on_level_zero_only(monkeypatch):
+    """A uniform Nitsche study factors on level 0 only, once per Newton
+    step there: every later level is solved by V-cycle on the hierarchy of
+    the levels below it, and each level reaches the factor-every-step
+    Newton solution from its guess in the same number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
     prob, cfg, records = _study("nitsche", "uniform", 4)
     monkeypatch.undo()
     assert len(records) == 4
-    assert [built for _, built, _ in reports] == [1, 0, 0, 0]
-    assert sum(rep.factorizations for rep, _, _ in reports) == 1
+    steps = reports[0][0].iterations
+    assert [built for _, built, _ in reports] == [steps, 0, 0, 0]
+    assert sum(rep.factorizations for rep, _, _ in reports) == steps
     for k, (rep, _, solution) in enumerate(reports):
         space = solution.space
         guess = (laplace_guess(space, cfg, prob.g, prob.f) if k == 0
@@ -870,16 +885,17 @@ def _unrelated_hierarchy(coarse_space, mid_space, mid_jac, aux_space):
 def _watched_fallback(monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob,
                       guess, ncfg):
     """The solve of ``space`` on ``hierarchy`` without the cyclic garbage
-    collector; returns (solution, report, the factorizations it built, and
-    at each of them the hierarchy's factor and levels and whether the kept
-    level's J was alive)."""
-    held = []
+    collector; returns (solution, report, the factorizations it built, at
+    each of them the hierarchy's factor and levels and whether the kept
+    level's J was alive, and the (matrix, factor) pairs built)."""
+    held, factored = [], []
 
     class Watching(_CountingLinalg):
-        def splu(self, *args, **kwargs):
+        def splu(self, matrix, *args, **kwargs):
             held.append((hierarchy.lu, hierarchy.levels,
                          mid_jac_ref() is not None))
-            return super().splu(*args, **kwargs)
+            factored.append((matrix, super().splu(matrix, *args, **kwargs)))
+            return factored[-1][1]
 
     counter = Watching()
     monkeypatch.setattr(solver, "spla", counter)
@@ -890,15 +906,27 @@ def _watched_fallback(monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob,
     finally:
         gc.enable()
     monkeypatch.undo()
-    return sol, rep, counter.factorizations, held
+    return sol, rep, counter.factorizations, held, factored
+
+
+def _check_fallback(rep, built, held):
+    """V-cycle GMRES fails on the first step, which drops the hierarchy,
+    with its kept level's J, before it factors; so does every later step,
+    on the empty hierarchy, with no GMRES attempt."""
+    assert held == [(None, [], False)] * rep.iterations
+    assert built == rep.factorizations == rep.iterations >= 2
+    assert rep.krylov_iterations == [0] * rep.iterations
+    assert rep.failed_krylov_iterations[0] > 0
+    assert rep.failed_krylov_iterations[1:] == [0] * (rep.iterations - 1)
+    assert np.isnan(rep.krylov_rtols[1:]).all()
 
 
 def test_two_grid_fallback_refactors(lshape, monkeypatch):
     """With the factor of an unrelated matrix as coarse solve, V-cycle
     GMRES fails on the first step; the step drops the coarse factor and
-    the intermediate level before it factors the Jacobian, and the solve
-    still reaches the Newton solution.  The hierarchy restarts on the
-    solve's own factor."""
+    the intermediate level before it factors the Jacobian, every later
+    step factors too, and the solve still reaches the Newton solution.
+    The hierarchy restarts on the factor of the last step."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="nitsche", epsilon=0.4)
     ncfg = NewtonConfig()
@@ -917,29 +945,27 @@ def test_two_grid_fallback_refactors(lshape, monkeypatch):
     hierarchy = _unrelated_hierarchy(coarse_space, mid_space, mid_jac, space)
     del mid_jac
 
-    sol, rep, built, held = _watched_fallback(
+    sol, rep, built, held, factored = _watched_fallback(
         monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob, guess, ncfg)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    assert held == [(None, [], False)]
-    assert built == rep.factorizations == 1
-    assert rep.krylov_iterations[0] == 0
-    assert rep.failed_krylov_iterations[0] > 0
+    _check_fallback(rep, built, held)
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
-    # restarted on the solve's factor, which is of J = A
+    # restarted on the last step's factor, which is of J = A
     assert hierarchy.levels == [] and hierarchy.operator is None
-    assert hierarchy.lu.shape == (space.ndof, space.ndof)
+    assert hierarchy.lu is factored[-1][1]
 
 
 def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
     """dG: with the factor of an unrelated matrix as coarse solve, the
     auxiliary-space V-cycle GMRES fails on the first step; the step drops
     the coarse factor and the intermediate level before it factors the dG
-    Jacobian, and the solve still reaches the Newton solution.  It keeps
-    no dG factor: the hierarchy restarts on the auxiliary operator E^T J E
-    of its last Jacobian, which the next refinement factors."""
+    Jacobian, every later step factors too, and the solve still reaches
+    the Newton solution.  It keeps no dG factor: the hierarchy restarts on
+    the auxiliary operator E^T J E of its last Jacobian, which the next
+    refinement factors."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="dg", epsilon=0.4)
     ncfg = NewtonConfig()
@@ -960,18 +986,19 @@ def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
     hierarchy = _unrelated_hierarchy(coarse_aux, mid_aux, mid_jac, aux)
     del mid_jac
 
-    sol, rep, built, held = _watched_fallback(
+    sol, rep, built, held, factored = _watched_fallback(
         monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob, guess, ncfg)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    assert held == [(None, [], False)]
-    assert built == rep.factorizations == 1
-    assert rep.krylov_iterations[0] == 0
-    assert rep.failed_krylov_iterations[0] > 0
+    _check_fallback(rep, built, held)
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
     assert hierarchy.lu is None and hierarchy.levels == []
+    last_jac = factored[-1][0].tocsr()
+    expect = solver._auxiliary_operator(
+        last_jac, solver._lifts(embedding_matrix(space)))
+    assert abs(hierarchy.operator - expect).max() == 0.0
 
     factored = []
 
