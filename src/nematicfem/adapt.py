@@ -19,9 +19,9 @@ import numpy as np
 
 from .estimator import EstimatorBreakdown, estimate
 from .exceptions import ConfigError, NewtonError
-from .fespace import (Field, Space, auxiliary_space, discrete_norm,
-                      energy_error_norm, free_energy, l2_error_norm, l2_norm,
-                      prolong, prolongation_matrix, space_kind)
+from .fespace import (Field, Space, discrete_norm, energy_error_norm,
+                      free_energy, l2_error_norm, l2_norm, prolong,
+                      space_kind)
 from .forms import MethodConfig
 from .mesh import Mesh, nvb_refine
 from .problems import ProblemSpec
@@ -152,15 +152,13 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
 
     Newton starts from the prolonged previous solution, on level 0 from the
     director guess of ``state`` or else the Laplace guess; once that guess
-    and the level's prolongations are built, nothing of the coarser level's
-    space (its geometry, pattern and solution) is held during the solve.
-    The study keeps one multilevel hierarchy on continuous P1, the
-    auxiliary space of both methods (:class:`Hierarchy`): each solve
-    updates it, and each move to a finer level refines it by the continuous
-    prolongation; the last level drops it.  Level 0 has no factor to cycle
-    on, so each of its Newton steps factors its Jacobian, and its last
-    step's factor (on dG, that of its last auxiliary operator) becomes the
-    hierarchy's coarsest level, as does that of a level whose V-cycle GMRES
+    is built, nothing of the coarser level's space (its geometry, pattern
+    and solution) is held during the solve.  The study keeps one multilevel
+    hierarchy (:class:`Hierarchy`), created on level 0's space and refined
+    to every finer level's space; each solve updates it, and the last level
+    drops it.  Level 0 has no factor to cycle on, so each of its Newton
+    steps factors its Jacobian, and its last step becomes the hierarchy's
+    coarsest level, as does the last step of a level whose V-cycle GMRES
     fails and which factors from then on; every other level is solved by
     V-cycle GMRES on the hierarchy.  Problems with an exact solution record
     its energy and L2 errors; the others record the norms of the difference
@@ -171,34 +169,29 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     """
     kind = space_kind(cfg.method)
     records = []
-    previous = None
-    # the only holder of the hierarchy's factor and levels, so a solve can
-    # release them before a fallback factorization
-    hierarchy = Hierarchy()
+    # the hierarchy is the only holder of its factor and levels, so a solve
+    # can release them before a fallback factorization
+    previous = hierarchy = None
     for level in range(max_levels):
         if mesh_dump_dir is not None:
             out = Path(mesh_dump_dir)
             out.mkdir(parents=True, exist_ok=True)
             mesh.dump(out / f"level_{level:03d}.mesh.txt")
         space = Space(mesh, kind)
-        aux_space = auxiliary_space(space)
         last = level == max_levels - 1 or (target_ndof is not None
                                            and space.ndof >= target_ndof)
         if previous is not None:
-            step = prolongation_matrix(previous.space, space)
-            guess = prolong(previous, space, step)
-            if aux_space is not space:   # the hierarchy's step on dG meshes
-                step = prolongation_matrix(auxiliary_space(previous.space),
-                                           aux_space)
+            guess = prolong(previous, space)
             # the coarser level's space, with its geometry and pattern, is
             # released before this level is solved and before the
-            # hierarchy builds its factor and transfers
+            # hierarchy builds its transfers
             previous = None
-            hierarchy.refine(step)
-        elif state is not None:
-            guess = director_guess(space, problem.epsilon, state)
+            hierarchy.refine(space)
         else:
-            guess = laplace_guess(space, cfg, problem.g, problem.f)
+            hierarchy = Hierarchy(space)
+            guess = (laplace_guess(space, cfg, problem.g, problem.f)
+                     if state is None
+                     else director_guess(space, problem.epsilon, state))
         try:
             # looked up as this module's global on every call: the benchmark
             # rebinds ``adapt.newton_solve`` to capture each level's solution

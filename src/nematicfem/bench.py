@@ -71,6 +71,8 @@ class RunConfig:
             raise ConfigError(f"unknown refinement mode {self.refine!r}")
         if self.levels < 1:
             raise ConfigError("levels must be at least 1")
+        if self.initial_refine is not None and self.initial_refine < 0:
+            raise ConfigError("initial_refine must not be negative")
 
     def method_config(self) -> MethodConfig:
         return MethodConfig(method=self.method, epsilon=self.epsilon,

@@ -526,19 +526,12 @@ def prolongation_matrix(coarse_space: Space, fine_space: Space) -> sp.csr_matrix
         shape=(n, coarse_space.nscalar))
 
 
-def prolong(coarse: Field, fine_space: Space, matrix=None) -> Field:
+def prolong(coarse: Field, fine_space: Space) -> Field:
     """Exact representation of a coarse field on a refined mesh: the
-    :func:`prolongation_matrix` applied to each component.  ``matrix`` is
-    that matrix when the caller has already built it."""
-    if matrix is None:
-        matrix = prolongation_matrix(coarse.space, fine_space)
-    return Field(fine_space, componentwise(matrix, coarse.coeffs))
-
-
-def auxiliary_space(space: Space) -> Space:
-    """The continuous P1 space on the mesh of ``space``: ``space`` itself
-    when it is continuous."""
-    return space if space.kind == CONTINUOUS else Space(space.mesh, CONTINUOUS)
+    :func:`prolongation_matrix` applied to each component."""
+    return Field(fine_space,
+                 componentwise(prolongation_matrix(coarse.space, fine_space),
+                               coarse.coeffs))
 
 
 def embedding_matrix(dg_space: Space) -> sp.csr_matrix:
@@ -554,17 +547,6 @@ def embedding_matrix(dg_space: Space) -> sp.csr_matrix:
     # local vertex: the order of the raveled triangles
     return sp.csr_matrix((np.ones(n), mesh.triangles.ravel(),
                           np.arange(n + 1)), shape=(n, mesh.n_vertices))
-
-
-def embed_continuous(field: Field, dg_space: Space) -> Field:
-    """Copy a continuous field into the dG space on the same mesh: the
-    :func:`embedding_matrix` applied to each component."""
-    if field.space.kind != CONTINUOUS:
-        raise SpaceMismatchError("embedding maps a continuous field into dG")
-    if dg_space.mesh is not field.space.mesh:
-        raise SpaceMismatchError("embedding requires the same mesh")
-    return Field(dg_space,
-                 componentwise(embedding_matrix(dg_space), field.coeffs))
 
 
 # -- norms and integrals -------------------------------------------------------
@@ -618,7 +600,7 @@ def broken_gradient_sq(field: Field) -> float:
 def discrete_norm(field: Field, method: str, sigma: float) -> float:
     """Mesh-dependent norm: broken H1 seminorm plus penalty-weighted jump
     terms on the boundary edges (``nitsche``) or on all edges (``dg``)."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigError("penalty parameter sigma must be positive")
     kind = space_kind(method)
     geom = field.space.geometry
@@ -642,7 +624,7 @@ def l2_norm(field: Field) -> float:
 def free_energy(field: Field, epsilon: float) -> float:
     """Dimensionless free energy: gradient part plus the double-well bulk
     term scaled by 1/epsilon^2 (exact for P1 fields)."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
     geom = field.space.geometry
     rule = triangle_rule(ASSEMBLY_DEGREE)
@@ -669,7 +651,7 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
     """Discrete norm of (exact - field) with the exact solution evaluated by
     quadrature; ``exact_grad(points) -> (N, 2, 2)`` with axes
     (point, component, direction) and ``g(points) -> (N, 2)``."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigError("penalty parameter sigma must be positive")
     kind = space_kind(method)
     geom = field.space.geometry

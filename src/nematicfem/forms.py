@@ -53,6 +53,7 @@ from .exceptions import ConfigError, SpaceMismatchError
 from .fespace import (DG, DG_METHOD, NITSCHE, CoupledLayout, Field, Space,
                       _error_blocks, componentwise, scatter_add, space_kind,
                       squared_norm)
+from .problems import check_epsilon
 from .quadrature import ASSEMBLY_DEGREE, triangle_rule
 
 
@@ -69,12 +70,11 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in (NITSCHE, DG_METHOD):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError("penalty parameter sigma must be positive")
         if not -1.0 <= self.lam <= 1.0:
             raise ConfigError("dG symmetrization weight must lie in [-1, 1]")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        check_epsilon(self.epsilon)
 
 
 def _require_space(space: Space, cfg: MethodConfig, what: str):

@@ -53,6 +53,13 @@ def _cubic_source(values, epsilon):
     return -2.0 / epsilon ** 2 * (1.0 - norm2) * values
 
 
+def check_epsilon(epsilon: float):
+    """Raise :class:`ConfigError` unless epsilon is positive with a nonzero
+    square: the bulk terms divide by epsilon^2."""
+    if not (epsilon > 0 and epsilon ** 2 > 0):
+        raise ConfigError("epsilon must be positive, with a nonzero square")
+
+
 def lshape_problem(epsilon: float) -> ProblemSpec:
     """Manufactured solution (r^{2/3} sin(2 theta / 3), r^{1/2} sin(theta/2))
     around the re-entrant corner; both components are harmonic, vanish on
@@ -61,8 +68,7 @@ def lshape_problem(epsilon: float) -> ProblemSpec:
     regularity index at the re-entrant corner is alpha* = 2/3, so on
     uniform meshes the duality argument gives the L2 order
     alpha + alpha* = 7/6 rather than 2 alpha = 1."""
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    check_epsilon(epsilon)
 
     def exact(points):
         r, th = _polar(points)
@@ -90,8 +96,7 @@ def slit_problem(epsilon: float) -> ProblemSpec:
     """Manufactured solution u = v = r^{1/2} sin(theta/2) - y^2/2 around the
     slit tip; the square-root part is harmonic, the quadratic part
     contributes a constant 1 to -laplace(exact) per component."""
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    check_epsilon(epsilon)
 
     def exact(points):
         r, th = _polar(points)
@@ -127,8 +132,7 @@ def device_problem(epsilon: float) -> ProblemSpec:
     solution.  ``g`` continues this data into the whole square from the
     nearest edge (a horizontal one where min(y, 1-y) <= min(x, 1-x)), which
     is what the director guesses blend into."""
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    check_epsilon(epsilon)
     d = 3.0 * epsilon
     if d >= 0.5:
         raise ConfigError(

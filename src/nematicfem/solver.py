@@ -14,11 +14,11 @@ below the tolerance.
 A step solves its linear system in one of two ways.  Given the multilevel
 hierarchy that a study on nested meshes keeps from its coarser levels
 (:class:`Hierarchy`: the factor of the coarsest level, the kept levels
-above it and the prolongation into the solve's auxiliary space), it runs
-GMRES on the current Jacobian J preconditioned by a V-cycle and builds no
-factor.  Without a hierarchy that holds a factor (a study's level 0, a
-single solve, or the steps after a V-cycle GMRES failure) it factors J with
-SuperLU and solves directly.
+above it and the prolongation into continuous P1 on the solve's mesh), it
+runs GMRES on the current Jacobian J preconditioned by the hierarchy's
+V-cycle and builds no factor.  Without a hierarchy that holds a factor (a
+study's level 0, a single solve, or the steps after a V-cycle GMRES
+failure) it factors J with SuperLU and solves directly.
 
 GMRES solves to no more accuracy than Newton can use.  The first step of a
 solve runs to KRYLOV_RTOL_FLOOR; a later one to the squared residual ratio
@@ -31,29 +31,31 @@ Equations, SIAM 1995, 6.3); both clipped to [KRYLOV_RTOL_FLOOR,
 KRYLOV_RTOL_CAP].  The update is still the Newton step, so the iterates
 match a solve that factors at every step up to the GMRES tolerance.
 
-The hierarchy always lives on continuous P1.  The auxiliary space of a
-solve is continuous P1 on its mesh, reached by the scalar embedding E (the
-identity on continuous P1), and its auxiliary operator is the Galerkin
-product A = E^T J E.  A dG solve is thereby the auxiliary-space
-preconditioner (Xu, Computing 56, 1996; Dobrev, Lazarov, Vassilevski &
-Zikatanov, NLAA 13, 2006): a sweep on J, the restriction by E^T, the
-continuous cycle on A, the prolongation by E and a second sweep.  The
-cycle smooths down from J through A and the kept levels, restricting the
-residual by P^T, solves with the kept factor, then prolongs the correction
-and smooths back up; every smoothing is a damped block-Jacobi sweep
-(damping SMOOTHER_OMEGA; one block per dG triangle or per continuous
-vertex, both components, the vertex blocks inverted in closed form) and
-every transfer is the scalar P or E on each component.  With no kept level
-above the factor this is the two-grid cycle on A: a sweep, the coarse
-correction P lu_c^{-1} P^T r and a second sweep.  The transfers are the
-two-component lifts diag(P, P) and diag(P^T, P^T), built once per level
-(those of E once per solve), so a transfer is one sparse product on the
-flat coefficient vector.  Point Jacobi is too weak a smoother for dG;
+The hierarchy always lives on continuous P1, and it alone knows how a level
+reaches it.  The auxiliary space of a level is continuous P1 on its mesh,
+reached by the scalar embedding E (the identity on continuous P1), and its
+auxiliary operator is the Galerkin product A = E^T J E.  A dG solve is
+thereby the auxiliary-space preconditioner (Xu, Computing 56, 1996; Dobrev,
+Lazarov, Vassilevski & Zikatanov, NLAA 13, 2006): a sweep on J, the
+restriction by E^T, the continuous cycle on A, the prolongation by E and a
+second sweep.  The cycle smooths down from J through A and the kept levels,
+restricting the residual by P^T, solves with the kept factor, then prolongs
+the correction and smooths back up; every smoothing is a damped
+block-Jacobi sweep (damping SMOOTHER_OMEGA; one block per dG triangle or
+per continuous vertex, both components, the vertex blocks inverted in
+closed form) and every transfer is the scalar P or E on each component.
+With no kept level above the factor this is the two-grid cycle on A: a
+sweep, the coarse correction P lu_c^{-1} P^T r and a second sweep.  The
+transfers are the two-component lifts diag(P, P) and diag(P^T, P^T), built
+once per level, as are those of E, so a transfer is one sparse product on
+the flat coefficient vector.  Point Jacobi is too weak a smoother for dG;
 element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).
 When GMRES does not converge within KRYLOV_CYCLES restart cycles, the step
-drops the hierarchy and factors J, and so do the solve's later steps.  The
-solve updates the hierarchy in place, and
-:func:`nematicfem.adapt.solve_levels` keeps one per study.
+drops the hierarchy and factors J, and so do the solve's later steps.  A
+converged solve hands its last step to the hierarchy in one call,
+:meth:`Hierarchy.keep`: the level of a V-cycle step is offered to it, and
+the factor of a factored step's A restarts it.
+:func:`nematicfem.adapt.solve_levels` keeps one hierarchy per study.
 
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
@@ -83,9 +85,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
-from .fespace import (DG, Field, Space, auxiliary_space, block_diagonal,
+from .fespace import (CONTINUOUS, DG, Field, Space, block_diagonal,
                       componentwise, discrete_norm, embedding_matrix, gather,
-                      join, vertex_block_matrix, vertex_blocks)
+                      join, prolongation_matrix, vertex_block_matrix,
+                      vertex_blocks)
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
 from .mesh import UNIT_SQUARE
@@ -100,7 +103,7 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("Newton tolerance must be positive")
         if self.max_iter < 1:
             raise ConfigError("Newton iteration budget must be at least 1")
@@ -277,72 +280,71 @@ def _lifts(scalar: sp.csr_matrix):
 
 class Hierarchy:
     """The multilevel hierarchy that a study on nested meshes keeps for its
-    V-cycle solves, all on continuous P1: ``lu``, the LU factor of the
-    coarsest level's auxiliary operator (on dG ``operator``, that operator,
-    until :meth:`refine` factors it); ``levels``, the kept levels above it,
-    coarse to fine, as (auxiliary operator, damped block-Jacobi smoother,
-    lifted prolongation from the level below, lifted restriction to it);
-    ``prolongation``, the scalar prolongation from the top level to the
-    auxiliary space being solved, composed over the levels between them,
-    and ``transfer``, its lifts, which a joining level keeps, so each
-    level's lifts are built once.
+    V-cycle solves, and the one owner of the way a level reaches it.  It
+    lives on continuous P1: ``space`` is continuous P1 on the mesh of the
+    level being solved, that level's auxiliary space, and ``embedding`` the
+    lifts (E, E^T) of the embedding of it into a dG level (None on
+    continuous P1, where E = I); ``lu`` is the LU factor of the coarsest
+    level's auxiliary operator; ``levels`` the kept levels above it, coarse
+    to fine, as (auxiliary operator, damped block-Jacobi smoother, lifted
+    prolongation from the level below, lifted restriction to it);
+    ``prolongation`` the scalar prolongation from the top level to
+    ``space``, composed over the levels between them, and ``transfer`` its
+    lifts, which a joining level keeps, so each level's lifts are built
+    once.
 
-    The study calls :meth:`refine` when it moves to a finer level;
-    :func:`newton_solve` calls :meth:`restart` when a solve's last step
-    factored (level 0, or after a V-cycle GMRES failure), with that step's
-    factor, :meth:`offer` when its last step ran the V-cycle and
-    :meth:`drop` when V-cycle GMRES fails.  As the only holder of its
-    factor and levels, the hierarchy releases them on a drop, before the
-    step factors its Jacobian."""
+    A study creates it on the space of its level 0 and calls
+    :meth:`refine` with every finer level's space.  :func:`newton_solve`
+    takes each V-cycle step's :meth:`preconditioner`, calls :meth:`drop`
+    when V-cycle GMRES fails and hands a converged solve's last step to
+    :meth:`keep`.  As the only holder of its factor and levels, the
+    hierarchy releases them on a drop, before the step factors its
+    Jacobian."""
 
-    def __init__(self):
+    def __init__(self, space: Space):
         self.drop()
+        self._take(space)
+
+    def _take(self, space: Space):
+        """Make ``space`` the level being solved: keep continuous P1 on its
+        mesh and, on dG, the lifted embedding, releasing the last one
+        first."""
+        self.space, self.embedding = Space(space.mesh, CONTINUOUS), None
+        if space.kind == DG:
+            self.embedding = _lifts(embedding_matrix(space))
 
     def drop(self):
         """Release the factor, the levels and the transfer."""
-        self.lu = self.operator = self.prolongation = self.transfer = None
+        self.lu = self.prolongation = self.transfer = None
         self.levels = []
 
-    def restart(self, lu=None, operator=None):
-        """Restart on the level just solved as the coarsest level: with its
-        LU factor ``lu`` on continuous P1, where the solve's own factor is
-        that of its auxiliary operator; on dG with the auxiliary operator
-        E^T J E itself (``operator``), which the next :meth:`refine`
-        factors, so a study's last level builds no unused factor."""
-        self.drop()
-        self.lu, self.operator = lu, operator
-
-    def offer(self, operator, smoother):
-        """Offer the auxiliary operator and smoother of a V-cycle solve's
-        last step: the level joins as the new top level, with the transfer
-        built for it, when its ndof is at least HIERARCHY_GROWTH times the
-        top level's; else the prolongation is composed on from it."""
-        top = self.levels[-1][0] if self.levels else self.lu
-        if operator.shape[0] >= HIERARCHY_GROWTH * top.shape[0]:
-            self.levels.append((operator, smoother) + self.transfer)
-            self.prolongation = None
-        self.transfer = None
-
-    def refine(self, step: sp.csr_matrix):
-        """Move to the next finer level: ``step`` is the scalar continuous P1
-        prolongation into its auxiliary space.  A pending auxiliary operator
-        is factored first.  Raises :class:`LinearSolveError` where SuperLU
-        fails."""
-        if self.operator is not None:
-            self.lu, self.operator = _factor(self.operator), None
+    def refine(self, space: Space):
+        """Move to ``space``, on a refinement of the last level's mesh: the
+        continuous P1 prolongation between the two meshes is composed onto
+        ``prolongation``.  Raises :class:`NestingError` where the meshes are
+        not nested."""
+        coarse = self.space
+        self._take(space)
+        step = prolongation_matrix(coarse, self.space)
         self.prolongation = (step if self.prolongation is None
                              else step @ self.prolongation)
         self.transfer = _lifts(self.prolongation)
 
-    def cycle(self, own):
-        """The V-cycle over a solve's own levels ``own`` and then the kept
-        ones: from the finest level down, a sweep and the restriction of its
-        residual; the factor's solve; from the coarsest level up, the
-        prolonged correction and a second sweep.  ``own`` runs fine to
-        coarse as (matrix, smoother, lifted prolongation from the next
-        level, lifted restriction to it); its last level, on continuous P1,
-        comes without transfers, which are ``transfer``."""
-        down = own[:-1] + [own[-1] + self.transfer] + self.levels[::-1]
+    def preconditioner(self, jac, space: Space):
+        """The V-cycle of a step on ``space`` with Jacobian ``jac``, and the
+        level (A, its damped block-Jacobi smoother) that :meth:`keep` takes:
+        A = E^T J E on dG, J itself on continuous P1.  From the finest level
+        down, a sweep and the restriction of its residual (on dG, a sweep on
+        J and the restriction by E^T to A first); the factor's solve; from
+        the coarsest level up, the prolonged correction and a second
+        sweep."""
+        down = []
+        if self.embedding is not None:
+            down.append((jac, SMOOTHER_OMEGA * _block_jacobi(jac, space))
+                        + self.embedding)
+            jac = self.embedding[1] @ (jac @ self.embedding[0])
+        level = (jac, SMOOTHER_OMEGA * _block_jacobi(jac, self.space))
+        down += [level + self.transfer] + self.levels[::-1]
         lu = self.lu
 
         def apply(r):
@@ -358,14 +360,29 @@ class Hierarchy:
                 correction = x + smooth @ (r - jac @ x)
             return correction
 
-        return apply
+        return apply, level
 
-
-def _auxiliary_operator(jac, embedding):
-    """The Galerkin auxiliary operator E^T J E of a dG Jacobian on the
-    continuous dofs, from the lifted embedding (E, E^T)."""
-    prolongation, restriction = embedding
-    return restriction @ (jac @ prolongation)
+    def keep(self, jac, lu, level):
+        """Take the last step of a converged solve, with Jacobian ``jac``.
+        Where it ran the V-cycle, ``level`` is its level from
+        :meth:`preconditioner`: the level joins as the new top level, with
+        the transfer built for it, when its ndof is at least
+        HIERARCHY_GROWTH times the top level's; else the prolongation is
+        composed on from it.  Where it factored (``level`` None), the
+        hierarchy restarts on the level as its coarsest: with the step's
+        factor ``lu`` on continuous P1, where A = J, and on dG with the
+        factor of A = E^T J E, built here.  Raises
+        :class:`LinearSolveError` where SuperLU fails."""
+        if level is None:
+            self.drop()
+            self.lu = (lu if self.embedding is None else
+                       _factor(self.embedding[1] @ (jac @ self.embedding[0])))
+            return
+        top = self.levels[-1][0] if self.levels else self.lu
+        if level[0].shape[0] >= HIERARCHY_GROWTH * top.shape[0]:
+            self.levels.append(level + self.transfer)
+            self.prolongation = None
+        self.transfer = None
 
 
 def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
@@ -421,31 +438,25 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  hierarchy: Optional[Hierarchy] = None):
     """Newton iteration from the given guess; returns (solution, report).
 
-    With a ``hierarchy`` that holds a factor every step runs V-cycle
-    preconditioned GMRES, through the auxiliary space on dG; otherwise, and
-    from a step whose GMRES fails on, every step factors its own Jacobian
-    (see the module docstring).  A given ``hierarchy`` is updated in place
-    from the solve: dropped when V-cycle GMRES fails, restarted on the last
-    step's factor (on dG, on its auxiliary operator) when the solve ends on
-    a factored step, else offered the last step's level.
+    With a ``hierarchy`` that holds a factor every step runs GMRES
+    preconditioned by its V-cycle; otherwise, and from a step whose GMRES
+    fails on, every step factors its own Jacobian (see the module
+    docstring).  A given ``hierarchy``, which has taken ``space``, is
+    updated in place: dropped when V-cycle GMRES fails, and handed the last
+    step by :meth:`Hierarchy.keep` when the solve converges.
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
     if guess.space is not space:
         raise ConfigError("initial guess does not live on the target space")
     system = NonlinearSystem(space, cfg, g, f)
-    # a dG solve reaches the continuous hierarchy through the embedding
-    # into its auxiliary space; E = I on continuous P1
-    aux_space = auxiliary_space(space)
-    embedding = (None if aux_space is space or hierarchy is None
-                 else _lifts(embedding_matrix(space)))
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
     prev_res, prev_inc = None, None
     for _ in range(ncfg.max_iter):
-        # the last step's Jacobian, its smoothers and its factor are released
+        # the last step's Jacobian, its level and its factor are released
         # before this step's Jacobian is built
-        jac = own = aux = smoother = lu = None
+        jac = level = lu = None
         jac = system.jacobian(coeffs)
         rhs = -system.residual(coeffs)
         res = np.linalg.norm(rhs)
@@ -456,18 +467,12 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.krylov_rtols.append(rtol)
         delta, krylov_its = None, 0
         if v_cycle:
-            own, aux = [], jac
-            if embedding is not None:
-                own.append((jac, SMOOTHER_OMEGA * _block_jacobi(jac, space))
-                           + embedding)
-                aux = _auxiliary_operator(jac, embedding)
-            smoother = SMOOTHER_OMEGA * _block_jacobi(aux, aux_space)
-            own.append((aux, smoother))
-            delta, krylov_its = _krylov_solve(jac, rhs, hierarchy.cycle(own),
-                                              rtol)
+            cycle, level = hierarchy.preconditioner(jac, space)
+            delta, krylov_its = _krylov_solve(jac, rhs, cycle, rtol)
+            cycle = None   # it holds the kept levels, which a drop releases
             if delta is None:
                 hierarchy.drop()
-                own = aux = smoother = None
+                level = None
         failed_its = 0
         if delta is None:
             lu, delta = _factor_solve(jac, rhs)
@@ -483,12 +488,8 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.peak_rss_mb.append(_peak_rss_mb())
         if inc <= ncfg.tol:
             report.converged = True
-            if smoother is not None:   # the last step ran the V-cycle
-                hierarchy.offer(aux, smoother)
-            elif embedding is not None:   # a dG solve that ended on a factor
-                hierarchy.restart(operator=_auxiliary_operator(jac, embedding))
-            elif hierarchy is not None:   # ended on a factor of its A = J
-                hierarchy.restart(lu=lu)
+            if hierarchy is not None:
+                hierarchy.keep(jac, lu, level)
             return Field(space, coeffs), report
     raise NewtonError(
         f"Newton iteration did not reach tol={ncfg.tol} within "

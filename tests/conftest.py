@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nematicfem.fespace import Field, Space
+from nematicfem.fespace import Field, Space, componentwise, embedding_matrix
 from nematicfem.mesh import (DomainShape, L_SHAPE, SLIT_SQUARE, UNIT_SQUARE,
                              Mesh, build_initial_mesh)
 
@@ -43,3 +43,9 @@ def linear_fn(points):
 def random_field(space: Space, seed: int, scale: float = 1.0) -> Field:
     rng = np.random.default_rng(seed)
     return Field(space, scale * rng.standard_normal(space.ndof))
+
+
+def embedded(field: Field, dg_space: Space) -> Field:
+    """The continuous ``field`` copied into the dG space on its mesh."""
+    return Field(dg_space,
+                 componentwise(embedding_matrix(dg_space), field.coeffs))

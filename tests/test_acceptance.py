@@ -12,11 +12,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import embedded
 from nematicfem import adapt
 from nematicfem.adapt import check_dorfler, dorfler_mark, element_indicators
 from nematicfem.bench import RunConfig, run_study
 from nematicfem.estimator import estimate
-from nematicfem.fespace import Field, Space, embed_continuous
+from nematicfem.fespace import Field, Space
 from nematicfem.forms import MethodConfig, NonlinearSystem
 from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import lshape_problem
@@ -345,7 +346,7 @@ def test_criterion_8_oracles():
                           prob.g, prob.f).residual(psi_c.coeffs)
     r_d = NonlinearSystem(ds, MethodConfig(method="dg", epsilon=0.8, lam=1.0),
                           prob.g, prob.f).residual(
-                              embed_continuous(psi_c, ds).coeffs)
+                              embedded(psi_c, ds).coeffs)
     agg = np.zeros(cs.ndof)
     for comp in range(2):
         np.add.at(agg[comp * cs.nscalar:(comp + 1) * cs.nscalar],

@@ -12,7 +12,7 @@ import nematicfem
 from nematicfem.bench import (ADAPTIVE_COLUMNS, UNIFORM_COLUMNS, ConvergenceTable,
                               RunConfig, emit_outputs, initial_mesh_for,
                               load_table, run_study)
-from nematicfem import adapt
+from nematicfem import adapt, bench
 from nematicfem.cli import main
 from nematicfem.exceptions import ConfigError, NewtonError
 
@@ -111,6 +111,8 @@ def test_run_config_validation():
         RunConfig(problem="lshape", refine="bisect")
     with pytest.raises(ConfigError):
         RunConfig(problem="lshape", levels=0)
+    with pytest.raises(ConfigError):
+        RunConfig(problem="lshape", initial_refine=-1)
 
 
 def test_run_study_dispatch(small_uniform_table):
@@ -174,6 +176,23 @@ def test_cli_rejects_state_on_lshape(tmp_path, capsys):
     rc = main(["--problem", "lshape", "--state", "D1", "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--newton-tol", "nan"), ("--epsilon", "nan"), ("--epsilon", "1e-200"),
+    ("--sigma", "nan"), ("--initial-refine", "-1")])
+def test_cli_rejects_invalid_number(tmp_path, capsys, monkeypatch, flag,
+                                    value):
+    """A NaN, an epsilon whose square underflows or a negative pre-refinement
+    count is a configuration error, found before any level is solved: exit
+    code 1 and one ``error:`` line."""
+    def solve_levels(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(bench, "solve_levels", solve_levels)
+    rc = main(["--problem", "lshape", flag, value, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_device_adaptive_default_tol(tmp_path, monkeypatch):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import constant_fn, random_field
+from conftest import constant_fn, embedded, random_field
 from nematicfem import fespace
 from nematicfem.estimator import estimate
 from nematicfem.exceptions import SpaceMismatchError
-from nematicfem.fespace import Field, Space, embed_continuous, interpolate
+from nematicfem.fespace import Field, Space, interpolate
 from nematicfem.forms import MethodConfig
 from nematicfem.mesh import red_refine
 from nematicfem.problems import lshape_problem, slit_problem
@@ -52,7 +52,7 @@ def test_conforming_field_same_estimate_both_methods(lshape):
     sol, _ = newton_solve(cs, cfg, prob.g, prob.f,
                           laplace_guess(cs, cfg, prob.g, prob.f), NewtonConfig())
     a = estimate(sol, cfg, prob.g, prob.f)
-    b = estimate(embed_continuous(sol, Space.dg(mesh)),
+    b = estimate(embedded(sol, Space.dg(mesh)),
                  MethodConfig(method="dg", epsilon=0.7), prob.g, prob.f)
     assert b.total == pytest.approx(a.total, rel=1e-12)
 

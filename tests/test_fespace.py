@@ -6,13 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import constant_fn, linear_fn, random_field
+from conftest import constant_fn, embedded, linear_fn, random_field
 from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
 from nematicfem import fespace
 from nematicfem.fespace import (CONTINUOUS, DG, CoupledLayout, Field, Space,
-                                discrete_norm,
-                                embed_continuous, energy_error_norm,
+                                discrete_norm, energy_error_norm,
                                 free_energy, interpolate, l2_error_norm,
                                 l2_norm, prolong, prolongation_matrix)
 from nematicfem.forms import MethodConfig, NonlinearSystem, quartic_linearization
@@ -217,8 +216,9 @@ def test_discrete_norm_constant_unit_square(unit_square):
 
 def test_discrete_norm_rejects_bad_sigma(unit_square):
     field = random_field(Space.continuous(unit_square), seed=1)
-    with pytest.raises(ConfigError):
-        discrete_norm(field, "nitsche", -1.0)
+    for sigma in (-1.0, np.nan):
+        with pytest.raises(ConfigError):
+            discrete_norm(field, "nitsche", sigma)
     with pytest.raises(ConfigError):
         discrete_norm(field, "galerkin", 1.0)
 
@@ -254,9 +254,8 @@ def test_error_norms_do_not_depend_on_block_size(lshape, slit, kind,
 def test_dg_norm_of_conforming_field_matches_nitsche(lshape):
     mesh = red_refine(lshape)
     cont = random_field(Space.continuous(mesh), seed=5)
-    embedded = embed_continuous(cont, Space.dg(mesh))
     a = discrete_norm(cont, "nitsche", 10.0)
-    b = discrete_norm(embedded, "dg", 10.0)
+    b = discrete_norm(embedded(cont, Space.dg(mesh)), "dg", 10.0)
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -290,8 +289,9 @@ def test_free_energy_zero_field(unit_square):
     field = Field(space, np.zeros(space.ndof))
     assert free_energy(field, 1.0) == pytest.approx(1.0)
     assert free_energy(field, 0.5) == pytest.approx(4.0)
-    with pytest.raises(ConfigError):
-        free_energy(field, 0.0)
+    for epsilon in (0.0, np.nan):
+        with pytest.raises(ConfigError):
+            free_energy(field, epsilon)
 
 
 def test_coupled_layout_drops_zeros_in_place():

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import constant_fn, random_field
+from conftest import constant_fn, embedded, random_field
 from nematicfem import fespace
 from nematicfem.exceptions import ConfigError, SpaceMismatchError
-from nematicfem.fespace import (Field, Space, componentwise, embed_continuous,
-                                interpolate)
+from nematicfem.fespace import Field, Space, componentwise, interpolate
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
                               gradient_matrix, load_vector,
@@ -34,12 +33,16 @@ def residual(psi, cfg, g, f=None):
 
 
 def test_method_config_validation():
-    with pytest.raises(ConfigError):
-        MethodConfig(method="nitsche", epsilon=1.0, sigma=0.0)
-    with pytest.raises(ConfigError):
-        MethodConfig(method="dg", epsilon=1.0, lam=1.5)
-    with pytest.raises(ConfigError):
-        MethodConfig(method="nitsche", epsilon=-0.1)
+    for sigma in (0.0, np.nan):
+        with pytest.raises(ConfigError):
+            MethodConfig(method="nitsche", epsilon=1.0, sigma=sigma)
+    for lam in (1.5, np.nan):
+        with pytest.raises(ConfigError):
+            MethodConfig(method="dg", epsilon=1.0, lam=lam)
+    # 1e-200 squares to zero
+    for epsilon in (-0.1, np.nan, 1e-200):
+        with pytest.raises(ConfigError):
+            MethodConfig(method="nitsche", epsilon=epsilon)
     with pytest.raises(ConfigError):
         MethodConfig(method="fem", epsilon=1.0)
 
@@ -103,7 +106,7 @@ def test_dg_matrix_on_conforming_field_matches_nitsche(unit_square):
     cont = Space.continuous(mesh)
     dg = Space.dg(mesh)
     c = random_field(cont, seed=2)
-    d = embed_continuous(c, dg)
+    d = embedded(c, dg)
     qa = c.coeffs @ componentwise(gradient_matrix(cont, nitsche_cfg()), c.coeffs)
     qd = d.coeffs @ componentwise(gradient_matrix(dg, dg_cfg()), d.coeffs)
     assert qd == pytest.approx(qa, rel=1e-12)
@@ -267,7 +270,7 @@ def test_dg_residual_aggregates_to_nitsche_on_conforming(lshape):
     dg = Space.dg(mesh)
     psi = random_field(cont, seed=6, scale=0.4)
     r_cont = residual(psi, nitsche_cfg(epsilon=0.8), prob.g, prob.f)
-    r_dg = residual(embed_continuous(psi, dg),
+    r_dg = residual(embedded(psi, dg),
                     dg_cfg(epsilon=0.8, lam=1.0), prob.g, prob.f)
     # sum dG entries over the triangle copies of each vertex, per component
     agg = np.zeros(cont.ndof)

@@ -23,8 +23,8 @@ from nematicfem import fespace, forms
 from nematicfem.estimator import _gradient_jump_sq
 from nematicfem.fespace import (DG, Field, Space, _edge_trace_values,
                                 boundary_misfit_sq, broken_gradient_sq,
-                                embed_continuous, gather, join, jump_sq,
-                                scatter_add, squared_norm)
+                                componentwise, embedding_matrix, gather,
+                                join, jump_sq, scatter_add, squared_norm)
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               _volume_stiffness, bulk_linear_matrix,
                               cubic_term_vector, gradient_matrix, load_vector,
@@ -445,10 +445,11 @@ def test_layout_join(case):
         reference = np.empty(dg.ndof)
         reference[:dg.nscalar] = ev[..., 0].reshape(-1)
         reference[dg.nscalar:] = ev[..., 1].reshape(-1)
-        # embed_continuous applies the embedding matrix; the gather it
-        # replaced is join(element_values())
-        assert np.array_equal(embed_continuous(psi, dg).coeffs, reference)
-        assert np.array_equal(embed_continuous(psi, dg).coeffs, join(ev))
+        # the embedding matrix copies each vertex value into the triangles
+        # at that vertex: the gather join(element_values())
+        embedded = componentwise(embedding_matrix(dg), psi.coeffs)
+        assert np.array_equal(embedded, reference)
+        assert np.array_equal(embedded, join(ev))
 
 
 def _inverse_blocks(blocks):

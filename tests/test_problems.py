@@ -141,6 +141,15 @@ def test_device_ramp_width_limit():
         device_problem(0.2)  # d = 0.6 >= 1/2
 
 
+@pytest.mark.parametrize("name", ["lshape", "slit", "device"])
+def test_problem_rejects_bad_epsilon(name):
+    """Every builder rejects an epsilon that is not positive, NaN, or so
+    small that its square, which the bulk terms divide by, is zero."""
+    for epsilon in (0.0, -0.1, np.nan, 1e-200):
+        with pytest.raises(ConfigError):
+            make_problem(name, epsilon)
+
+
 def test_make_problem_unknown():
     with pytest.raises(ConfigError):
         make_problem("annulus", 0.4)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import constant_fn
+from conftest import constant_fn, embedded
 from nematicfem import adapt, solver
 from nematicfem.exceptions import ConfigError, LinearSolveError, NewtonError
 from nematicfem.fespace import (Field, Space, componentwise, discrete_norm,
@@ -24,8 +24,9 @@ import scipy.sparse.linalg as spla
 
 
 def test_newton_config_validation():
-    with pytest.raises(ConfigError):
-        NewtonConfig(tol=0.0)
+    for tol in (0.0, np.nan):
+        with pytest.raises(ConfigError):
+            NewtonConfig(tol=tol)
     with pytest.raises(ConfigError):
         NewtonConfig(max_iter=0)
 
@@ -190,10 +191,9 @@ def test_dg_newton_matches_nitsche_solution(lshape):
     dsol, _ = newton_solve(ds, dcfg, prob.g, prob.f,
                            laplace_guess(ds, dcfg, prob.g, prob.f), ncfg)
     diff = Field(ds, dsol.coeffs.copy())
-    from nematicfem.fespace import embed_continuous
-    diff.coeffs -= embed_continuous(csol, ds).coeffs
+    diff.coeffs -= embedded(csol, ds).coeffs
     assert discrete_norm(diff, "dg", 10.0) <= 0.5 * discrete_norm(
-        embed_continuous(csol, ds), "dg", 10.0)
+        embedded(csol, ds), "dg", 10.0)
 
 
 def test_newton_iterations_grow_as_epsilon_shrinks():
@@ -349,13 +349,13 @@ def test_level_zero_hands_hierarchy_its_last_factor(lshape, monkeypatch):
         return lu, out
 
     monkeypatch.setattr(solver, "_factor_solve", recording)
-    hierarchy = Hierarchy()
+    hierarchy = Hierarchy(space)
     _, rep = newton_solve(space, cfg, prob.g, prob.f, guess,
                           hierarchy=hierarchy)
     monkeypatch.undo()
     assert len(factors) == rep.factorizations == rep.iterations >= 2
     assert hierarchy.lu is factors[-1]
-    assert hierarchy.levels == [] and hierarchy.operator is None
+    assert hierarchy.levels == []
 
 
 # -- two-grid last level ---------------------------------------------------------
@@ -609,11 +609,11 @@ def test_hierarchy_growth_rule(monkeypatch):
 def test_dg_study_factors_on_level_zero_only(monkeypatch, refine, levels,
                                              prob):
     """A dG study factors on level 0 only: the Laplace guess, level 0's
-    Jacobian and, once level 0 is solved, its auxiliary operator E^T J E,
-    the coarsest level of the continuous hierarchy.  Every later level is
-    solved by V-cycle GMRES through its auxiliary space and reaches the
-    factor-every-step Newton solution from its prolonged guess in the same
-    number of steps."""
+    Jacobian and, once level 0's solve converges and still within it, its
+    auxiliary operator E^T J E, the coarsest level of the continuous
+    hierarchy.  Every later level is solved by V-cycle GMRES through its
+    auxiliary space and reaches the factor-every-step Newton solution from
+    its prolonged guess in the same number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
     recording, starts = adapt.newton_solve, []
@@ -628,8 +628,9 @@ def test_dg_study_factors_on_level_zero_only(monkeypatch, refine, levels,
     monkeypatch.undo()
     assert len(records) == len(reports) == levels
     assert starts[0] == 1                     # the Laplace guess
-    assert reports[0][1] >= 1                 # level 0's Jacobian
-    assert starts[1] == total == 1 + reports[0][1] + 1
+    # level 0's Jacobians and its auxiliary operator
+    assert reports[0][1] == reports[0][0].factorizations + 1 >= 2
+    assert starts[1] == total == 1 + reports[0][1]
     for k in range(1, levels):
         rep, built, solution = reports[k]
         assert built == rep.factorizations == 0
@@ -666,37 +667,74 @@ def test_uniform_continuous_study_factors_on_level_zero_only(monkeypatch):
                for rep, _, _ in reports[1:])
 
 
+def test_continuous_hierarchy_step_is_the_guess_prolongation(monkeypatch):
+    """On continuous P1 the hierarchy builds its own step to each level, and
+    it is bitwise the prolongation of the level's guess: in a uniform study,
+    where every level joins, the hierarchy's prolongation at each later
+    solve is prolongation_matrix(previous.space, space)."""
+    real = adapt.newton_solve
+    spaces, steps = [], []
+
+    def recording(space, *args, hierarchy=None, **kwargs):
+        spaces.append(space)
+        steps.append(hierarchy.prolongation)
+        return real(space, *args, hierarchy=hierarchy, **kwargs)
+
+    monkeypatch.setattr(adapt, "newton_solve", recording)
+    _study("nitsche", "uniform", 3)
+    monkeypatch.undo()
+    assert steps[0] is None
+    for coarse, space, step in zip(spaces, spaces[1:], steps[1:]):
+        expect = prolongation_matrix(coarse, space)
+        assert step.shape == expect.shape
+        for arrays in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(step, arrays),
+                                  getattr(expect, arrays))
+
+
+def _refined_hierarchy(lshape, cfg, rng):
+    """A hierarchy created on the ``cfg`` space of the once-refined L-shape,
+    restarted there on the Jacobian of a random iterate (on dG, the factor
+    of its auxiliary operator) and refined once; returns it with the space
+    it was refined to."""
+    prob = lshape_problem(cfg.epsilon)
+    make = Space.continuous if cfg.method == "nitsche" else Space.dg
+    coarse_space = make(red_refine(lshape))
+    coarse_jac = NonlinearSystem(coarse_space, cfg, prob.g, prob.f).jacobian(
+        rng.standard_normal(coarse_space.ndof))
+    hierarchy = Hierarchy(coarse_space)
+    hierarchy.keep(coarse_jac, spla.splu(coarse_jac.tocsc()), None)
+    space = make(red_refine(coarse_space.mesh))
+    hierarchy.refine(space)
+    return hierarchy, space
+
+
 @pytest.mark.parametrize("method", ["nitsche", "dg"])
 def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
     """With no intermediate level the V-cycle is the two-grid cycle: a
     sweep, the coarse correction P lu^{-1} P^T r per component and a
     second sweep, bit for bit.  On dG that two-grid cycle runs on the
     auxiliary operator A = E^T J E, between a sweep on J, the restriction
-    by E^T, the prolongation by E and a second sweep on J."""
+    by E^T, the prolongation by E and a second sweep on J; on Nitsche A is
+    J.  The level the step would keep is A with its damped block-Jacobi
+    smoother."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method=method, epsilon=0.4)
-    coarse_space = Space.continuous(red_refine(lshape))
-    mesh = red_refine(coarse_space.mesh)
-    space = (Space.continuous if method == "nitsche" else Space.dg)(mesh)
-    aux_space = Space.continuous(mesh)
     rng = np.random.default_rng(7)
-    coarse_cfg = MethodConfig(method="nitsche", epsilon=0.4)
-    lu = spla.splu(NonlinearSystem(coarse_space, coarse_cfg, prob.g, prob.f)
-                   .jacobian(rng.standard_normal(coarse_space.ndof)).tocsc())
+    hierarchy, space = _refined_hierarchy(lshape, cfg, rng)
+    aux_space = Space.continuous(space.mesh)
+    lu = hierarchy.lu
     jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
         rng.standard_normal(space.ndof))
-    prolongation = prolongation_matrix(coarse_space, aux_space)
+    prolongation = prolongation_matrix(Space.continuous(space.mesh.parent),
+                                       aux_space)
     restriction = prolongation.T.tocsr()
     smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)
-    if method == "dg":
-        embedding = solver._lifts(embedding_matrix(space))
-        aux = embedding[1] @ jac @ embedding[0]
-        aux_smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(aux,
-                                                                  aux_space)
-        own = [(jac, smooth) + embedding, (aux, aux_smooth)]
-    else:
-        aux, aux_smooth = jac, smooth
-        own = [(jac, smooth)]
+    cycle, (aux, aux_smooth) = hierarchy.preconditioner(jac, space)
+    assert (aux is jac) == (method == "nitsche")
+    assert aux.shape == (aux_space.ndof,) * 2
+    expect = solver.SMOOTHER_OMEGA * solver._block_jacobi(aux, aux_space)
+    assert abs(aux_smooth - expect).max() == 0.0
 
     def two_grid(r):
         x = aux_smooth @ r
@@ -713,10 +751,6 @@ def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
             componentwise(scalar.T.tocsr(), r - jac @ x)))
         return x + smooth @ (r - jac @ x)
 
-    hierarchy = Hierarchy()
-    hierarchy.restart(lu=lu)
-    hierarchy.refine(prolongation)
-    cycle = hierarchy.cycle(own)
     for _ in range(3):
         r = rng.standard_normal(space.ndof)
         assert np.array_equal(cycle(r), reference(r))
@@ -747,14 +781,16 @@ def test_auxiliary_operator_is_galerkin_product(lshape, lam):
     """For lambda != 1 the dG boundary weight differs from Nitsche's, so the
     auxiliary operator is no Nitsche operator; it is still the Galerkin
     product E^T J E of the lifted embedding, to rounding (as above, n eps
-    times the sum of the magnitudes of at most n terms)."""
+    times the sum of the magnitudes of at most n terms): the level that a
+    dG step on the hierarchy would keep."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="dg", epsilon=0.4, lam=lam)
-    space = Space.dg(red_refine(red_refine(lshape)))
+    rng = np.random.default_rng(5)
+    hierarchy, space = _refined_hierarchy(lshape, cfg, rng)
     jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
-        np.random.default_rng(5).standard_normal(space.ndof))
+        rng.standard_normal(space.ndof))
+    _, (aux, _) = hierarchy.preconditioner(jac, space)
     embedding = solver._lifts(embedding_matrix(space))
-    aux = solver._auxiliary_operator(jac, embedding)
     lift = embedding[0].toarray()
     exact = lift.T @ jac.toarray() @ lift
     terms = (embedding[1] @ abs(jac).sign() @ embedding[0]).max()
@@ -864,21 +900,24 @@ def test_solve_levels_releases_coarser_space(monkeypatch, method, refine,
     assert alive == [0] * levels
 
 
-def _unrelated_hierarchy(coarse_space, mid_space, mid_jac, aux_space):
-    """A hierarchy on continuous P1 whose factor is that of an unrelated
-    matrix on ``coarse_space``, with the kept level (``mid_jac``, its
-    smoother) on ``mid_space`` above it, refined into ``aux_space``."""
+def _unrelated_hierarchy(coarse_mesh, mid_space, mid_jac, space):
+    """A hierarchy created on continuous P1 of ``coarse_mesh`` and restarted
+    there on the factor of an unrelated matrix, with the kept level
+    (``mid_jac``, its smoother) on continuous P1 of ``mid_space``'s mesh
+    above it, refined to ``space``."""
     rng = np.random.default_rng(2)
+    coarse_space = Space.continuous(coarse_mesh)
     nc = coarse_space.ndof
     unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
                  - sp.identity(nc)).tocsc()
-    hierarchy = Hierarchy()
-    hierarchy.restart(lu=spla.splu(unrelated))
-    hierarchy.refine(prolongation_matrix(coarse_space, mid_space))
-    hierarchy.offer(mid_jac, solver.SMOOTHER_OMEGA
-                    * solver._block_jacobi(mid_jac, mid_space))
+    hierarchy = Hierarchy(coarse_space)
+    hierarchy.keep(unrelated, spla.splu(unrelated), None)
+    hierarchy.refine(mid_space)
+    smoother = solver.SMOOTHER_OMEGA * solver._block_jacobi(
+        mid_jac, Space.continuous(mid_space.mesh))
+    hierarchy.keep(None, None, (mid_jac, smoother))
     assert [level[0] for level in hierarchy.levels] == [mid_jac]   # joined
-    hierarchy.refine(prolongation_matrix(mid_space, aux_space))
+    hierarchy.refine(space)
     return hierarchy
 
 
@@ -909,12 +948,14 @@ def _watched_fallback(monkeypatch, hierarchy, mid_jac_ref, space, cfg, prob,
     return sol, rep, counter.factorizations, held, factored
 
 
-def _check_fallback(rep, built, held):
+def _check_fallback(rep, built, held, restarts):
     """V-cycle GMRES fails on the first step, which drops the hierarchy,
-    with its kept level's J, before it factors; so does every later step,
-    on the empty hierarchy, with no GMRES attempt."""
-    assert held == [(None, [], False)] * rep.iterations
-    assert built == rep.factorizations == rep.iterations >= 2
+    with its kept level's J, before it factors; every later step factors
+    on the empty hierarchy, with no GMRES attempt, and so does the restart
+    that ends the solve, ``restarts`` times (on dG, the factor of A)."""
+    assert held == [(None, [], False)] * built
+    assert built == rep.factorizations + restarts
+    assert rep.factorizations == rep.iterations >= 2
     assert rep.krylov_iterations == [0] * rep.iterations
     assert rep.failed_krylov_iterations[0] > 0
     assert rep.failed_krylov_iterations[1:] == [0] * (rep.iterations - 1)
@@ -932,8 +973,7 @@ def test_two_grid_fallback_refactors(lshape, monkeypatch):
     ncfg = NewtonConfig()
     coarse_mesh = red_refine(lshape)
     mid_mesh = red_refine(coarse_mesh)
-    coarse_space, mid_space = (Space.continuous(coarse_mesh),
-                               Space.continuous(mid_mesh))
+    mid_space = Space.continuous(mid_mesh)
     mid_sol, _ = newton_solve(mid_space, cfg, prob.g, prob.f,
                               laplace_guess(mid_space, cfg, prob.g, prob.f),
                               ncfg)
@@ -942,7 +982,7 @@ def test_two_grid_fallback_refactors(lshape, monkeypatch):
     mid_jac = NonlinearSystem(mid_space, cfg, prob.g,
                               prob.f).jacobian(mid_sol.coeffs)
     mid_jac_ref = weakref.ref(mid_jac)
-    hierarchy = _unrelated_hierarchy(coarse_space, mid_space, mid_jac, space)
+    hierarchy = _unrelated_hierarchy(coarse_mesh, mid_space, mid_jac, space)
     del mid_jac
 
     sol, rep, built, held, factored = _watched_fallback(
@@ -950,11 +990,11 @@ def test_two_grid_fallback_refactors(lshape, monkeypatch):
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    _check_fallback(rep, built, held)
+    _check_fallback(rep, built, held, 0)
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
     # restarted on the last step's factor, which is of J = A
-    assert hierarchy.levels == [] and hierarchy.operator is None
+    assert hierarchy.levels == []
     assert hierarchy.lu is factored[-1][1]
 
 
@@ -964,8 +1004,8 @@ def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
     the coarse factor and the intermediate level before it factors the dG
     Jacobian, every later step factors too, and the solve still reaches
     the Newton solution.  It keeps no dG factor: the hierarchy restarts on
-    the auxiliary operator E^T J E of its last Jacobian, which the next
-    refinement factors."""
+    the factor of the auxiliary operator E^T J E of its last Jacobian,
+    built once the solve converges."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="dg", epsilon=0.4)
     ncfg = NewtonConfig()
@@ -977,13 +1017,11 @@ def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
                               ncfg)
     space = Space.dg(red_refine(mid_mesh))
     guess = prolong(mid_sol, space)
-    coarse_aux, mid_aux, aux = (Space.continuous(m) for m in
-                                (coarse_mesh, mid_mesh, space.mesh))
-    mid_jac = solver._auxiliary_operator(
-        NonlinearSystem(mid_space, cfg, prob.g, prob.f).jacobian(
-            mid_sol.coeffs), solver._lifts(embedding_matrix(mid_space)))
+    prolongation, restriction = solver._lifts(embedding_matrix(mid_space))
+    mid_jac = restriction @ (NonlinearSystem(mid_space, cfg, prob.g, prob.f)
+                             .jacobian(mid_sol.coeffs) @ prolongation)
     mid_jac_ref = weakref.ref(mid_jac)
-    hierarchy = _unrelated_hierarchy(coarse_aux, mid_aux, mid_jac, aux)
+    hierarchy = _unrelated_hierarchy(coarse_mesh, mid_space, mid_jac, space)
     del mid_jac
 
     sol, rep, built, held, factored = _watched_fallback(
@@ -991,28 +1029,14 @@ def test_auxiliary_cycle_fallback_refactors(lshape, monkeypatch):
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
                                             guess, ncfg.tol)
 
-    _check_fallback(rep, built, held)
+    _check_fallback(rep, built, held, 1)
     assert rep.iterations == ref_iterations
     assert np.abs(sol.coeffs - ref).max() <= 1e-10
-    assert hierarchy.lu is None and hierarchy.levels == []
-    last_jac = factored[-1][0].tocsr()
-    expect = solver._auxiliary_operator(
-        last_jac, solver._lifts(embedding_matrix(space)))
-    assert abs(hierarchy.operator - expect).max() == 0.0
-
-    factored = []
-
-    class Recording(_CountingLinalg):
-        def splu(self, matrix, *args, **kwargs):
-            factored.append(matrix.shape)
-            return super().splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "spla", Recording())
-    hierarchy.refine(prolongation_matrix(
-        aux, Space.continuous(red_refine(space.mesh))))
-    monkeypatch.undo()
-    assert factored == [(aux.ndof, aux.ndof)]
-    assert hierarchy.lu is not None and hierarchy.operator is None
+    assert hierarchy.levels == [] and hierarchy.lu is factored[-1][1]
+    prolongation, restriction = solver._lifts(embedding_matrix(space))
+    expect = restriction @ (factored[-2][0].tocsr() @ prolongation)
+    assert factored[-1][0].shape == (2 * space.mesh.n_vertices,) * 2
+    assert abs(factored[-1][0] - expect).max() == 0.0
 
 
 @pytest.mark.parametrize("matrix, rhs", [
