@@ -165,8 +165,11 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     to the prolonged previous solution.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
     nonconvergence aborts with the completed level records attached to the
-    raised :class:`NewtonError`.
+    raised :class:`NewtonError`; a problem built for another epsilon than
+    ``cfg.epsilon`` raises :class:`ConfigError`.
     """
+    if problem.epsilon != cfg.epsilon:
+        raise ConfigError(f"problem epsilon {problem.epsilon} != {cfg.epsilon}")
     kind = space_kind(cfg.method)
     records = []
     # the hierarchy is the only holder of its factor and levels, so a solve
@@ -211,12 +214,12 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
             estimator=breakdown.total, newton_iters=report.iterations)
         if problem.has_exact:
             rec.err_energy = energy_error_norm(field, problem.exact_grad,
-                                               problem.g, cfg.method, cfg.sigma)
+                                               problem.g, cfg.sigma)
             rec.err_l2 = l2_error_norm(field, problem.exact)
             rec.c_eff = rec.estimator / rec.err_energy
         elif level > 0:
             diff = Field(space, field.coeffs - guess.coeffs)
-            rec.err_energy = discrete_norm(diff, cfg.method, cfg.sigma)
+            rec.err_energy = discrete_norm(diff, cfg.sigma)
             rec.err_l2 = l2_norm(diff)
         if records:
             prev = records[-1]

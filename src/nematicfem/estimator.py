@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SpaceMismatchError
-from .fespace import (DG, Field, _error_blocks, boundary_misfit_sq, jump_sq,
-                      space_kind, squared_norm)
+from .fespace import (DG, Field, boundary_misfit_sq, evaluate, jump_sq,
+                      space_kind, squared_norm, triangle_blocks)
 from .forms import MethodConfig
 from .quadrature import ERROR_DEGREE, triangle_rule
 
@@ -57,14 +57,13 @@ def _volume_term(psi: Field, cfg: MethodConfig, f):
     rule = triangle_rule(ERROR_DEGREE)
     lam, w = rule.points, rule.weights
     sq = np.empty(len(geom.area))
-    for blk in _error_blocks(len(sq)):
+    for blk in triangle_blocks(len(sq)):
         vals = psi.values_at(lam, blk)
         resid = (-2.0 / cfg.epsilon ** 2
                  * (squared_norm(vals) - 1.0)[..., None] * vals)
         if f is not None:
             _, _, bp = geom.triangle_points(ERROR_DEGREE, blk)
-            resid = np.asarray(f(bp.reshape(-1, 2)), dtype=float).reshape(
-                bp.shape[:2] + (2,)) + resid
+            resid = evaluate(f, bp, "source f") + resid
         sq[blk] = (geom.area[blk, None] * w[None, :]
                    * squared_norm(resid)).sum(1)
     h = psi.space.mesh.triangle_diameters()

@@ -13,14 +13,20 @@ This module owns that layout: only :func:`gather`, :func:`scatter_add`,
 :func:`vertex_blocks` and :func:`vertex_block_matrix` index coefficients
 by component.
 
+Problem data (g, f, the exact solution and its gradient) map (N, 2)
+points to (N, 2) values, or (N, 2, 2) for the gradient; :func:`evaluate`
+is their one caller, and checks the shape and finiteness of every return.
+
 Quadrature values, gradients and edge traces are batched matrix products:
 the (Q, 3) barycentric points times the (k, 3, 2) nodal values of a block
 of triangles (or of all of them), and the transposed nodal values times
 the (T, 3, 2) basis gradients.  Physical quadrature points are not kept:
 only data evaluation needs them, and it computes them a block of
-ERROR_BLOCK triangles at a time (:func:`_error_blocks`), as do the error
-norms and the Newton step's kernels for their values, so the memory of a
-quadrature loop does not grow with the mesh.
+ERROR_BLOCK triangles at a time (:func:`triangle_blocks`), as do the
+error norms and the Newton step's kernels for their values, so the memory
+of those loops does not grow with the mesh.  :func:`l2_norm` and
+:func:`free_energy` take all triangles at once: blocked, their sums and
+the recorded energies and difference norms would round differently.
 
 Spaces, their geometry, patterns and layouts are immutable and safe to
 share across threads; fields are value-like (a space reference plus a
@@ -385,14 +391,12 @@ class CoupledLayout:
             indices = np.empty(nnz, dtype=np.int32)
             indptr = np.empty_like(self.indptr)
             indptr[0] = end = 0
-            nrows = len(indptr) - 1
-            for rows in _error_blocks(nrows):
-                stop = min(rows.stop, nrows)
-                lo, hi = self.indptr[rows.start], self.indptr[stop]
+            for rows in triangle_blocks(len(indptr) - 1):
+                lo, hi = self.indptr[rows.start], self.indptr[rows.stop]
                 keep = data[lo:hi] != 0
                 kept = np.concatenate([[0], np.cumsum(keep)])
-                indptr[rows.start + 1:stop + 1] = (
-                    end + kept[self.indptr[rows.start + 1:stop + 1] - lo])
+                indptr[rows.start + 1:rows.stop + 1] = (
+                    end + kept[self.indptr[rows.start + 1:rows.stop + 1] - lo])
                 # end <= lo: the block is read before it is overwritten
                 data[end:end + kept[-1]] = data[lo:hi][keep]
                 indices[end:end + kept[-1]] = self.indices[lo:hi][keep]
@@ -466,20 +470,28 @@ class Field:
         return Field(self.space, self.coeffs.copy())
 
 
+def evaluate(fn, points: np.ndarray, what: str, shape=(2,)) -> np.ndarray:
+    """The data function ``fn`` at the points (..., 2), shaped (...) +
+    ``shape``: ``fn`` takes all of them as one (N, 2) array and must
+    return an (N,) + ``shape`` array of finite values, else
+    :class:`DataEvaluationError` names ``what`` and the first bad point."""
+    flat = points.reshape(-1, 2)
+    values = np.asarray(fn(flat), dtype=float)
+    if values.shape != (len(flat),) + shape:
+        raise DataEvaluationError(f"{what} returned shape {values.shape} "
+                                  f"for {len(flat)} points")
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values.reshape(len(flat), -1)).all(axis=1)
+        i = int(np.flatnonzero(bad)[0])
+        x, y = flat[i]
+        raise DataEvaluationError(
+            f"{what} non-finite at point {i} = ({x}, {y})")
+    return values.reshape(points.shape[:-1] + shape)
+
+
 def interpolate(space: Space, fn) -> Field:
     """Nodal interpolation of a pointwise two-vector function."""
-    values = np.asarray(fn(space.node_coords), dtype=float)
-    if values.shape != (len(space.node_coords), 2):
-        raise DataEvaluationError(
-            f"data function returned shape {values.shape}, expected "
-            f"({len(space.node_coords)}, 2)")
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        x, y = space.node_coords[i]
-        raise DataEvaluationError(
-            f"data function non-finite at node {i} = ({x}, {y})")
-    return Field(space, join(values))
+    return Field(space, join(evaluate(fn, space.node_coords, "data function")))
 
 
 # -- transfer between nested meshes -------------------------------------------
@@ -581,10 +593,10 @@ def jump_sq(field: Field, edge_ids) -> np.ndarray:
 
 def boundary_misfit_sq(field: Field, g, edge_ids) -> np.ndarray:
     """Integral over each boundary edge of |field - g|^2 divided by the edge
-    length, with ``g(points) -> (N, 2)`` at the edge Gauss points."""
+    length, with g at the edge Gauss points."""
     geom = field.space.geometry
     hats, pts, ew = geom.edge_points(edge_ids)
-    gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(edge_ids), -1, 2)
+    gv = evaluate(g, pts, "boundary data g")
     fv = np.matmul(hats, _edge_trace_values(field, edge_ids, 0))
     return (ew[None, :] * squared_norm(fv - gv)).sum(1)
 
@@ -597,17 +609,17 @@ def broken_gradient_sq(field: Field) -> float:
     return float((geom.area * sq).sum())
 
 
-def discrete_norm(field: Field, method: str, sigma: float) -> float:
-    """Mesh-dependent norm: broken H1 seminorm plus penalty-weighted jump
-    terms on the boundary edges (``nitsche``) or on all edges (``dg``)."""
+def discrete_norm(field: Field, sigma: float) -> float:
+    """Mesh-dependent norm of the field's method: broken H1 seminorm plus
+    penalty-weighted jump terms on the boundary edges (continuous P1,
+    Nitsche) or on all edges (dG)."""
     if not sigma > 0:
         raise ConfigError("penalty parameter sigma must be positive")
-    kind = space_kind(method)
     geom = field.space.geometry
     total = broken_gradient_sq(field)
     bd = field.space.mesh.boundary_edges
     total += (sigma / geom.edge_len[bd] * jump_sq(field, bd)).sum()
-    if kind == DG:
+    if field.space.kind == DG:
         ie = field.space.mesh.interior_edges
         total += (sigma / geom.edge_len[ie] * jump_sq(field, ie)).sum()
     return float(np.sqrt(total))
@@ -641,26 +653,30 @@ def free_energy(field: Field, epsilon: float) -> float:
 ERROR_BLOCK = 4096
 
 
-def _error_blocks(n_triangles):
-    return (slice(s, s + ERROR_BLOCK)
-            for s in range(0, n_triangles, ERROR_BLOCK))
+def triangle_blocks(n_triangles):
+    """Slices of ERROR_BLOCK consecutive triangles (or rows) covering
+    ``range(n_triangles)``, with a lone last one joined to the block before
+    it: numpy computes a one-row matrix product by BLAS gemv, whose sums
+    round differently from gemm's, and a local matrix must not depend on
+    the block it was computed in."""
+    starts = list(range(0, n_triangles, ERROR_BLOCK))
+    if len(starts) > 1 and n_triangles - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_triangles])]
 
 
-def energy_error_norm(field: Field, exact_grad, g, method: str,
-                      sigma: float) -> float:
-    """Discrete norm of (exact - field) with the exact solution evaluated by
-    quadrature; ``exact_grad(points) -> (N, 2, 2)`` with axes
-    (point, component, direction) and ``g(points) -> (N, 2)``."""
+def energy_error_norm(field: Field, exact_grad, g, sigma: float) -> float:
+    """:func:`discrete_norm` of (exact - field) with the exact solution
+    evaluated by quadrature, from its gradient ``exact_grad`` and its
+    boundary values ``g``."""
     if not sigma > 0:
         raise ConfigError("penalty parameter sigma must be positive")
-    kind = space_kind(method)
     geom = field.space.geometry
     grads = field.gradients()
     total = 0.0
-    for blk in _error_blocks(len(grads)):
+    for blk in triangle_blocks(len(grads)):
         _, w, bp = geom.triangle_points(ERROR_DEGREE, blk)
-        eg = np.asarray(exact_grad(bp.reshape(-1, 2)), dtype=float).reshape(
-            bp.shape[:2] + (2, 2))
+        eg = evaluate(exact_grad, bp, "exact gradient", (2, 2))
         diff = eg - grads[blk, None, :, :]
         sq = (squared_norm(diff[..., 0, :]) + diff[..., 1, 0] ** 2
               + diff[..., 1, 1] ** 2)
@@ -669,7 +685,7 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
     bd = field.space.mesh.boundary_edges
     if len(bd):
         total += (sigma * boundary_misfit_sq(field, g, bd)).sum()
-    if kind == DG:
+    if field.space.kind == DG:
         ie = field.space.mesh.interior_edges
         total += (sigma / geom.edge_len[ie] * jump_sq(field, ie)).sum()
     return float(np.sqrt(total))
@@ -678,10 +694,9 @@ def energy_error_norm(field: Field, exact_grad, g, method: str,
 def l2_error_norm(field: Field, exact) -> float:
     geom = field.space.geometry
     total = 0.0
-    for blk in _error_blocks(len(geom.area)):
+    for blk in triangle_blocks(len(geom.area)):
         lam, w, bp = geom.triangle_points(ERROR_DEGREE, blk)
-        ev = np.asarray(exact(bp.reshape(-1, 2)), dtype=float).reshape(
-            bp.shape[:2] + (2,))
-        diff = squared_norm(ev - field.values_at(lam, blk))
+        diff = squared_norm(evaluate(exact, bp, "exact solution")
+                            - field.values_at(lam, blk))
         total += (geom.area[blk, None] * w[None, :] * diff).sum()
     return float(np.sqrt(total))

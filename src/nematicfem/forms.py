@@ -51,8 +51,8 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigError, SpaceMismatchError
 from .fespace import (DG, DG_METHOD, NITSCHE, CoupledLayout, Field, Space,
-                      _error_blocks, componentwise, scatter_add, space_kind,
-                      squared_norm)
+                      componentwise, evaluate, scatter_add, space_kind,
+                      squared_norm, triangle_blocks)
 from .problems import check_epsilon
 from .quadrature import ASSEMBLY_DEGREE, triangle_rule
 
@@ -177,17 +177,6 @@ def bulk_linear_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
 # -- quartic coupling term -----------------------------------------------------
 
 
-def _product_blocks(n_triangles):
-    """The triangle blocks of ``_error_blocks``, with a lone last triangle
-    joined to the block before it: numpy computes a one-row matrix product
-    by BLAS gemv, whose sums round differently from gemm's, and a local
-    matrix must not depend on the block it was computed in."""
-    blocks = list(_error_blocks(n_triangles))
-    if len(blocks) > 1 and n_triangles - blocks[-1].start == 1:
-        blocks[-2:] = [slice(blocks[-2].start, n_triangles)]
-    return blocks
-
-
 def quartic_linearization(wbar: Field, cfg: MethodConfig):
     """Scalar blocks (m11, m12, m22) of the frozen-coefficient bilinear form
 
@@ -206,7 +195,7 @@ def quartic_linearization(wbar: Field, cfg: MethodConfig):
     basis_outer = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
     scale = 2.0 / cfg.epsilon ** 2
     blocks = [np.zeros(len(pattern.indices)) for _ in range(3)]
-    for blk in _product_blocks(len(geom.area)):
+    for blk in triangle_blocks(len(geom.area)):
         vals = wbar.values_at(lam, blk)                          # (k, Q, 2)
         w1, w2 = vals[..., 0], vals[..., 1]
         norm2 = w1 ** 2 + w2 ** 2
@@ -228,7 +217,7 @@ def cubic_term_vector(psi: Field, cfg: MethodConfig) -> np.ndarray:
     lam, w = rule.points, rule.weights
     scale = 2.0 / cfg.epsilon ** 2
     out = np.zeros(space.ndof)
-    for blk in _error_blocks(len(geom.area)):
+    for blk in triangle_blocks(len(geom.area)):
         vals = psi.values_at(lam, blk)
         aw = geom.area[blk, None] * w[None, :]
         local = scale * (lam.T @ ((aw * squared_norm(vals))[..., None] * vals))
@@ -254,9 +243,7 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
     if len(bd):
         dofs, dn, trace = _edge_dof_data(space, bd, 0)
         hats, pts, ew = geom.edge_points(bd)
-        gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(len(bd), -1, 2)
-        if not np.isfinite(gv).all():
-            raise _nonfinite_error("boundary data", pts, gv)
+        gv = evaluate(g, pts, "boundary data g")
         h = geom.edge_len[bd]
         g_int = h[:, None] * (ew @ gv)                            # (n, 2)
         # -weight <g, dn(phi_i)>
@@ -268,23 +255,12 @@ def load_vector(space: Space, cfg: MethodConfig, g, f=None) -> np.ndarray:
 
     if f is not None:
         # the source at the points of one block of triangles at a time
-        for blk in _error_blocks(len(geom.area)):
+        for blk in triangle_blocks(len(geom.area)):
             lam, w, pts = geom.triangle_points(ASSEMBLY_DEGREE, blk)
-            fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
-                pts.shape)
-            if not np.isfinite(fv).all():
-                raise _nonfinite_error("source data", pts, fv)
+            fv = evaluate(f, pts, "source f")
             aw = geom.area[blk, None] * w[None, :]
             scatter_add(out, space.elem_dofs[blk], lam.T @ (aw[..., None] * fv))
     return out
-
-
-def _nonfinite_error(what, pts, vals):
-    from .exceptions import DataEvaluationError
-    flat = vals.reshape(-1, 2)
-    bad = int(np.flatnonzero(~np.isfinite(flat).all(axis=1))[0])
-    x, y = pts.reshape(-1, 2)[bad]
-    return DataEvaluationError(f"{what} non-finite at quadrature point ({x}, {y})")
 
 
 def _union_sum(matrix, pattern, data):

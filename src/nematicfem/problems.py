@@ -21,7 +21,9 @@ from .mesh import DomainShape, L_SHAPE, SLIT_SQUARE, UNIT_SQUARE
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Domain, model parameter and data of one benchmark run."""
+    """Domain, model parameter and data of one benchmark run: ``g``, ``f``
+    and ``exact`` map (N, 2) points to (N, 2) values, ``exact_grad`` to
+    (N, 2, 2) with axes (point, component, direction)."""
 
     name: str
     shape: DomainShape

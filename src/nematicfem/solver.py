@@ -86,8 +86,8 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, LinearSolveError, NewtonError
 from .fespace import (CONTINUOUS, DG, Field, Space, block_diagonal,
-                      componentwise, discrete_norm, embedding_matrix, gather,
-                      join, prolongation_matrix, vertex_block_matrix,
+                      componentwise, discrete_norm, embedding_matrix, evaluate,
+                      gather, join, prolongation_matrix, vertex_block_matrix,
                       vertex_blocks)
 from .forms import (MethodConfig, NonlinearSystem, gradient_matrix,
                     load_vector)
@@ -429,7 +429,7 @@ def director_guess(space: Space, epsilon: float, state: str) -> Field:
 
     t = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
     wgt = np.clip(t / d, 0.0, 1.0)[:, None]
-    vals = wgt * director + (1.0 - wgt) * g(pts)
+    vals = wgt * director + (1.0 - wgt) * evaluate(g, pts, "boundary data g")
     return Field(space, join(vals))
 
 
@@ -481,7 +481,7 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.krylov_iterations.append(krylov_its)
         report.failed_krylov_iterations.append(failed_its)
         coeffs = coeffs + delta
-        inc = discrete_norm(Field(space, delta), cfg.method, cfg.sigma)
+        inc = discrete_norm(Field(space, delta), cfg.sigma)
         prev_res, prev_inc = res, inc
         report.iterations += 1
         report.increments.append(inc)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nematicfem.adapt import (AdaptConfig, adaptive_loop, check_dorfler,
-                              dorfler_mark, element_indicators)
+                              dorfler_mark, element_indicators, solve_levels)
 from nematicfem.estimator import EstimatorBreakdown
 from nematicfem.exceptions import ConfigError
 from nematicfem.forms import MethodConfig
@@ -169,3 +169,15 @@ def test_adaptive_loop_target_ndof_stops_early():
     records = adaptive_loop(prob, mesh, cfg, NewtonConfig(), acfg)
     assert records[-1].ndof >= 100
     assert records[-2].ndof < 100
+
+
+def test_solve_levels_rejects_problem_of_another_epsilon(lshape):
+    """The problem's data and the method's operator must share epsilon;
+    the check comes before any level is solved."""
+    def refine(mesh, breakdown):
+        raise AssertionError("no level may be solved")
+
+    with pytest.raises(ConfigError, match="epsilon"):
+        solve_levels(lshape_problem(0.4), lshape,
+                     MethodConfig("nitsche", epsilon=0.2), NewtonConfig(),
+                     refine, 3)

@@ -14,7 +14,9 @@ from nematicfem.fespace import (CONTINUOUS, DG, CoupledLayout, Field, Space,
                                 discrete_norm, energy_error_norm,
                                 free_energy, interpolate, l2_error_norm,
                                 l2_norm, prolong, prolongation_matrix)
-from nematicfem.forms import MethodConfig, NonlinearSystem, quartic_linearization
+from nematicfem.estimator import estimate
+from nematicfem.forms import (MethodConfig, NonlinearSystem, load_vector,
+                              quartic_linearization)
 from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
                                  slit_problem, trapezoid_profile)
@@ -51,16 +53,57 @@ def test_interpolate_trapezoid_boundary_value():
     assert val[0, 1] == 0.0
 
 
-def test_interpolate_nonfinite_names_node(unit_square):
-    space = Space.continuous(unit_square)
-
+def _nan_at_point_2(fn, seen):
+    """``fn`` with one non-finite component at the third point of every
+    call; ``seen`` collects those points."""
     def bad(points):
-        out = np.zeros((len(points), 2))
-        out[2, 0] = np.inf
+        seen.append(points[2].copy())
+        out = np.array(fn(points), dtype=float)
+        out.reshape(len(points), -1)[2, -1] = np.nan
         return out
+    return bad
 
-    with pytest.raises(DataEvaluationError, match="node 2"):
-        interpolate(space, bad)
+
+def _components_as_rows(fn, seen):
+    """``fn`` returning its components as rows: (2, N) or (2, 2, N)."""
+    return lambda points: np.moveaxis(fn(points), 0, -1)
+
+
+_CFG = MethodConfig("nitsche", epsilon=0.4)
+# the data function each consumer takes from the L-shape problem, and the
+# call that hands it a replacement
+_DATA_CONSUMERS = {
+    "load_vector-g": ("g", lambda psi, p, fn: load_vector(psi.space, _CFG,
+                                                          fn, p.f)),
+    "load_vector-f": ("f", lambda psi, p, fn: load_vector(psi.space, _CFG,
+                                                          p.g, fn)),
+    "estimate-f": ("f", lambda psi, p, fn: estimate(psi, _CFG, p.g, fn)),
+    "estimate-g": ("g", lambda psi, p, fn: estimate(psi, _CFG, fn, p.f)),
+    "energy_error_norm": ("exact_grad", lambda psi, p, fn: energy_error_norm(
+        psi, fn, p.g, _CFG.sigma)),
+    "l2_error_norm": ("exact", lambda psi, p, fn: l2_error_norm(psi, fn)),
+    "interpolate": ("exact", lambda psi, p, fn: interpolate(psi.space, fn)),
+}
+
+
+@pytest.mark.parametrize("broken", [_nan_at_point_2, _components_as_rows],
+                         ids=["nonfinite", "rows"])
+@pytest.mark.parametrize("consumer", list(_DATA_CONSUMERS))
+def test_data_contract_in_every_consumer(lshape, consumer, broken):
+    """Every consumer of problem data rejects a non-finite value, naming
+    the point, and a return of shape (2, N) instead of (N, 2)."""
+    prob = lshape_problem(0.4)
+    name, call = _DATA_CONSUMERS[consumer]
+    psi = interpolate(Space.continuous(lshape), prob.exact)
+    call(psi, prob, getattr(prob, name))
+    seen = []
+    with pytest.raises(DataEvaluationError) as info:
+        call(psi, prob, broken(getattr(prob, name), seen))
+    if broken is _nan_at_point_2:
+        x, y = seen[-1]
+        assert f"non-finite at point 2 = ({x}, {y})" in str(info.value)
+    else:
+        assert "shape" in str(info.value)
 
 
 def test_field_length_checked(unit_square):
@@ -202,33 +245,35 @@ def test_edge_normals_orient_by_the_plus_centroid(unit_square, lshape, slit):
         assert np.array_equal(fespace.MeshGeometry(mesh).edge_normal, normal)
 
 
+@pytest.mark.parametrize("n, sizes", [(0, []), (1, [1]), (7, [7]), (8, [8]),
+                                      (14, [7, 7]), (15, [7, 8]),
+                                      (16, [7, 7, 2])])
+def test_triangle_blocks_partition(n, sizes, monkeypatch):
+    """ERROR_BLOCK consecutive triangles per block, in order; a lone last
+    triangle joins the block before it."""
+    monkeypatch.setattr(fespace, "ERROR_BLOCK", 7)
+    stops = np.cumsum(sizes)
+    assert [(blk.start, blk.stop) for blk in fespace.triangle_blocks(n)] == [
+        (stop - size, stop) for stop, size in zip(stops, sizes)]
+
+
 def test_discrete_norm_zero_field(unit_square):
     space = Space.continuous(unit_square)
-    assert discrete_norm(Field(space, np.zeros(space.ndof)), "nitsche", 10.0) == 0.0
+    assert discrete_norm(Field(space, np.zeros(space.ndof)), 10.0) == 0.0
 
 
 def test_discrete_norm_constant_unit_square(unit_square):
     """No gradient: penalty term sigma * perimeter over the boundary."""
     space = Space.continuous(unit_square)
     field = interpolate(space, constant_fn(1.0, 0.0))
-    assert discrete_norm(field, "nitsche", 10.0) == pytest.approx(np.sqrt(40.0))
+    assert discrete_norm(field, 10.0) == pytest.approx(np.sqrt(40.0))
 
 
 def test_discrete_norm_rejects_bad_sigma(unit_square):
     field = random_field(Space.continuous(unit_square), seed=1)
     for sigma in (-1.0, np.nan):
         with pytest.raises(ConfigError):
-            discrete_norm(field, "nitsche", sigma)
-    with pytest.raises(ConfigError):
-        discrete_norm(field, "galerkin", 1.0)
-
-
-def test_energy_error_norm_rejects_unknown_method(unit_square):
-    """An unknown method name is an error, not the Nitsche norm."""
-    field = random_field(Space.dg(unit_square), seed=1)
-    exact_grad = lambda p: np.zeros((len(p), 2, 2))
-    with pytest.raises(ConfigError):
-        energy_error_norm(field, exact_grad, constant_fn(0.0, 0.0), "DG", 10.0)
+            discrete_norm(field, sigma)
 
 
 @pytest.mark.parametrize("kind", [CONTINUOUS, DG])
@@ -237,15 +282,14 @@ def test_error_norms_do_not_depend_on_block_size(lshape, slit, kind,
     """The error norms sum their quadrature over blocks of ERROR_BLOCK
     triangles; blocks of 7 (a ragged last block) give the one-block value
     to rounding."""
-    method = "dg" if kind == DG else "nitsche"
     for mesh, prob in ((lshape, lshape_problem(0.4)), (slit, slit_problem(1.0))):
         mesh = red_refine(red_refine(red_refine(mesh)))
         assert mesh.n_triangles % 7 and mesh.n_triangles < fespace.ERROR_BLOCK
         field = random_field(Space(mesh, kind), seed=3)
-        whole = (energy_error_norm(field, prob.exact_grad, prob.g, method, 10.0),
+        whole = (energy_error_norm(field, prob.exact_grad, prob.g, 10.0),
                  l2_error_norm(field, prob.exact))
         monkeypatch.setattr(fespace, "ERROR_BLOCK", 7)
-        blocks = (energy_error_norm(field, prob.exact_grad, prob.g, method, 10.0),
+        blocks = (energy_error_norm(field, prob.exact_grad, prob.g, 10.0),
                   l2_error_norm(field, prob.exact))
         monkeypatch.undo()
         assert blocks == pytest.approx(whole, rel=1e-13)
@@ -254,22 +298,21 @@ def test_error_norms_do_not_depend_on_block_size(lshape, slit, kind,
 def test_dg_norm_of_conforming_field_matches_nitsche(lshape):
     mesh = red_refine(lshape)
     cont = random_field(Space.continuous(mesh), seed=5)
-    a = discrete_norm(cont, "nitsche", 10.0)
-    b = discrete_norm(embedded(cont, Space.dg(mesh)), "dg", 10.0)
+    a = discrete_norm(cont, 10.0)
+    b = discrete_norm(embedded(cont, Space.dg(mesh)), 10.0)
     assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_norm_triangle_inequality(unit_square):
     mesh = red_refine(unit_square)
-    space = Space.dg(mesh)
-    for seed in range(5):
-        a = random_field(space, seed=3 * seed)
-        b = random_field(space, seed=3 * seed + 1)
-        ab = Field(space, a.coeffs + b.coeffs)
-        for method in ("nitsche", "dg"):
-            na = discrete_norm(a, method, 10.0)
-            nb = discrete_norm(b, method, 10.0)
-            assert discrete_norm(ab, method, 10.0) <= na + nb + 1e-12
+    for space in (Space.continuous(mesh), Space.dg(mesh)):
+        for seed in range(5):
+            a = random_field(space, seed=3 * seed)
+            b = random_field(space, seed=3 * seed + 1)
+            ab = Field(space, a.coeffs + b.coeffs)
+            na = discrete_norm(a, 10.0)
+            nb = discrete_norm(b, 10.0)
+            assert discrete_norm(ab, 10.0) <= na + nb + 1e-12
 
 
 def test_l2_norm_constant(unit_square):

@@ -1,6 +1,8 @@
-"""The package's public names, the one owner of the (u, v) layout and the
-one owner of the multigrid hierarchy."""
+"""The package's public names, the one owner of the (u, v) layout, the
+one caller of problem data, the one owner of the multigrid hierarchy, and
+the modules' private names."""
 
+import ast
 from pathlib import Path
 
 import nematicfem
@@ -8,6 +10,8 @@ import nematicfem
 # hand-written spellings of the blocked (u, v) coefficient layout
 LAYOUT_IDIOMS = ("reshape(2", "+ space.nscalar", "comp * ns",
                  "[:, 0], vals[:, 1]")
+# a data function called on flattened points
+DATA_IDIOM = "reshape(-1, 2))"
 # the hierarchy's growth rule and its LU factors
 HIERARCHY_NAMES = ("HIERARCHY_GROWTH", ".lu", "splu")
 
@@ -31,6 +35,31 @@ def test_layout_idioms_only_in_fespace():
     assert {"forms.py", "solver.py", "fespace.py"} <= {m.name for m in modules}
     found = [(m.name, idiom) for m in modules if m.name != "fespace.py"
              for idiom in LAYOUT_IDIOMS if idiom in m.read_text()]
+    assert found == []
+
+
+def test_data_evaluated_only_in_fespace():
+    """Only ``fespace.evaluate`` hands points to g, f, the exact solution
+    and its gradient; every other module passes it the points."""
+    src = Path(__file__).resolve().parent.parent / "src" / "nematicfem"
+    modules = sorted(src.glob("*.py"))
+    assert {"forms.py", "estimator.py", "fespace.py"} <= {m.name
+                                                         for m in modules}
+    found = [m.name for m in modules if m.name != "fespace.py"
+             and DATA_IDIOM in m.read_text()]
+    assert found == []
+
+
+def test_no_private_name_imported_across_modules():
+    """No package module imports another module's ``_``-prefixed name
+    (dunder names such as ``__version__`` are public)."""
+    src = Path(__file__).resolve().parent.parent / "src" / "nematicfem"
+    found = [(m.name, node.module, alias.name)
+             for m in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(m.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for alias in node.names if alias.name.startswith("_")
+             and not alias.name.endswith("__")]
     assert found == []
 
 

@@ -192,8 +192,8 @@ def test_dg_newton_matches_nitsche_solution(lshape):
                            laplace_guess(ds, dcfg, prob.g, prob.f), ncfg)
     diff = Field(ds, dsol.coeffs.copy())
     diff.coeffs -= embedded(csol, ds).coeffs
-    assert discrete_norm(diff, "dg", 10.0) <= 0.5 * discrete_norm(
-        embedded(csol, ds), "dg", 10.0)
+    assert discrete_norm(diff, 10.0) <= 0.5 * discrete_norm(
+        embedded(csol, ds), 10.0)
 
 
 def test_newton_iterations_grow_as_epsilon_shrinks():
@@ -273,7 +273,7 @@ def _reference_newton(space, cfg, g, f, guess, tol):
         delta = spla.spsolve(system.jacobian(coeffs).tocsc(),
                              -system.residual(coeffs))
         coeffs = coeffs + delta
-        if discrete_norm(Field(space, delta), cfg.method, cfg.sigma) <= tol:
+        if discrete_norm(Field(space, delta), cfg.sigma) <= tol:
             return coeffs, iteration
     raise AssertionError("reference Newton loop did not converge")
 
