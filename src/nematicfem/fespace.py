@@ -227,16 +227,19 @@ class MeshGeometry:
         normal[flip] *= -1
         self.edge_normal = normal
 
-        # local index of each edge endpoint within the adjacent triangles
+        # local index of each edge endpoint within the adjacent triangles:
+        # the edge at a triangle's local slot k joins its vertices k and
+        # k + 1 (mod 3), and an edge's end 0 is its lower vertex id; row
+        # 2 e + side of loc holds edge e's ends in the triangle on ``side``
         tris = mesh.triangles
+        edges = mesh.tri_edges
+        rows = 2 * edges + (mesh.edge_tris[edges, 0]
+                            != np.arange(len(tris))[:, None])
+        slot = np.arange(3, dtype=np.int8)
+        up = (tris < np.roll(tris, -1, axis=1)).view(np.int8)
         self.loc = np.full((mesh.n_edges, 2, 2), -1, dtype=np.int8)
-        for side in range(2):
-            t = mesh.edge_tris[:, side]
-            valid = t >= 0
-            tv = tris[t[valid]]
-            for end in range(2):
-                v = mesh.edges[valid, end]
-                self.loc[valid, side, end] = np.argmax(tv == v[:, None], axis=1)
+        self.loc.reshape(-1, 2)[rows] = np.stack(
+            [(slot + 1 - up) % 3, (slot + up) % 3], axis=-1)
 
     def triangle_points(self, degree: int, tris=slice(None)):
         """Quadrature data: barycentric weights ``lam`` (Q, 3), physical

@@ -8,8 +8,19 @@ Each step solves the frozen-coefficient linear problem
 
 which is algebraically identical to the Newton update
 psi_{k+1} = psi_k - J(psi_k)^{-1} residual(psi_k); the implementation uses
-the increment form and stops when the discrete norm of the increment drops
-below the tolerance.
+the increment form.
+
+A solve stops on the residual.  From the second step on it evaluates the
+residual at the new iterate first, and stops before any Jacobian when the
+predicted increment, the last increment times the residual ratio
+prev_inc * res / prev_res, is at most the Newton tolerance (or the residual
+is zero): past the onset of quadratic convergence the next increment is
+about that prediction, and the error of the iterate about the next
+increment (Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004,
+2.1).  It also stops after a step whose increment, in the discrete norm, is
+at most the tolerance.  So no step is taken only to confirm convergence,
+and a solve whose residual test passes after its last budgeted step has
+converged.
 
 A step solves its linear system in one of two ways.  Given the multilevel
 hierarchy that a study on nested meshes keeps from its coarser levels
@@ -24,12 +35,13 @@ GMRES solves to no more accuracy than Newton can use.  The first step of a
 solve runs to KRYLOV_RTOL_FLOOR; a later one to the squared residual ratio
 of the last two steps (Eisenstat & Walker, SISC 17, 1996) or, where larger,
 to the tolerance that leaves an error of INCREMENT_SHARE times the Newton
-tolerance in the step's predicted increment (the last increment times the
-residual ratio), so no step resolves an increment past what the stopping
-test can see (Kelley, Iterative Methods for Linear and Nonlinear
-Equations, SIAM 1995, 6.3); both clipped to [KRYLOV_RTOL_FLOOR,
-KRYLOV_RTOL_CAP].  The update is still the Newton step, so the iterates
-match a solve that factors at every step up to the GMRES tolerance.
+tolerance in the step's predicted increment, so no step resolves an
+increment past what the stopping test can see (Kelley, Iterative Methods
+for Linear and Nonlinear Equations, SIAM 1995, 6.3); both clipped to
+[KRYLOV_RTOL_FLOOR, KRYLOV_RTOL_CAP].  The last step's error stays in the
+solution, as no later step corrects it, hence a share well below one.  The
+update is still the Newton step, so the iterates match a solve that
+factors at every step up to the GMRES tolerance.
 
 The hierarchy always lives on continuous P1, and it alone knows how a level
 reaches it.  The auxiliary space of a level is continuous P1 on its mesh,
@@ -61,11 +73,12 @@ Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
 
 A step holds one Jacobian: the last step's J, and the smoothers, auxiliary
-operator and factor built from it, are released before the next J is
-assembled, so a step's memory is J, the system's set-up and its factor or
-the hierarchy, plus the block-sized transients of the assembly
-(see :mod:`nematicfem.forms`).  The report records the process's peak
-resident set after every step.
+operator and factor built from it, live until the residual at the new
+iterate is known, which the converged solve hands to the hierarchy, and
+are released before the next J is assembled.  So a step's memory is J,
+the system's set-up and its factor or the hierarchy, plus the block-sized
+transients of the assembly (see :mod:`nematicfem.forms`).  The report
+records the process's peak resident set after every step.
 
 A single solve is sequential over iterations; independent solves (e.g. a
 level sweep) can run concurrently since spaces, configs and data are
@@ -111,19 +124,22 @@ class NewtonConfig:
 
 # GMRES settings of the V-cycle steps.  The cap keeps every step close
 # enough to the exact Newton step that the step count and the solution match
-# a factor-every-step solve (to 7e-15 relative at 132k dofs, with the
-# increment share below).  A tolerance of 1e-12 sits at the rounding floor
-# and stalls GMRES on large levels, hence the floor of 1e-10.  scipy can end
-# a restart cycle on the preconditioned residual estimate and then fail its
-# true-residual check, so one cycle is too few.
+# a factor-every-step solve (with the increment share below).  A tolerance
+# of 1e-12 sits at the rounding floor and stalls GMRES on large levels,
+# hence the floor of 1e-10.  scipy can end a restart cycle on the
+# preconditioned residual estimate and then fail its true-residual check, so
+# one cycle is too few.
 KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL_FLOOR = 1e-10
 KRYLOV_RTOL_CAP = 1e-4
 # A step solves its increment only to the accuracy the Newton stopping test
 # can see: GMRES stops once the error of the predicted increment is below
-# this share of NewtonConfig.tol.
-INCREMENT_SHARE = 0.1
+# this share of NewtonConfig.tol.  No further step corrects the last step's
+# error, so it stays in the solution: against the factor-every-step solution
+# of the tests' studies it reaches 3.5e-10 (max norm) at a share of 0.1 and
+# at most 3e-11 at 0.01.
+INCREMENT_SHARE = 0.01
 # damping of the block-Jacobi sweeps of the V-cycle
 SMOOTHER_OMEGA = 0.8
 # A level solved by V-cycle joins the hierarchy, as its new top level, when
@@ -249,7 +265,8 @@ def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
     """Inverse of the block diagonal of ``matrix``: one block per dG
     triangle (its 3 scalar dofs) or per continuous vertex, each with both
     components.  A vertex block [[a, b], [c, d]] is inverted in closed form,
-    [[d, -b], [-c, a]] / (a d - b c); the 6 x 6 triangle blocks by LAPACK."""
+    [[d, -b], [-c, a]] / (a d - b c); the 6 x 6 triangle blocks by LAPACK.
+    Either way the CSR arrays are written directly, with no COO step."""
     if space.kind != DG:
         blocks = vertex_blocks(matrix)
         (a, b), (c, d) = blocks.transpose(1, 2, 0)
@@ -262,10 +279,15 @@ def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
     dofs = gather(np.arange(space.ndof), space.elem_dofs).transpose(0, 2, 1)
     dofs = dofs.reshape(len(dofs), -1)
     nblocks, k = dofs.shape
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, k).ravel()
-    blocks = np.asarray(matrix[rows, cols]).reshape(nblocks, k, k)
-    return sp.csr_matrix((np.linalg.inv(blocks).ravel(), (rows, cols)),
+    blocks = np.asarray(matrix[np.repeat(dofs, k, axis=1).ravel(),
+                               np.tile(dofs, k).ravel()])
+    # every dof is in one block: row dofs[b, i] holds the columns dofs[b]
+    data = np.empty((space.ndof, k))
+    data[dofs] = np.linalg.inv(blocks.reshape(nblocks, k, k))
+    indices = np.empty((space.ndof, k), dtype=np.int32)
+    indices[dofs] = dofs[:, None, :]
+    return sp.csr_matrix((data.ravel(), indices.ravel(),
+                          np.arange(0, k * space.ndof + 1, k, dtype=np.int32)),
                          shape=matrix.shape)
 
 
@@ -438,12 +460,20 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                  hierarchy: Optional[Hierarchy] = None):
     """Newton iteration from the given guess; returns (solution, report).
 
+    From the second step on, the residual at the new iterate is read
+    first: the solve has converged, and builds no Jacobian, when the
+    predicted increment prev_inc * res / prev_res is at most ``ncfg.tol``
+    or the residual is zero.  It has also converged after a step whose
+    increment is at most ``ncfg.tol``.  ``report.iterations`` counts the
+    steps taken, and a residual test that passes after the last budgeted
+    step converges.
+
     With a ``hierarchy`` that holds a factor every step runs GMRES
     preconditioned by its V-cycle; otherwise, and from a step whose GMRES
     fails on, every step factors its own Jacobian (see the module
     docstring).  A given ``hierarchy``, which has taken ``space``, is
     updated in place: dropped when V-cycle GMRES fails, and handed the last
-    step by :meth:`Hierarchy.keep` when the solve converges.
+    step taken by :meth:`Hierarchy.keep` when the solve converges.
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
@@ -453,13 +483,21 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
     prev_res, prev_inc = None, None
-    for _ in range(ncfg.max_iter):
+    for step in range(ncfg.max_iter + 1):
+        rhs = -system.residual(coeffs)
+        res = np.linalg.norm(rhs)
+        if prev_res is not None and (
+                res == 0 or prev_inc * res / prev_res <= ncfg.tol):
+            break   # the predicted increment is at most tol: converged
+        if step == ncfg.max_iter:
+            raise NewtonError(
+                f"Newton iteration did not reach tol={ncfg.tol} within "
+                f"{ncfg.max_iter} steps (last increment "
+                f"{report.increments[-1]:.3e})", report=report)
         # the last step's Jacobian, its level and its factor are released
         # before this step's Jacobian is built
         jac = level = lu = None
         jac = system.jacobian(coeffs)
-        rhs = -system.residual(coeffs)
-        res = np.linalg.norm(rhs)
         report.residuals.append(float(res))
         v_cycle = hierarchy is not None and hierarchy.lu is not None
         rtol = (_krylov_rtol(res, prev_res, prev_inc, ncfg.tol) if v_cycle
@@ -487,12 +525,8 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         report.increments.append(inc)
         report.peak_rss_mb.append(_peak_rss_mb())
         if inc <= ncfg.tol:
-            report.converged = True
-            if hierarchy is not None:
-                hierarchy.keep(jac, lu, level)
-            return Field(space, coeffs), report
-    raise NewtonError(
-        f"Newton iteration did not reach tol={ncfg.tol} within "
-        f"{ncfg.max_iter} steps (last increment "
-        f"{report.increments[-1] if report.increments else np.inf:.3e})",
-        report=report)
+            break
+    report.converged = True
+    if hierarchy is not None:
+        hierarchy.keep(jac, lu, level)
+    return Field(space, coeffs), report

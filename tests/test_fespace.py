@@ -245,6 +245,28 @@ def test_edge_normals_orient_by_the_plus_centroid(unit_square, lshape, slit):
         assert np.array_equal(fespace.MeshGeometry(mesh).edge_normal, normal)
 
 
+def test_edge_local_indices_match_vertex_search(unit_square, lshape, slit):
+    """``loc``, read from the triangles' edge slots, is bitwise the local
+    index found by searching each adjacent triangle for the edge's
+    endpoints (-1 on the missing side of a boundary edge), on red- and
+    NVB-refined device, L-shape and slit meshes."""
+    for mesh in (unit_square, lshape, slit):
+        red = red_refine(red_refine(mesh))
+        for mesh in (red, nvb_refine(red, np.arange(0, red.n_triangles, 3))):
+            expect = np.full((mesh.n_edges, 2, 2), -1, dtype=np.int8)
+            for side in range(2):
+                t = mesh.edge_tris[:, side]
+                valid = t >= 0
+                corners = mesh.triangles[t[valid]]
+                for end in range(2):
+                    v = mesh.edges[valid, end]
+                    expect[valid, side, end] = np.argmax(
+                        corners == v[:, None], axis=1)
+            loc = fespace.MeshGeometry(mesh).loc
+            assert loc.dtype == expect.dtype
+            assert np.array_equal(loc, expect)
+
+
 @pytest.mark.parametrize("n, sizes", [(0, []), (1, [1]), (7, [7]), (8, [8]),
                                       (14, [7, 7]), (15, [7, 8]),
                                       (16, [7, 7, 2])])

@@ -485,7 +485,10 @@ def _case_jacobian(case):
 def test_block_jacobi_dof_layout(case):
     """The block-Jacobi inverse equals, bitwise, the one whose blocks take
     the scalar dofs and the same dofs offset by nscalar, each inverted the
-    same way (vertex blocks in closed form, triangle blocks by LAPACK)."""
+    same way (vertex blocks in closed form, triangle blocks by LAPACK).
+    The reference goes through (row, column) triplets and scipy's COO to
+    CSR conversion, so the CSR arrays that both smoothers write directly
+    (``data``, ``indices``, ``indptr``) are checked against it."""
     space = case[0]
     jac = _case_jacobian(case)
     blocks, rows, cols = _diagonal_blocks(jac, space)

@@ -124,6 +124,29 @@ def test_newton_nonconvergence_carries_history(lshape):
     assert len(err.value.report.increments) == 2
 
 
+def test_residual_stop_after_last_budgeted_step(lshape):
+    """A solve whose residual test passes after its last budgeted step has
+    converged: with ``max_iter`` equal to the steps it takes it returns the
+    same iterate and report, and only one step fewer raises."""
+    prob = lshape_problem(0.5)
+    cfg = MethodConfig(method="nitsche", epsilon=0.5)
+    space = Space.continuous(red_refine(lshape))
+    guess = laplace_guess(space, cfg, prob.g, prob.f)
+    ncfg = NewtonConfig()
+    sol, rep = newton_solve(space, cfg, prob.g, prob.f, guess, ncfg)
+    # the solve ended on the residual test, not on a small increment
+    assert rep.increments[-1] > ncfg.tol
+    steps = rep.iterations
+    edge, edge_rep = newton_solve(space, cfg, prob.g, prob.f, guess,
+                                  NewtonConfig(max_iter=steps))
+    assert edge_rep.converged and edge_rep == rep
+    assert np.array_equal(edge.coeffs, sol.coeffs)
+    with pytest.raises(NewtonError) as err:
+        newton_solve(space, cfg, prob.g, prob.f, guess,
+                     NewtonConfig(max_iter=steps - 1))
+    assert err.value.report.iterations == steps - 1
+
+
 def test_newton_determinism(lshape):
     prob = lshape_problem(0.5)
     cfg = MethodConfig(method="nitsche", epsilon=0.5)
@@ -266,15 +289,24 @@ class _CountingLinalg:
 
 def _reference_newton(space, cfg, g, f, guess, tol):
     """Newton loop that solves every step with a fresh sparse direct solve;
-    returns (coefficients, iterations)."""
+    returns (coefficients, iterations).  It stops as ``newton_solve`` does:
+    from the second step on, before the Jacobian, when the predicted
+    increment prev_inc * res / prev_res is at most ``tol``, and after a
+    step whose increment is."""
     system = NonlinearSystem(space, cfg, g, f)
     coeffs = guess.coeffs.copy()
-    for iteration in range(1, NewtonConfig().max_iter + 1):
-        delta = spla.spsolve(system.jacobian(coeffs).tocsc(),
-                             -system.residual(coeffs))
-        coeffs = coeffs + delta
-        if discrete_norm(Field(space, delta), cfg.sigma) <= tol:
+    prev_res = prev_inc = None
+    for iteration in range(NewtonConfig().max_iter):
+        rhs = -system.residual(coeffs)
+        res = np.linalg.norm(rhs)
+        if prev_res is not None and (res == 0
+                                     or prev_inc * res / prev_res <= tol):
             return coeffs, iteration
+        delta = spla.spsolve(system.jacobian(coeffs).tocsc(), rhs)
+        coeffs = coeffs + delta
+        prev_res, prev_inc = res, discrete_norm(Field(space, delta), cfg.sigma)
+        if prev_inc <= tol:
+            return coeffs, iteration + 1
     raise AssertionError("reference Newton loop did not converge")
 
 
@@ -480,6 +512,25 @@ def test_last_level_is_two_grid(monkeypatch, method, refine, levels,
     assert np.abs(solution.coeffs - ref).max() <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["nitsche", "dg"])
+def test_solutions_pass_exact_newton_step(monkeypatch, method):
+    """Every level of a 4-level uniform study returns an iterate from which
+    one exact Newton step, a sparse direct solve, has an increment of at
+    most the Newton tolerance: the residual stop ends a solve only where a
+    further step could not have moved the iterate by more."""
+    counter = _CountingLinalg()
+    reports = _level_reports(monkeypatch, counter)
+    prob, cfg, _ = _study(method, "uniform", 4)
+    monkeypatch.undo()
+    assert len(reports) == 4
+    for _, _, solution in reports:
+        system = NonlinearSystem(solution.space, cfg, prob.g, prob.f)
+        delta = spla.spsolve(system.jacobian(solution.coeffs).tocsc(),
+                             -system.residual(solution.coeffs))
+        inc = discrete_norm(Field(solution.space, delta), cfg.sigma)
+        assert inc <= NewtonConfig().tol
+
+
 def _rule_2_rtol(rep, k, tol):
     """The GMRES tolerance that step k of ``rep`` should have used, from the
     report's own residuals and increments."""
@@ -497,8 +548,9 @@ def test_krylov_tolerance_stops_at_newton_tolerance(monkeypatch):
     """Every GMRES step of a uniform Nitsche study runs to the
     Eisenstat-Walker tolerance or, where larger, to the one that resolves
     its predicted increment to INCREMENT_SHARE of the Newton tolerance; a
-    step with no GMRES records NaN.  The step that only confirms
-    convergence runs at the cap, and the last level still reaches the
+    step with no GMRES records NaN.  No step only confirms convergence:
+    every step after the first starts at a predicted increment above the
+    Newton tolerance, and the last level still reaches the
     factor-every-step Newton solution in the same number of steps."""
     counter = _CountingLinalg()
     reports = _level_reports(monkeypatch, counter)
@@ -513,8 +565,10 @@ def test_krylov_tolerance_stops_at_newton_tolerance(monkeypatch):
             else:
                 assert rtol == pytest.approx(_rule_2_rtol(rep, k, tol),
                                              rel=1e-12)
+        assert all(rep.increments[k - 1] * rep.residuals[k]
+                   / rep.residuals[k - 1] > tol
+                   for k in range(1, rep.iterations))
     last, _, solution = reports[-1]
-    assert last.krylov_rtols[-1] == solver.KRYLOV_RTOL_CAP
     space = solution.space
     guess = prolong(reports[-2][2], space)
     ref, ref_iterations = _reference_newton(space, cfg, prob.g, prob.f,
