@@ -1,8 +1,9 @@
 """The level driver SOLVE -> ESTIMATE -> RECORD -> REFINE, and Doerfler
 marking for its adaptive mode.
 
-One driver runs every study: uniform studies pass red refinement, adaptive
-ones Doerfler marking plus newest-vertex bisection.  Element indicators
+One driver runs every study and owns both refinement modes: red
+refinement when no Doerfler fraction is given, else Doerfler marking plus
+newest-vertex bisection.  It also computes every rate.  Element indicators
 combine the volume term with the full value of every adjacent edge term
 (shared edges count toward both neighbours).  Marking selects a minimal
 set under descending-indicator greedy accumulation; ties are broken by
@@ -23,7 +24,7 @@ from .fespace import (Field, Space, discrete_norm, energy_error_norm,
                       free_energy, l2_error_norm, l2_norm, prolong,
                       space_kind)
 from .forms import MethodConfig
-from .mesh import Mesh, nvb_refine
+from .mesh import Mesh, nvb_refine, red_refine
 from .problems import ProblemSpec
 from .solver import (Hierarchy, NewtonConfig, director_guess, laplace_guess,
                      newton_solve)
@@ -70,7 +71,7 @@ class LevelRecord:
     energy: float
     estimator: float
     err_energy: float = np.nan
-    err_l2: float = np.nan
+    err_l2: float = np.nan         # uniform studies only
     order_energy: float = np.nan   # against h (uniform studies)
     order_l2: float = np.nan
     order_e: float = np.nan        # against Ndof
@@ -85,8 +86,8 @@ def element_indicators(breakdown: EstimatorBreakdown, mesh: Mesh) -> np.ndarray:
     if len(breakdown.theta_tri) != mesh.n_triangles:
         raise ConfigError("estimator breakdown does not match the mesh")
     edge_sq = np.zeros(mesh.n_edges)
-    edge_sq[breakdown.int_edge_ids] = breakdown.theta_int_edge ** 2
-    edge_sq[breakdown.bd_edge_ids] = breakdown.theta_bd_edge ** 2
+    edge_sq[mesh.interior_edges] = breakdown.theta_int_edge ** 2
+    edge_sq[mesh.boundary_edges] = breakdown.theta_bd_edge ** 2
     return np.sqrt(breakdown.theta_tri ** 2 + edge_sq[mesh.tri_edges].sum(axis=1))
 
 
@@ -144,11 +145,13 @@ def check_dorfler(indicators, marked, theta: float):
 
 
 def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
-                 ncfg: NewtonConfig, refine, max_levels: int, state=None,
+                 ncfg: NewtonConfig, max_levels: int,
+                 theta: Optional[float] = None, state=None,
                  target_ndof: Optional[int] = None, mesh_dump_dir=None):
-    """Solve, estimate and record on ``mesh``, then on ``refine(mesh,
-    breakdown)``, for at most ``max_levels`` levels or until a level reaches
-    ``target_ndof``; returns a list of LevelRecord.
+    """Solve, estimate and record on ``mesh`` and on each refinement of it
+    (red with ``theta`` None, else newest-vertex bisection of the Doerfler
+    set of fraction ``theta``), for at most ``max_levels`` levels or until a
+    level reaches ``target_ndof``; returns a list of LevelRecord.
 
     Newton starts from the prolonged previous solution, on level 0 from the
     director guess of ``state`` or else the Laplace guess; once that guess
@@ -161,8 +164,11 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     coarsest level, as does the last step of a level whose V-cycle GMRES
     fails and which factors from then on; every other level is solved by
     V-cycle GMRES on the hierarchy.  Problems with an exact solution record
-    its energy and L2 errors; the others record the norms of the difference
-    to the prolonged previous solution.
+    its energy error; the others record the mesh-dependent norm of the
+    difference to the prolonged previous solution.  Uniform levels also
+    record the L2 error (or the L2 norm of that difference) and the orders
+    against h; adaptive levels carry NaN there.  Every level after the
+    first records the orders against Ndof.
     ``mesh_dump_dir`` writes one plain-text mesh dump per level.  Newton
     nonconvergence aborts with the completed level records attached to the
     raised :class:`NewtonError`; a problem built for another epsilon than
@@ -171,6 +177,7 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
     if problem.epsilon != cfg.epsilon:
         raise ConfigError(f"problem epsilon {problem.epsilon} != {cfg.epsilon}")
     kind = space_kind(cfg.method)
+    uniform = theta is None
     records = []
     # the hierarchy is the only holder of its factor and levels, so a solve
     # can release them before a fallback factorization
@@ -215,23 +222,32 @@ def solve_levels(problem: ProblemSpec, mesh: Mesh, cfg: MethodConfig,
         if problem.has_exact:
             rec.err_energy = energy_error_norm(field, problem.exact_grad,
                                                problem.g, cfg.sigma)
-            rec.err_l2 = l2_error_norm(field, problem.exact)
+            if uniform:
+                rec.err_l2 = l2_error_norm(field, problem.exact)
             rec.c_eff = rec.estimator / rec.err_energy
         elif level > 0:
             diff = Field(space, field.coeffs - guess.coeffs)
             rec.err_energy = discrete_norm(diff, cfg.sigma)
-            rec.err_l2 = l2_norm(diff)
+            if uniform:
+                rec.err_l2 = l2_norm(diff)
         if records:
             prev = records[-1]
             ratio = np.log(rec.ndof / prev.ndof)
             if np.isfinite(prev.err_energy):
                 rec.order_e = np.log(prev.err_energy / rec.err_energy) / ratio
             rec.order_est = np.log(prev.estimator / rec.estimator) / ratio
+            if uniform:   # an adaptive level's h_max can repeat
+                hratio = np.log(rec.h_max / prev.h_max)
+                if np.isfinite(rec.err_energy) and np.isfinite(prev.err_energy):
+                    rec.order_energy = float(np.log(rec.err_energy / prev.err_energy) / hratio)
+                if np.isfinite(rec.err_l2) and np.isfinite(prev.err_l2):
+                    rec.order_l2 = float(np.log(rec.err_l2 / prev.err_l2) / hratio)
         records.append(rec)
 
         if last:
             break
-        mesh = refine(mesh, breakdown)
+        mesh = (red_refine(mesh) if uniform else nvb_refine(
+            mesh, dorfler_mark(element_indicators(breakdown, mesh), theta)))
         # of what refers to this level's space, only the solution is kept
         previous, field, diff = field, None, None
     return records
@@ -242,11 +258,7 @@ def adaptive_loop(problem: ProblemSpec, initial_mesh: Mesh, cfg: MethodConfig,
                   mesh_dump_dir=None):
     """Run the adaptive cycle: :func:`solve_levels` with Doerfler marking
     and newest-vertex bisection."""
-    def refine(mesh, breakdown):
-        indicators = element_indicators(breakdown, mesh)
-        return nvb_refine(mesh, dorfler_mark(indicators, acfg.dorfler_theta))
-
-    return solve_levels(problem, initial_mesh, cfg, ncfg, refine,
-                        acfg.max_levels, state=state,
-                        target_ndof=acfg.target_ndof,
+    return solve_levels(problem, initial_mesh, cfg, ncfg, acfg.max_levels,
+                        theta=acfg.dorfler_theta,
+                        target_ndof=acfg.target_ndof, state=state,
                         mesh_dump_dir=mesh_dump_dir)

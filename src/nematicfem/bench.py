@@ -1,13 +1,15 @@
-"""Convergence-study harness, rate computation and output emission.
+"""Convergence-study harness and output emission.
 
-Both modes run the level driver :func:`nematicfem.adapt.solve_levels`:
-uniform studies with red refinement, adaptive ones with Doerfler marking
-and newest-vertex bisection.  For manufactured problems the driver records
-energy and L2 errors against the exact solution; for the device it records
-the discrete energy and the mesh-dependent/L2 norms of the difference
-between successive-level solutions (computed on the finer mesh via exact
+Both modes run the level driver :func:`nematicfem.adapt.solve_levels`,
+which owns red refinement, Doerfler marking with newest-vertex bisection
+and every rate.  For manufactured problems the driver records the energy
+error against the exact solution; for the device it records the discrete
+energy and the mesh-dependent norm of the difference between
+successive-level solutions (computed on the finer mesh via exact
 prolongation), which is what the successive-difference orders are fitted
-to.  Uniform studies add the orders against h.
+to.  Uniform studies add the L2 error (or L2 norm of the difference) and
+the orders against h; adaptive records carry NaN there, and the adaptive
+schema has no L2 column.
 
 Outputs: ``convergence.csv`` (full-precision, byte-reproducible),
 ``meta.json`` (every knob that affects numbers) and a self-contained
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .adapt import AdaptConfig, LevelRecord, adaptive_loop, solve_levels
+from .adapt import AdaptConfig, LevelRecord, solve_levels
 from .exceptions import ConfigError
 from .forms import MethodConfig
 from .mesh import build_initial_mesh, red_refine
@@ -112,28 +114,14 @@ def run_study(cfg: RunConfig) -> ConvergenceTable:
     """Run the study ``cfg`` describes: red refinement in uniform mode,
     Doerfler marking and newest-vertex bisection in adaptive mode."""
     problem, mesh = initial_mesh_for(cfg)
-    if cfg.refine == "uniform":
-        records = solve_levels(problem, mesh, cfg.method_config(),
-                               cfg.newton_config(),
-                               lambda m, _: red_refine(m), cfg.levels,
-                               state=cfg.state,
-                               mesh_dump_dir=_mesh_dump_dir(cfg))
-        _fill_h_orders(records)
-    else:
-        acfg = AdaptConfig(dorfler_theta=cfg.theta, max_levels=cfg.levels)
-        records = adaptive_loop(problem, mesh, cfg.method_config(),
-                                cfg.newton_config(), acfg, state=cfg.state,
-                                mesh_dump_dir=_mesh_dump_dir(cfg))
+    theta = None
+    if cfg.refine == "adaptive":
+        # rejects a fraction outside (0, 1] before level 0 is solved
+        theta = AdaptConfig(dorfler_theta=cfg.theta).dorfler_theta
+    records = solve_levels(problem, mesh, cfg.method_config(),
+                           cfg.newton_config(), cfg.levels, theta=theta,
+                           state=cfg.state, mesh_dump_dir=_mesh_dump_dir(cfg))
     return ConvergenceTable(cfg.refine, records)
-
-
-def _fill_h_orders(records):
-    for prev, rec in zip(records, records[1:]):
-        hratio = np.log(rec.h_max / prev.h_max)
-        if np.isfinite(rec.err_energy) and np.isfinite(prev.err_energy):
-            rec.order_energy = float(np.log(rec.err_energy / prev.err_energy) / hratio)
-        if np.isfinite(rec.err_l2) and np.isfinite(prev.err_l2):
-            rec.order_l2 = float(np.log(rec.err_l2 / prev.err_l2) / hratio)
 
 
 # -- emission -------------------------------------------------------------------

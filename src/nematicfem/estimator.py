@@ -32,15 +32,13 @@ from .quadrature import ERROR_DEGREE, triangle_rule
 class EstimatorBreakdown:
     """Per-entity estimator contributions and their combined total.
 
-    ``theta_int_edge`` aligns with ``int_edge_ids`` and ``theta_bd_edge``
-    with ``bd_edge_ids`` (mesh edge ids).
+    ``theta_int_edge`` aligns with the mesh's ``interior_edges`` and
+    ``theta_bd_edge`` with its ``boundary_edges``.
     """
 
     theta_tri: np.ndarray
     theta_int_edge: np.ndarray
     theta_bd_edge: np.ndarray
-    int_edge_ids: np.ndarray
-    bd_edge_ids: np.ndarray
     total: float
 
     def recompute_total(self) -> float:
@@ -103,5 +101,4 @@ def estimate(psi: Field, cfg: MethodConfig, g, f=None) -> EstimatorBreakdown:
     theta_int = np.sqrt(int_sq)
     total = float(np.sqrt((theta_tri ** 2).sum() + int_sq.sum()
                           + (theta_bd ** 2).sum()))
-    return EstimatorBreakdown(theta_tri, theta_int, theta_bd,
-                              ie.copy(), bd.copy(), total)
+    return EstimatorBreakdown(theta_tri, theta_int, theta_bd, total)

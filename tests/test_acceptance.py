@@ -19,7 +19,7 @@ from nematicfem.bench import RunConfig, run_study
 from nematicfem.estimator import estimate
 from nematicfem.fespace import Field, Space
 from nematicfem.forms import MethodConfig, NonlinearSystem
-from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
+from nematicfem.mesh import build_initial_mesh, red_refine
 from nematicfem.problems import lshape_problem
 from nematicfem.solver import NewtonConfig, laplace_guess, newton_solve
 
@@ -211,15 +211,11 @@ def adaptive_trace():
         estimated.append((field.space.mesh, breakdown))
         return breakdown
 
-    def refine(mesh, breakdown):
-        marked = dorfler_mark(element_indicators(breakdown, mesh), 0.3)
-        return nvb_refine(mesh, marked)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adapt, "estimate", estimating)
         records = adapt.solve_levels(
             prob, red_refine(build_initial_mesh(prob.shape)), cfg,
-            NewtonConfig(), refine, max_levels=100, target_ndof=50000)
+            NewtonConfig(), max_levels=100, theta=0.3, target_ndof=50000)
     assert records[-1].ndof >= 50000
     levels = []
     for rec, (mesh, breakdown) in zip(records, estimated, strict=True):

@@ -20,7 +20,7 @@ def breakdown_for(mesh, tri=None, int_edge=None, bd_edge=None):
     i = np.zeros(len(ie)) if int_edge is None else np.asarray(int_edge, float)
     b = np.zeros(len(be)) if bd_edge is None else np.asarray(bd_edge, float)
     total = float(np.sqrt((t ** 2).sum() + (i ** 2).sum() + (b ** 2).sum()))
-    return EstimatorBreakdown(t, i, b, ie.copy(), be.copy(), total)
+    return EstimatorBreakdown(t, i, b, total)
 
 
 def test_indicator_volume_only(unit_square):
@@ -171,13 +171,28 @@ def test_adaptive_loop_target_ndof_stops_early():
     assert records[-2].ndof < 100
 
 
+def test_solve_levels_uniform_records():
+    """Without a Doerfler fraction the driver refines by red refinement and,
+    with no help from ``bench``, records a finite L2 error on every level
+    and the orders against h by the log-ratio formula."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    mesh = red_refine(build_initial_mesh(prob.shape))
+    records = solve_levels(prob, mesh, cfg, NewtonConfig(), 3)
+    assert [r.n_triangles for r in records] == [
+        mesh.n_triangles * 4 ** k for k in range(3)]
+    assert all(np.isfinite(r.err_l2) for r in records)
+    assert np.isnan(records[0].order_energy) and np.isnan(records[0].order_l2)
+    for prev, rec in zip(records, records[1:]):
+        hratio = np.log(rec.h_max / prev.h_max)
+        assert rec.order_energy == float(
+            np.log(rec.err_energy / prev.err_energy) / hratio)
+        assert rec.order_l2 == float(np.log(rec.err_l2 / prev.err_l2) / hratio)
+
+
 def test_solve_levels_rejects_problem_of_another_epsilon(lshape):
     """The problem's data and the method's operator must share epsilon;
     the check comes before any level is solved."""
-    def refine(mesh, breakdown):
-        raise AssertionError("no level may be solved")
-
     with pytest.raises(ConfigError, match="epsilon"):
         solve_levels(lshape_problem(0.4), lshape,
-                     MethodConfig("nitsche", epsilon=0.2), NewtonConfig(),
-                     refine, 3)
+                     MethodConfig("nitsche", epsilon=0.2), NewtonConfig(), 3)

@@ -2,7 +2,8 @@
 
 import importlib.util
 import json
-from dataclasses import fields
+import warnings
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,43 @@ def test_device_records_diff_norms(refine):
         / np.log(records[2].ndof / records[1].ndof))
 
 
+@pytest.mark.parametrize("problem", ["lshape", "device"])
+def test_adaptive_records_carry_no_l2_error(problem):
+    """Adaptive levels compute no L2 error and no order against h (an
+    adaptive level's h_max can repeat); their energy errors are recorded."""
+    cfg = RunConfig(problem=problem, refine="adaptive", levels=4,
+                    epsilon=0.4 if problem == "lshape" else 0.1,
+                    state="D1" if problem == "device" else None,
+                    initial_refine=None if problem == "lshape" else 3)
+    records = run_study(cfg).records
+    for rec in records:
+        assert np.isnan(rec.err_l2)
+        assert np.isnan(rec.order_l2)
+        assert np.isnan(rec.order_energy)
+    assert all(np.isfinite(r.err_energy) for r in records[1:])
+
+
+def test_adaptive_entries_return_equal_records(small_adaptive_table):
+    """The CLI's adaptive entry (``run_study``) and the benchmark's
+    (``adaptive_loop``) run the same study."""
+    cfg, table = small_adaptive_table
+    problem, mesh = initial_mesh_for(cfg)
+    records = adapt.adaptive_loop(
+        problem, mesh, cfg.method_config(), cfg.newton_config(),
+        adapt.AdaptConfig(dorfler_theta=cfg.theta, max_levels=cfg.levels))
+    np.testing.assert_equal([astuple(r) for r in records],
+                            [astuple(r) for r in table.records])
+
+
+def test_adaptive_study_raises_no_runtime_warning():
+    """No rate of an adaptive study divides by a zero log-ratio."""
+    cfg = RunConfig(problem="lshape", refine="adaptive", levels=8,
+                    epsilon=0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_study(cfg)
+
+
 def test_uniform_newton_error_carries_level_records(monkeypatch):
     real = adapt.newton_solve
     calls = []
@@ -180,17 +218,22 @@ def test_cli_rejects_state_on_lshape(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--newton-tol", "nan"), ("--epsilon", "nan"), ("--epsilon", "1e-200"),
-    ("--sigma", "nan"), ("--initial-refine", "-1")])
+    ("--sigma", "nan"), ("--initial-refine", "-1"), ("--theta", "nan"),
+    ("--theta", "0"), ("--theta", "1.5")])
 def test_cli_rejects_invalid_number(tmp_path, capsys, monkeypatch, flag,
                                     value):
-    """A NaN, an epsilon whose square underflows or a negative pre-refinement
-    count is a configuration error, found before any level is solved: exit
-    code 1 and one ``error:`` line."""
+    """A NaN, an epsilon whose square underflows, a negative pre-refinement
+    count or an adaptive run's Doerfler fraction outside (0, 1] is a
+    configuration error, found before any level is solved: exit code 1 and
+    one ``error:`` line."""
     def solve_levels(*args, **kwargs):
         raise AssertionError("a level was solved")
 
+    # ``run_study`` reaches the level driver here in both modes
     monkeypatch.setattr(bench, "solve_levels", solve_levels)
-    rc = main(["--problem", "lshape", flag, value, "--out", str(tmp_path)])
+    mode = ["--refine", "adaptive"] if flag == "--theta" else []
+    rc = main(["--problem", "lshape", *mode, flag, value,
+               "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
 

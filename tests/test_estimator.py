@@ -85,7 +85,7 @@ def test_single_jumped_dof_closed_form(unit_square):
     dn = geom.grads[tp, loc] @ geom.edge_normal[e_int]
     grad_sq = h_d ** 2 * dn ** 2
     expected_int_sq = grad_sq + jump_sq
-    got = br.theta_int_edge[np.flatnonzero(br.int_edge_ids == e_int)[0]]
+    got = br.theta_int_edge[0]   # aligned with mesh.interior_edges
     assert got ** 2 == pytest.approx(expected_int_sq, rel=1e-12)
     # the volume residual of a small field is cubic: (|psi|^2-1)psi != 0
     assert br.theta_tri[0] > 0

@@ -415,8 +415,7 @@ def _study(method, refine, levels, target_ndof=None,
     cfg = MethodConfig(method=method, epsilon=prob.epsilon)
     mesh = red_refine(build_initial_mesh(prob.shape))
     if refine == "uniform":
-        records = adapt.solve_levels(prob, mesh, cfg, NewtonConfig(),
-                                     lambda m, _: red_refine(m), levels)
+        records = adapt.solve_levels(prob, mesh, cfg, NewtonConfig(), levels)
     else:
         records = adapt.adaptive_loop(
             prob, mesh, cfg, NewtonConfig(),
