@@ -32,9 +32,17 @@ study's level 0, a single solve, or the steps after a V-cycle GMRES
 failure) it factors J with SuperLU and solves directly.
 
 GMRES solves to no more accuracy than Newton can use.  The first step of a
-solve runs to KRYLOV_RTOL_FLOOR; a later one to the squared residual ratio
-of the last two steps (Eisenstat & Walker, SISC 17, 1996) or, where larger,
-to the tolerance that leaves an error of INCREMENT_SHARE times the Newton
+solve runs to KRYLOV_RTOL_CAP: the next step corrects its linear error
+along with its quadratic one, as a forcing term of the order of the
+residual keeps Newton's convergence quadratic (Dembo, Eisenstat &
+Steihaug, SINUM 19, 1982).  Only where the first step would end the solve
+does its error stay: when the residual test at its iterate would pass had
+the step been exact (its increment times the Taylor remainder
+F(x + d) - F(x) - J d, over the residual, at most the Newton tolerance),
+GMRES goes on from the increment, on the same J and cycle, to the
+tolerance below.  A later step runs to the squared residual ratio of the
+last two steps (Eisenstat & Walker, SISC 17, 1996) or, where larger, to
+the tolerance that leaves an error of INCREMENT_SHARE times the Newton
 tolerance in the step's predicted increment, so no step resolves an
 increment past what the stopping test can see (Kelley, Iterative Methods
 for Linear and Nonlinear Equations, SIAM 1995, 6.3); both clipped to
@@ -62,6 +70,10 @@ transfers are the two-component lifts diag(P, P) and diag(P^T, P^T), built
 once per level, as are those of E, so a transfer is one sparse product on
 the flat coefficient vector.  Point Jacobi is too weak a smoother for dG;
 element blocks follow Gopalakrishnan & Kanschat, Numer. Math. 95 (2003).
+The smoothers and A are built once per solve, from its first V-cycle
+step's Jacobian; the later steps' Jacobians differ from it by the solve's
+small increments, and each step's GMRES and its sweeps on its own space
+still take the residual with its own J.
 When GMRES does not converge within KRYLOV_CYCLES restart cycles, the step
 drops the hierarchy and factors J, and so do the solve's later steps.  A
 converged solve hands its last step to the hierarchy in one call,
@@ -72,10 +84,12 @@ the factor of a factored step's A restarts it.
 Vectors are flat coefficients in the (u, v) layout that
 :mod:`nematicfem.fespace` owns, read and built through its functions.
 
-A step holds one Jacobian: the last step's J, and the smoothers, auxiliary
-operator and factor built from it, live until the residual at the new
-iterate is known, which the converged solve hands to the hierarchy, and
-are released before the next J is assembled.  So a step's memory is J,
+A step holds one Jacobian: the last step's J, and the factor built from
+it, live until the residual at the new iterate is known, which the
+converged solve hands to the hierarchy, and are released before the next
+J is assembled.  The solve's smoothers and auxiliary operator, built from
+its first V-cycle Jacobian, stay with the hierarchy until the solve
+converges or falls back; they hold no Jacobian.  So a step's memory is J,
 the system's set-up and its factor or the hierarchy, plus the block-sized
 transients of the assembly (see :mod:`nematicfem.forms`).  The report
 records the process's peak resident set after every step.
@@ -122,23 +136,24 @@ class NewtonConfig:
             raise ConfigError("Newton iteration budget must be at least 1")
 
 
-# GMRES settings of the V-cycle steps.  The cap keeps every step close
-# enough to the exact Newton step that the step count and the solution match
-# a factor-every-step solve (with the increment share below).  A tolerance
-# of 1e-12 sits at the rounding floor and stalls GMRES on large levels,
-# hence the floor of 1e-10.  scipy can end a restart cycle on the
-# preconditioned residual estimate and then fail its true-residual check, so
-# one cycle is too few.
+# GMRES settings of the V-cycle steps.  The cap, the tolerance of a
+# solve's first step, keeps every step close enough to the exact Newton
+# step that the step count and the solution match a factor-every-step solve
+# (with the increment share below).  A tolerance of 1e-12 sits at the
+# rounding floor and stalls GMRES on large levels, hence the floor of
+# 1e-10.  scipy can end a restart cycle on the preconditioned residual
+# estimate and then fail its true-residual check, so one cycle is too few.
 KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL_FLOOR = 1e-10
 KRYLOV_RTOL_CAP = 1e-4
 # A step solves its increment only to the accuracy the Newton stopping test
-# can see: GMRES stops once the error of the predicted increment is below
-# this share of NewtonConfig.tol.  No further step corrects the last step's
-# error, so it stays in the solution: against the factor-every-step solution
-# of the tests' studies it reaches 3.5e-10 (max norm) at a share of 0.1 and
-# at most 3e-11 at 0.01.
+# can see: GMRES stops once the error of the predicted increment (of a first
+# step that ends its solve, of the increment itself) is below this share of
+# NewtonConfig.tol.  No further step corrects the last step's error, so it
+# stays in the solution: against the factor-every-step solution of the
+# tests' studies it reaches 3.5e-10 (max norm) at a share of 0.1 and at most
+# 3e-11 at 0.01.
 INCREMENT_SHARE = 0.01
 # damping of the block-Jacobi sweeps of the V-cycle
 SMOOTHER_OMEGA = 0.8
@@ -158,7 +173,11 @@ class NewtonReport:
     2-norm at the start of every step, the number of LU factorizations, the
     GMRES iterations of every step (0 for a factored step), those of every
     step's failed GMRES attempt (0 for a step without one) and the relative
-    tolerance every step gave GMRES (NaN for a step that ran no GMRES).
+    tolerance every step gave GMRES (NaN for a step that ran no GMRES).  A
+    first step that GMRES went on with from its increment (see
+    :func:`newton_solve`) counts the iterations of both solves, and its
+    tolerance is the one the increment was finally solved to; where the
+    second solve failed, both count as failed.
 
     ``peak_rss_mb`` is the process's peak resident set (``ru_maxrss``, in
     MB) after every step, NaN where the platform has no ``resource``
@@ -207,11 +226,13 @@ def _factor_solve(matrix, rhs):
     return lu, out
 
 
-def _krylov_solve(matrix, rhs, precond, rtol):
-    """GMRES on matrix x = rhs, preconditioned by the map ``precond``.
-    Returns (x, iterations); x is None when GMRES does not reach ``rtol``
-    within KRYLOV_CYCLES restart cycles.  ``precond`` runs once per
-    iteration and once per restart cycle."""
+def _krylov_solve(matrix, rhs, precond, rtol, x0=None):
+    """GMRES on matrix x = rhs, preconditioned by the map ``precond``, from
+    ``x0`` (zero where None).  Returns (x, iterations); x is None when
+    GMRES does not reach ``rtol`` within KRYLOV_CYCLES restart cycles.
+    ``rtol`` is relative to ``rhs``, from any start.  ``precond`` runs once
+    per iteration and once per restart cycle, and once more from a nonzero
+    start."""
     iterations = 0
 
     def count(_):
@@ -237,7 +258,7 @@ def _krylov_solve(matrix, rhs, precond, rtol):
 
     operator = spla.LinearOperator(matrix.shape, matvec=apply,
                                    dtype=matrix.dtype)
-    out, info = spla.gmres(matrix, rhs, rtol=rtol, atol=0.0,
+    out, info = spla.gmres(matrix, rhs, x0=x0, rtol=rtol, atol=0.0,
                            restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
                            M=operator, callback=count, callback_type="pr_norm")
     if info != 0 or not np.all(np.isfinite(out)):
@@ -245,20 +266,30 @@ def _krylov_solve(matrix, rhs, precond, rtol):
     return out, iterations
 
 
+def _increment_rtol(increment, tol):
+    """GMRES tolerance that leaves an error of INCREMENT_SHARE * tol in an
+    increment of norm ``increment``, clipped to [KRYLOV_RTOL_FLOOR,
+    KRYLOV_RTOL_CAP]; a zero increment takes the cap."""
+    if increment == 0:
+        return KRYLOV_RTOL_CAP
+    return float(np.clip(INCREMENT_SHARE * tol / increment,
+                         KRYLOV_RTOL_FLOOR, KRYLOV_RTOL_CAP))
+
+
 def _krylov_rtol(res, prev_res, prev_inc, tol):
     """GMRES tolerance of a Newton step that starts at residual ``res``: the
-    floor on the first step (``prev_res`` None); later, the Eisenstat-Walker
-    squared residual ratio, or, where larger, the tolerance that leaves an
-    error of INCREMENT_SHARE * tol in the predicted increment
-    prev_inc * res / prev_res; clipped to [KRYLOV_RTOL_FLOOR,
+    cap on the first step (``prev_res`` None), whose linear error the next
+    step corrects unless the first step ends the solve (see
+    :func:`newton_solve`); later, the Eisenstat-Walker squared residual
+    ratio or, where larger, the tolerance that leaves an error of
+    INCREMENT_SHARE * tol in the predicted increment
+    prev_inc * res / prev_res, both clipped to [KRYLOV_RTOL_FLOOR,
     KRYLOV_RTOL_CAP].  A zero predicted increment takes the cap."""
     if prev_res is None:
-        return KRYLOV_RTOL_FLOOR
-    predicted = prev_inc * res
-    oversolve = (np.inf if predicted == 0
-                 else INCREMENT_SHARE * tol * prev_res / predicted)
-    return float(np.clip(max((res / prev_res) ** 2, oversolve),
-                         KRYLOV_RTOL_FLOOR, KRYLOV_RTOL_CAP))
+        return KRYLOV_RTOL_CAP
+    return max(float(np.clip((res / prev_res) ** 2,
+                             KRYLOV_RTOL_FLOOR, KRYLOV_RTOL_CAP)),
+               _increment_rtol(prev_inc * res / prev_res, tol))
 
 
 def _block_jacobi(matrix, space: Space) -> sp.csr_matrix:
@@ -321,7 +352,8 @@ class Hierarchy:
     when V-cycle GMRES fails and hands a converged solve's last step to
     :meth:`keep`.  As the only holder of its factor and levels, the
     hierarchy releases them on a drop, before the step factors its
-    Jacobian."""
+    Jacobian.  ``setup`` holds the smoothers and, on dG, the auxiliary
+    operator of the solve under way (see :meth:`preconditioner`)."""
 
     def __init__(self, space: Space):
         self.drop()
@@ -336,8 +368,9 @@ class Hierarchy:
             self.embedding = _lifts(embedding_matrix(space))
 
     def drop(self):
-        """Release the factor, the levels and the transfer."""
-        self.lu = self.prolongation = self.transfer = None
+        """Release the factor, the levels, the transfer and the solve's
+        set-up."""
+        self.lu = self.prolongation = self.transfer = self.setup = None
         self.levels = []
 
     def refine(self, space: Space):
@@ -351,6 +384,7 @@ class Hierarchy:
         self.prolongation = (step if self.prolongation is None
                              else step @ self.prolongation)
         self.transfer = _lifts(self.prolongation)
+        self.setup = None
 
     def preconditioner(self, jac, space: Space):
         """The V-cycle of a step on ``space`` with Jacobian ``jac``, and the
@@ -359,13 +393,25 @@ class Hierarchy:
         down, a sweep and the restriction of its residual (on dG, a sweep on
         J and the restriction by E^T to A first); the factor's solve; from
         the coarsest level up, the prolonged correction and a second
-        sweep."""
-        down = []
-        if self.embedding is not None:
-            down.append((jac, SMOOTHER_OMEGA * _block_jacobi(jac, space))
-                        + self.embedding)
-            jac = self.embedding[1] @ (jac @ self.embedding[0])
-        level = (jac, SMOOTHER_OMEGA * _block_jacobi(jac, self.space))
+        sweep.
+
+        The smoothers, and on dG A, are built from the Jacobian of the
+        solve's first V-cycle step and serve its later steps too: ``setup``
+        holds them (the smoother of J or None, A or None, the smoother of
+        A) until :meth:`keep`, :meth:`drop` or :meth:`refine`, and holds no
+        Jacobian.  So on continuous P1 the level is this step's ``jac``
+        with the first step's smoother.  Every step's sweeps on its own
+        space take the residual with its own ``jac``."""
+        if self.setup is None:   # the solve's first V-cycle step
+            fine = aux = None
+            if self.embedding is not None:
+                fine = SMOOTHER_OMEGA * _block_jacobi(jac, space)
+                aux = self.embedding[1] @ (jac @ self.embedding[0])
+            self.setup = (fine, aux, SMOOTHER_OMEGA * _block_jacobi(
+                jac if aux is None else aux, self.space))
+        fine, aux, smooth = self.setup
+        down = [] if fine is None else [(jac, fine) + self.embedding]
+        level = (jac if aux is None else aux, smooth)
         down += [level + self.transfer] + self.levels[::-1]
         lu = self.lu
 
@@ -393,8 +439,9 @@ class Hierarchy:
         composed on from it.  Where it factored (``level`` None), the
         hierarchy restarts on the level as its coarsest: with the step's
         factor ``lu`` on continuous P1, where A = J, and on dG with the
-        factor of A = E^T J E, built here.  Raises
-        :class:`LinearSolveError` where SuperLU fails."""
+        factor of A = E^T J E, built here.  Either way the solve's
+        set-up is released.  Raises :class:`LinearSolveError` where
+        SuperLU fails."""
         if level is None:
             self.drop()
             self.lu = (lu if self.embedding is None else
@@ -404,7 +451,7 @@ class Hierarchy:
         if level[0].shape[0] >= HIERARCHY_GROWTH * top.shape[0]:
             self.levels.append(level + self.transfer)
             self.prolongation = None
-        self.transfer = None
+        self.transfer = self.setup = None
 
 
 def laplace_guess(space: Space, cfg: MethodConfig, g, f=None) -> Field:
@@ -471,9 +518,15 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     With a ``hierarchy`` that holds a factor every step runs GMRES
     preconditioned by its V-cycle; otherwise, and from a step whose GMRES
     fails on, every step factors its own Jacobian (see the module
-    docstring).  A given ``hierarchy``, which has taken ``space``, is
-    updated in place: dropped when V-cycle GMRES fails, and handed the last
-    step taken by :meth:`Hierarchy.keep` when the solve converges.
+    docstring).  A first step on the V-cycle runs GMRES to
+    KRYLOV_RTOL_CAP and keeps the residual at its iterate for the next
+    stopping test.  Where its increment d times the Taylor remainder
+    (rhs - J d) - new rhs, over the residual, is at most ``ncfg.tol``, so
+    that the step would end the solve were it exact, GMRES goes on from d
+    to the increment-share tolerance of d, and the residual is read again.
+    A given ``hierarchy``, which has taken ``space``, is updated in place:
+    dropped when V-cycle GMRES fails, and handed the last step taken by
+    :meth:`Hierarchy.keep` when the solve converges.
     Raises :class:`NewtonError` with the partial history when the iteration
     budget is exhausted.
     """
@@ -482,9 +535,9 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
     system = NonlinearSystem(space, cfg, g, f)
     coeffs = guess.coeffs.copy()
     report = NewtonReport()
-    prev_res, prev_inc = None, None
+    prev_res = prev_inc = next_rhs = None
     for step in range(ncfg.max_iter + 1):
-        rhs = -system.residual(coeffs)
+        rhs = -system.residual(coeffs) if next_rhs is None else next_rhs
         res = np.linalg.norm(rhs)
         if prev_res is not None and (
                 res == 0 or prev_inc * res / prev_res <= ncfg.tol):
@@ -502,11 +555,24 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         v_cycle = hierarchy is not None and hierarchy.lu is not None
         rtol = (_krylov_rtol(res, prev_res, prev_inc, ncfg.tol) if v_cycle
                 else float("nan"))
-        report.krylov_rtols.append(rtol)
-        delta, krylov_its = None, 0
+        delta, krylov_its, inc, next_rhs = None, 0, None, None
         if v_cycle:
             cycle, level = hierarchy.preconditioner(jac, space)
             delta, krylov_its = _krylov_solve(jac, rhs, cycle, rtol)
+            if delta is not None and step == 0:
+                # the first step ran to the cap; where it would end the
+                # solve were it exact, GMRES goes on to its increment's
+                # tolerance, on the same J and cycle
+                inc = discrete_norm(Field(space, delta), cfg.sigma)
+                tight = _increment_rtol(inc, ncfg.tol)
+                if tight < rtol:
+                    next_rhs = -system.residual(coeffs + delta)
+                    remainder = rhs - jac @ delta - next_rhs
+                    if inc * np.linalg.norm(remainder) <= ncfg.tol * res:
+                        rtol, inc, next_rhs = tight, None, None
+                        delta, more = _krylov_solve(jac, rhs, cycle, rtol,
+                                                    x0=delta)
+                        krylov_its += more
             cycle = None   # it holds the kept levels, which a drop releases
             if delta is None:
                 hierarchy.drop()
@@ -518,8 +584,10 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
             report.factorizations += 1
         report.krylov_iterations.append(krylov_its)
         report.failed_krylov_iterations.append(failed_its)
+        report.krylov_rtols.append(rtol)
         coeffs = coeffs + delta
-        inc = discrete_norm(Field(space, delta), cfg.sigma)
+        if inc is None:
+            inc = discrete_norm(Field(space, delta), cfg.sigma)
         prev_res, prev_inc = res, inc
         report.iterations += 1
         report.increments.append(inc)

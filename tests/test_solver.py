@@ -532,22 +532,31 @@ def test_solutions_pass_exact_newton_step(monkeypatch, method):
 
 def _rule_2_rtol(rep, k, tol):
     """The GMRES tolerance that step k of ``rep`` should have used, from the
-    report's own residuals and increments."""
+    report's own residuals and increments, and the relative accuracy to
+    which the report gives it.  Step 0 runs to the cap or, where it went
+    on because it would end the solve, to the increment-share tolerance of
+    the increment it had at the cap, which the report gives to about the
+    cap."""
     if k == 0:
-        return solver.KRYLOV_RTOL_FLOOR
+        if rep.krylov_rtols[0] == solver.KRYLOV_RTOL_CAP:
+            return solver.KRYLOV_RTOL_CAP, 1e-12
+        return (np.clip(solver.INCREMENT_SHARE * tol / rep.increments[0],
+                        solver.KRYLOV_RTOL_FLOOR, solver.KRYLOV_RTOL_CAP),
+                10 * solver.KRYLOV_RTOL_CAP)
     res, prev_res, prev_inc = (rep.residuals[k], rep.residuals[k - 1],
                                rep.increments[k - 1])
     return np.clip(max((res / prev_res) ** 2,
                        solver.INCREMENT_SHARE * tol * prev_res
                        / (prev_inc * res)),
-                   solver.KRYLOV_RTOL_FLOOR, solver.KRYLOV_RTOL_CAP)
+                   solver.KRYLOV_RTOL_FLOOR, solver.KRYLOV_RTOL_CAP), 1e-12
 
 
 def test_krylov_tolerance_stops_at_newton_tolerance(monkeypatch):
-    """Every GMRES step of a uniform Nitsche study runs to the
-    Eisenstat-Walker tolerance or, where larger, to the one that resolves
-    its predicted increment to INCREMENT_SHARE of the Newton tolerance; a
-    step with no GMRES records NaN.  No step only confirms convergence:
+    """The first GMRES step of a solve runs to the cap unless it would end
+    the solve; every later one runs to the Eisenstat-Walker tolerance or,
+    where larger, to the one that resolves its predicted increment to
+    INCREMENT_SHARE of the Newton tolerance; a step with no GMRES records
+    NaN.  No step only confirms convergence:
     every step after the first starts at a predicted increment above the
     Newton tolerance, and the last level still reaches the
     factor-every-step Newton solution in the same number of steps."""
@@ -562,8 +571,8 @@ def test_krylov_tolerance_stops_at_newton_tolerance(monkeypatch):
             if rep.krylov_iterations[k] == rep.failed_krylov_iterations[k] == 0:
                 assert np.isnan(rtol)
             else:
-                assert rtol == pytest.approx(_rule_2_rtol(rep, k, tol),
-                                             rel=1e-12)
+                expect, rel = _rule_2_rtol(rep, k, tol)
+                assert rtol == pytest.approx(expect, rel=rel)
         assert all(rep.increments[k - 1] * rep.residuals[k]
                    / rep.residuals[k - 1] > tol
                    for k in range(1, rep.iterations))
@@ -583,6 +592,180 @@ def test_krylov_tolerance_of_zero_residual_or_increment():
         for res, prev_inc in [(0.0, 1e-3), (1e-6, 0.0), (0.0, 0.0)]:
             assert solver._krylov_rtol(res, 1e-3, prev_inc, 1e-8) == \
                 solver.KRYLOV_RTOL_CAP
+
+
+def _fine_adaptive_study(monkeypatch, target_ndof, krylov_solve,
+                         hierarchies):
+    """An adaptive Nitsche study (theta 0.5) on to ``target_ndof``, whose
+    finest levels end after one Newton step, with ``solver._krylov_solve``
+    replaced by ``krylov_solve(real, *args, **kwargs)``; appends each
+    level's hierarchy to ``hierarchies`` as its solve starts and returns,
+    per level, (report, factorizations built, solution)."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    reports = _level_reports(monkeypatch, _CountingLinalg())
+    recording = adapt.newton_solve
+
+    def keeping(*args, hierarchy=None, **kwargs):
+        hierarchies.append(hierarchy)
+        return recording(*args, hierarchy=hierarchy, **kwargs)
+
+    real = solver._krylov_solve
+    monkeypatch.setattr(adapt, "newton_solve", keeping)
+    monkeypatch.setattr(solver, "_krylov_solve",
+                        lambda *args, **kwargs: krylov_solve(real, *args,
+                                                             **kwargs))
+    adapt.adaptive_loop(prob, red_refine(build_initial_mesh(prob.shape)),
+                        cfg, NewtonConfig(),
+                        adapt.AdaptConfig(dorfler_theta=0.5, max_levels=50,
+                                          target_ndof=target_ndof))
+    monkeypatch.undo()
+    return prob, cfg, reports
+
+
+def test_one_step_level_solves_its_first_step_on(monkeypatch):
+    """A warm first step runs GMRES to the cap.  Where the step would end
+    the solve were it exact, as on the finest levels of an adaptive study,
+    GMRES goes on from its increment (``x0``), on the same J and cycle, to
+    the increment-share tolerance of that increment.  The report gives the
+    step both solves' iterations and the tolerance of the second, and the
+    level lands within 1e-10 of the factor-every-step Newton solution in
+    its one step.  No first step of a level that takes more steps goes
+    on."""
+    calls = []   # (rtol, whether from x0, solution, iterations) per call
+
+    def recording(real, matrix, rhs, precond, rtol, x0=None):
+        out, iterations = real(matrix, rhs, precond, rtol, x0=x0)
+        calls.append((rtol, x0 is not None, out, iterations))
+        return out, iterations
+
+    prob, cfg, levels = _fine_adaptive_study(monkeypatch, 9000, recording, [])
+    tol, cap = NewtonConfig().tol, solver.KRYLOV_RTOL_CAP
+    one_step, first = [], 0
+    for k, (rep, built, solution) in enumerate(levels):
+        continued = rep.krylov_rtols[0] < cap
+        mine = calls[first:first + continued
+                     + int(np.sum(~np.isnan(rep.krylov_rtols)))]
+        first += len(mine)
+        if k == 0 or rep.iterations > 1:
+            assert not continued
+            assert not any(x0 for _, x0, _, _ in mine)
+            continue
+        one_step.append(k)
+        (loose_rtol, loose_x0, loose, loose_its), (rtol, x0, _, its) = mine
+        inc = discrete_norm(Field(solution.space, loose), cfg.sigma)
+        assert loose_rtol == cap and not loose_x0 and x0
+        assert rtol == solver._increment_rtol(inc, tol) < cap
+        assert rep.krylov_rtols == [rtol]
+        assert rep.krylov_iterations == [loose_its + its]
+        assert its > 0 and built == rep.factorizations == 0
+        guess = prolong(levels[k - 1][2], solution.space)
+        ref, ref_iterations = _reference_newton(solution.space, cfg, prob.g,
+                                                prob.f, guess, tol)
+        assert ref_iterations == 1
+        assert np.abs(solution.coeffs - ref).max() <= 1e-10
+    assert first == len(calls)
+    assert len(one_step) >= 2
+
+
+def test_failed_continuation_drops_hierarchy_and_factors(monkeypatch):
+    """Where GMRES fails to go on from a first step's increment, the step
+    is handled like any failed V-cycle step: the hierarchy drops its
+    factor, levels and set-up before the Jacobian is factored, the report
+    counts both GMRES solves as failed, and the level reaches the
+    factor-every-step Newton solution in its one step; the hierarchy
+    restarts on that factor."""
+    held, hierarchies, counts = [], [], []
+
+    def failing(real, matrix, rhs, precond, rtol, x0=None):
+        out, iterations = real(matrix, rhs, precond, rtol, x0=x0)
+        counts.append((x0 is not None, iterations))
+        return (None if x0 is not None else out), iterations
+
+    real_factor_solve = solver._factor_solve
+
+    def watching(matrix, rhs):
+        state = ((hierarchies[-1].lu, hierarchies[-1].levels,
+                  hierarchies[-1].setup) if hierarchies else None)
+        lu, out = real_factor_solve(matrix, rhs)
+        held.append((state, lu))
+        return lu, out
+
+    monkeypatch.setattr(solver, "_factor_solve", watching)
+    prob, cfg, levels = _fine_adaptive_study(monkeypatch, 7000, failing,
+                                             hierarchies)
+    rep, built, solution = levels[-1]
+    assert rep.iterations == rep.factorizations == built == 1
+    assert rep.krylov_iterations == [0]
+    (loose_x0, loose_its), (x0, its) = counts[-2:]
+    assert not loose_x0 and x0 and its > 0
+    assert rep.failed_krylov_iterations == [loose_its + its]
+    assert rep.krylov_rtols[0] < solver.KRYLOV_RTOL_CAP
+    assert all(r.factorizations == 0 for r, _, _ in levels[1:-1])
+    (lu, levels_held, setup), factor = held[-1]
+    assert lu is None and levels_held == [] and setup is None
+    hierarchy = hierarchies[-1]
+    assert hierarchy.lu is factor and hierarchy.levels == []
+    guess = prolong(levels[-2][2], solution.space)
+    ref, ref_iterations = _reference_newton(solution.space, cfg, prob.g,
+                                            prob.f, guess, NewtonConfig().tol)
+    assert ref_iterations == 1
+    assert np.abs(solution.coeffs - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["nitsche", "dg"])
+def test_v_cycle_solve_builds_its_set_up_once(monkeypatch, method):
+    """A V-cycle solve builds its block-Jacobi smoothers, and on dG its
+    auxiliary operator A = E^T J E, once, from its first step's Jacobian:
+    one ``_block_jacobi`` call per smoothed space and one A per solve.
+    Every step's cycle runs on them, its GMRES and its sweeps on its own
+    space on the step's own J, and the hierarchy releases them when it
+    keeps the level."""
+    blocks, steps, levels = [], [], []
+
+    def counting(matrix, space, real=solver._block_jacobi):
+        blocks.append(matrix)
+        return real(matrix, space)
+
+    def cycling(self, jac, space, real=Hierarchy.preconditioner):
+        cycle, level = real(self, jac, space)
+        steps.append((jac, level, self.setup, space))
+        return cycle, level
+
+    def solving(matrix, rhs, precond, rtol, x0=None,
+                real=solver._krylov_solve):
+        assert matrix is steps[-1][0]
+        return real(matrix, rhs, precond, rtol, x0=x0)
+
+    def marking(*args, hierarchy=None, real=adapt.newton_solve, **kwargs):
+        before = len(blocks), len(steps)
+        result = real(*args, hierarchy=hierarchy, **kwargs)
+        levels.append((result[1], blocks[before[0]:], steps[before[1]:],
+                       hierarchy.setup))
+        return result
+
+    monkeypatch.setattr(solver, "_block_jacobi", counting)
+    monkeypatch.setattr(Hierarchy, "preconditioner", cycling)
+    monkeypatch.setattr(solver, "_krylov_solve", solving)
+    monkeypatch.setattr(adapt, "newton_solve", marking)
+    _study(method, "uniform", 4)
+    monkeypatch.undo()
+    assert len(levels) == 4 and levels[0][2] == []
+    for rep, built, cycles, setup in levels[1:]:
+        assert rep.iterations == len(cycles) >= 2 and setup is None
+        jac, (aux, smooth), (fine, set_aux, set_smooth), space = cycles[0]
+        if method == "dg":
+            prolongation, restriction = solver._lifts(embedding_matrix(space))
+            assert abs(aux - restriction @ (jac @ prolongation)).max() == 0
+            assert len(built) == 2 and built[0] is jac and built[1] is aux
+            assert set_aux is aux and fine is not None
+        else:
+            assert len(built) == 1 and built[0] is jac
+            assert aux is jac and fine is set_aux is None
+        for step_jac, level, step_setup, _ in cycles[1:]:
+            assert step_jac is not jac and step_setup is cycles[0][2]
+            assert level[1] is smooth is set_smooth
+            assert level[0] is (aux if method == "dg" else step_jac)
 
 
 def test_continuous_level_reuses_kept_factor(monkeypatch):
@@ -957,12 +1140,15 @@ def _unrelated_hierarchy(coarse_mesh, mid_space, mid_jac, space):
     """A hierarchy created on continuous P1 of ``coarse_mesh`` and restarted
     there on the factor of an unrelated matrix, with the kept level
     (``mid_jac``, its smoother) on continuous P1 of ``mid_space``'s mesh
-    above it, refined to ``space``."""
+    above it, refined to ``space``.  The unrelated matrix is a hundredth of
+    a random sparse one minus the identity, so its inverse swamps the
+    cycle's sweeps and V-cycle GMRES fails even at KRYLOV_RTOL_CAP, the
+    tolerance of a solve's first step."""
     rng = np.random.default_rng(2)
     coarse_space = Space.continuous(coarse_mesh)
     nc = coarse_space.ndof
-    unrelated = (sp.random(nc, nc, density=0.01, random_state=rng)
-                 - sp.identity(nc)).tocsc()
+    unrelated = (1e-2 * (sp.random(nc, nc, density=0.01, random_state=rng)
+                         - sp.identity(nc))).tocsc()
     hierarchy = Hierarchy(coarse_space)
     hierarchy.keep(unrelated, spla.splu(unrelated), None)
     hierarchy.refine(mid_space)
