@@ -529,8 +529,15 @@ def prolongation_matrix(coarse_space: Space, fine_space: Space) -> sp.csr_matrix
     the midpoint of a parent edge, so row i holds 0.5 at the two coarse
     scalar dofs of :func:`_parent_dofs` (one entry 1 where they coincide),
     in both the continuous and the dG space.  Every row sums to 1.
+
+    Nesting is proven by identity: the fine mesh's weak reference to the
+    mesh it refines (``Mesh.parent``) must return ``coarse_space.mesh``.
+    The caller holds that mesh, so the reference is alive whenever the
+    meshes are nested; a sibling refinement, a grandparent, or an equal
+    mesh built from the parent's arrays raises :class:`NestingError`.
     """
-    if fine_space.mesh.parent is not coarse_space.mesh:
+    parent = fine_space.mesh.parent
+    if parent is None or parent() is not coarse_space.mesh:
         raise NestingError("fine mesh is not a refinement of the coarse mesh")
     if fine_space.kind != coarse_space.kind:
         raise SpaceMismatchError("prolongation between different space kinds")

@@ -137,12 +137,51 @@ def _edge_local(cfg, dn_avg, jump_trace, h):
             - _consistency_weight(cfg) * consistency + penalty)
 
 
+def penalty_bound(space: Space, cfg: MethodConfig) -> float:
+    """The penalty below which the gradient form may fail to be coercive on
+    ``space``'s mesh: ((1 + lam) / 2)^2 C_b, with lam the consistency
+    weight and
+
+        C_b = max over triangles T of sum over edges E of T of
+              c_E h_E^2 / |T|,
+
+    c_E = 1 on a boundary edge, and on an interior edge 1/2 for dG and 0
+    for Nitsche (which has no interior edge terms).
+
+    Derivation: on v the form is |grad v|^2 - (1 + lam) sum_E <{dn v}, [v]>_E
+    + sigma sum_E |[v]|_E^2 / h_E.  For P1, dn v is constant on each
+    triangle, so h_E |dn v|_E^2 <= (h_E^2 / |T|) |grad v|_T^2 exactly; the
+    average of an interior edge gives |{dn v}|^2 <= (|dn v+|^2 + |dn v-|^2)
+    / 2, hence sum_E h_E |{dn v}|_E^2 <= C_b |grad v|^2.  Young's inequality
+    with weight d bounds the consistency term by d C_b |grad v|^2 +
+    (1 + lam)^2 / (4 d) sum_E |[v]|_E^2 / h_E, so the form is coercive when
+    some d < 1 / C_b has sigma > (1 + lam)^2 / (4 d), i.e. when sigma >
+    ((1 + lam) / 2)^2 C_b.  The bound is sufficient, not sharp: C_b for
+    lam = 1 (Nitsche, SIPG), 0 for lam = -1 (NIPG), where any sigma > 0
+    is coercive.  It depends on the triangle shapes only, so red
+    refinement keeps it."""
+    mesh, geom = space.mesh, space.geometry
+    weight = np.where(mesh.boundary_edge_mask, 1.0,
+                      0.5 if space.kind == DG else 0.0)
+    terms = (weight * geom.edge_len ** 2)[mesh.tri_edges].sum(axis=1)
+    lam = _consistency_weight(cfg)
+    return ((1.0 + lam) / 2.0) ** 2 * float((terms / geom.area).max())
+
+
 def gradient_matrix(space: Space, cfg: MethodConfig) -> sp.csr_matrix:
     """The method's gradient form (see the module docstring) on the scalar
     dofs; symmetric exactly when the consistency weight is 1.  The volume
     and boundary-edge terms lie on the element pattern; for Nitsche that
-    is the whole matrix."""
+    is the whole matrix.  Raises :class:`ConfigError` where ``cfg.sigma``
+    is at most :func:`penalty_bound`, below which the form need not be
+    coercive and the solution can diverge under refinement."""
     _require_space(space, cfg, "gradient matrix")
+    bound = penalty_bound(space, cfg)
+    if not cfg.sigma > bound:
+        raise ConfigError(
+            f"penalty sigma = {cfg.sigma} is at most the coercivity bound "
+            f"{bound:.6g} of this mesh ({cfg.method}, lambda = "
+            f"{_consistency_weight(cfg)}); choose sigma > {bound:.6g}")
     h = space.geometry.edge_len
     pattern = space.pattern
     data = _volume_stiffness(space).data

@@ -3,15 +3,19 @@
 A :class:`Mesh` stores vertices, counterclockwise triangles, a designated
 refinement edge per triangle (for newest-vertex bisection) and the full
 edge topology.  Meshes are immutable after construction; both refinement
-routines return a new mesh that remembers its parent, the parent edge each
-new vertex bisects and the parent triangle of every child, which is what
-makes exact field transfer between levels possible.
+routines return a new mesh that records the parent edge each new vertex
+bisects and the parent triangle of every child, which is what makes exact
+field transfer between levels possible, and a weak reference to the mesh
+it refines.  The weak reference proves nesting for as long as the caller
+holds the coarse mesh, and keeps no coarser mesh alive: a study's finest
+mesh holds its own arrays only, not those of every level before it.
 
 The slit domain is represented with duplicated vertices along the slit, so
 the two slit faces are topologically separate boundary segments while the
 geometry stays exact.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +89,16 @@ class Mesh:
         between local vertices k and k+1 (mod 3); defaults to the longest
         edge with ties broken by the smallest opposite-vertex id
     shape : DomainShape or None
+    parent : Mesh or None, the mesh this one refines.  It is held by weak
+        reference: ``self.parent`` is ``weakref.ref(parent)``, which returns
+        the parent while something else holds it and None after, or None
+        on an unrefined mesh.  So a refined mesh keeps no coarser mesh
+        alive.
+    vertex_parents : (V, 2) int array, the ends of the parent edge that
+        each vertex bisects (``(i, i)`` for a vertex of the parent);
+        defaults to every vertex its own parent
+    tri_parents : (T,) int array, the parent triangle of every triangle;
+        defaults to every triangle its own parent
     """
 
     def __init__(self, vertices, triangles, ref_edge=None, shape=None,
@@ -92,7 +106,7 @@ class Mesh:
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.shape = shape
-        self.parent = parent
+        self.parent = None if parent is None else weakref.ref(parent)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (V, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -330,7 +344,8 @@ def build_initial_mesh(shape: DomainShape) -> Mesh:
 
 
 def red_refine(mesh: Mesh) -> Mesh:
-    """Split every triangle into four similar children via edge midpoints."""
+    """Split every triangle into four similar children via edge midpoints.
+    The new mesh refers to ``mesh`` weakly (``Mesh.parent``)."""
     nv = mesh.n_vertices
     mid = nv + np.arange(mesh.n_edges)
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
@@ -361,7 +376,9 @@ def nvb_refine(mesh: Mesh, marked) -> Mesh:
 
     Every marked triangle is bisected through its refinement edge; closure
     bisections are added until the mesh is conforming.  Children get their
-    refinement edge opposite the newly created vertex.
+    refinement edge opposite the newly created vertex.  The new mesh
+    refers to ``mesh`` weakly (``Mesh.parent``); with nothing marked,
+    ``mesh`` itself is returned.
     """
     marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):

@@ -226,35 +226,33 @@ def _factor_solve(matrix, rhs):
     return lu, out
 
 
-def _krylov_solve(matrix, rhs, precond, rtol, x0=None):
+def _krylov_solve(matrix, rhs, precond, rtol, m_rhs, x0=None):
     """GMRES on matrix x = rhs, preconditioned by the map ``precond``, from
     ``x0`` (zero where None).  Returns (x, iterations); x is None when
     GMRES does not reach ``rtol`` within KRYLOV_CYCLES restart cycles.
-    ``rtol`` is relative to ``rhs``, from any start.  ``precond`` runs once
-    per iteration and once per restart cycle, and once more from a nonzero
-    start."""
+    ``rtol`` is relative to ``rhs``, from any start.  ``m_rhs`` is
+    precond(rhs), which the caller computes once for every solve of a
+    step.  From a zero start it stands for the first restart cycle's
+    application of ``precond``, so counting it ``precond`` runs once per
+    iteration and once per restart cycle; from ``x0`` it runs that often
+    here."""
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    # From a zero start scipy applies M to rhs twice: for the norm of M rhs,
-    # then to r = rhs for the first Arnoldi vector.  The second application
-    # is answered from the first.
-    calls, first = 0, None
+    # scipy applies M to rhs first, for the norm of M rhs, and from a zero
+    # start again, to r = rhs for the first Arnoldi vector: both are
+    # answered from m_rhs
+    calls = 0
 
     def apply(r):
-        nonlocal calls, first
+        nonlocal calls
         calls += 1
-        if calls == 2:
-            (b, mb), first = first, None
-            if np.array_equal(r, b):
-                return mb
-        out = precond(r)
-        if calls == 1:
-            first = (r, out)
-        return out
+        if calls <= 2 and np.array_equal(r, rhs):
+            return m_rhs
+        return precond(r)
 
     operator = spla.LinearOperator(matrix.shape, matvec=apply,
                                    dtype=matrix.dtype)
@@ -558,7 +556,8 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
         delta, krylov_its, inc, next_rhs = None, 0, None, None
         if v_cycle:
             cycle, level = hierarchy.preconditioner(jac, space)
-            delta, krylov_its = _krylov_solve(jac, rhs, cycle, rtol)
+            m_rhs = cycle(rhs)   # shared by a first step's two solves
+            delta, krylov_its = _krylov_solve(jac, rhs, cycle, rtol, m_rhs)
             if delta is not None and step == 0:
                 # the first step ran to the cap; where it would end the
                 # solve were it exact, GMRES goes on to its increment's
@@ -571,9 +570,10 @@ def newton_solve(space: Space, cfg: MethodConfig, g, f, guess: Field,
                     if inc * np.linalg.norm(remainder) <= ncfg.tol * res:
                         rtol, inc, next_rhs = tight, None, None
                         delta, more = _krylov_solve(jac, rhs, cycle, rtol,
-                                                    x0=delta)
+                                                    m_rhs, x0=delta)
                         krylov_its += more
-            cycle = None   # it holds the kept levels, which a drop releases
+            # the cycle holds the kept levels, which a drop releases
+            cycle = m_rhs = None
             if delta is None:
                 hierarchy.drop()
                 level = None

@@ -16,6 +16,7 @@ from nematicfem.bench import (ADAPTIVE_COLUMNS, UNIFORM_COLUMNS, ConvergenceTabl
 from nematicfem import adapt, bench
 from nematicfem.cli import main
 from nematicfem.exceptions import ConfigError, NewtonError
+from nematicfem.forms import NonlinearSystem
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,28 @@ def test_cli_rejects_invalid_number(tmp_path, capsys, monkeypatch, flag,
                "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("problem, method, sigma, bound", [
+    ("lshape", "nitsche", 1.0, 4), ("lshape", "dg", 5.0, 6),
+    ("device", "nitsche", 1.0, 4)])
+def test_cli_refuses_penalty_below_coercivity_bound(
+        tmp_path, capsys, monkeypatch, problem, method, sigma, bound):
+    """A penalty below the coercivity bound of the level-0 mesh exits 1 with
+    one ``error:`` line naming sigma and the bound, before any Newton step
+    and before any output is written."""
+    def jacobian(*args, **kwargs):
+        raise AssertionError("a Newton step was taken")
+
+    monkeypatch.setattr(NonlinearSystem, "jacobian", jacobian)
+    rc = main(["--problem", problem, "--method", method, "--sigma", str(sigma),
+               "--epsilon", "0.1", "--initial-refine", "1", "--levels", "2",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"sigma = {sigma} " in err and f"bound {bound} " in err
+    assert not (tmp_path / "convergence.csv").exists()
 
 
 def test_cli_device_adaptive_default_tol(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from nematicfem.fespace import (CONTINUOUS, DG, CoupledLayout, Field, Space,
 from nematicfem.estimator import estimate
 from nematicfem.forms import (MethodConfig, NonlinearSystem, load_vector,
                               quartic_linearization)
-from nematicfem.mesh import build_initial_mesh, nvb_refine, red_refine
+from nematicfem.mesh import Mesh, build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
                                  slit_problem, trapezoid_profile)
 
@@ -149,12 +149,28 @@ def test_prolong_preserves_energy_seminorm(lshape):
 
 
 def test_prolong_requires_nesting(unit_square, lshape):
+    """Transfer needs the fine mesh to refine the coarse mesh itself: an
+    unrelated or unrefined mesh, a sibling refinement of the same mesh, a
+    grandchild, or an equal mesh built from the parent's arrays raise."""
     coarse = random_field(Space.continuous(unit_square), seed=0)
     with pytest.raises(NestingError):
         prolong(coarse, Space.continuous(lshape))
     coarse = random_field(Space.dg(unit_square), seed=0)
     with pytest.raises(NestingError):
         prolong(coarse, Space.dg(red_refine(lshape)))
+    parent = red_refine(lshape)
+    child = red_refine(parent)
+    sibling = nvb_refine(parent, [0])
+    grandchild = red_refine(child)
+    copy = Mesh(parent.vertices, parent.triangles, ref_edge=parent.ref_edge,
+                shape=parent.shape)
+    for kind in (CONTINUOUS, DG):
+        prolong(random_field(Space(parent, kind), seed=1), Space(child, kind))
+        for coarse_mesh, fine_mesh in [(child, sibling), (parent, grandchild),
+                                       (copy, child)]:
+            coarse = random_field(Space(coarse_mesh, kind), seed=1)
+            with pytest.raises(NestingError):
+                prolong(coarse, Space(fine_mesh, kind))
 
 
 @pytest.mark.parametrize("refine", ["red", "nvb"])

@@ -13,9 +13,10 @@ from nematicfem.exceptions import ConfigError, SpaceMismatchError
 from nematicfem.fespace import Field, Space, componentwise, interpolate
 from nematicfem.forms import (MethodConfig, NonlinearSystem,
                               bulk_linear_matrix, cubic_term_vector,
-                              gradient_matrix, load_vector,
+                              gradient_matrix, load_vector, penalty_bound,
                               quartic_linearization, _volume_stiffness)
-from nematicfem.mesh import build_initial_mesh, red_refine
+from nematicfem.mesh import (DomainShape, L_SHAPE, SLIT_SQUARE, UNIT_SQUARE,
+                             build_initial_mesh, red_refine)
 from nematicfem.problems import device_problem, lshape_problem
 from nematicfem.quadrature import ASSEMBLY_DEGREE, triangle_rule
 
@@ -67,6 +68,51 @@ def test_nitsche_matrix_space_mismatch(unit_square):
         gradient_matrix(Space.dg(unit_square), nitsche_cfg())
     with pytest.raises(SpaceMismatchError):
         gradient_matrix(Space.continuous(unit_square), dg_cfg())
+
+
+@pytest.mark.parametrize("kind", [UNIT_SQUARE, L_SHAPE, SLIT_SQUARE])
+def test_penalty_bound_is_invariant_under_red_refinement(kind):
+    """The coercivity bound depends on the triangle shapes only, which red
+    refinement keeps: equal to rounding on three red levels, for Nitsche
+    and for dG at lambda 1, 0 and -1 (a quarter of it at 0, zero at -1).
+    The L-shape's are 4 (Nitsche) and 6 (SIPG)."""
+    mesh = red_refine(build_initial_mesh(DomainShape(kind)))
+    levels = []
+    for _ in range(3):
+        levels.append([penalty_bound(Space.continuous(mesh), nitsche_cfg())]
+                      + [penalty_bound(Space.dg(mesh), dg_cfg(lam=lam))
+                         for lam in (1.0, 0.0, -1.0)])
+        mesh = red_refine(mesh)
+    for bounds in levels:
+        assert bounds == pytest.approx(levels[0], rel=1e-12, abs=0.0)
+    nitsche, sipg, iipg, nipg = levels[0]
+    assert iipg == pytest.approx(sipg / 4, rel=1e-12) and nipg == 0.0
+    if kind == L_SHAPE:
+        assert (nitsche, sipg) == pytest.approx((4.0, 6.0), rel=1e-12)
+
+
+def test_gradient_matrix_refuses_penalty_at_or_below_bound(lshape):
+    """A penalty at or below the coercivity bound raises, naming sigma and
+    the bound; just above it the form is coercive (the symmetric part of
+    its matrix is positive definite), as the bound's derivation says."""
+    mesh = red_refine(lshape)
+    for space, cfg in [(Space.continuous(mesh), nitsche_cfg(sigma=1.0)),
+                       (Space.dg(mesh), dg_cfg(sigma=5.0)),
+                       (Space.dg(mesh), dg_cfg(sigma=1.0, lam=0.0))]:
+        bound = penalty_bound(space, cfg)
+        assert cfg.sigma < bound
+        for sigma in (cfg.sigma, bound):
+            with pytest.raises(ConfigError, match=f"sigma = {sigma} .* "
+                                                  f"bound {bound:.6g}"):
+                gradient_matrix(space, MethodConfig(
+                    method=cfg.method, epsilon=cfg.epsilon, sigma=sigma,
+                    lam=cfg.lam))
+        above = gradient_matrix(space, MethodConfig(
+            method=cfg.method, epsilon=cfg.epsilon, sigma=1.001 * bound,
+            lam=cfg.lam)).toarray()
+        assert np.linalg.eigvalsh(0.5 * (above + above.T)).min() > 0
+    assert penalty_bound(Space.dg(mesh), dg_cfg(lam=-1.0)) == 0.0
+    gradient_matrix(Space.dg(mesh), dg_cfg(sigma=1e-3, lam=-1.0))
 
 
 @pytest.mark.parametrize("lam,symmetric", [(1.0, True), (0.0, False), (-1.0, False)])

@@ -1,5 +1,8 @@
 """Mesh construction, refinement and topology invariants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,25 @@ def test_nvb_children_track_parents(unit_square):
     fine = nvb_refine(unit_square, {0})
     for parent in (0, 1):
         assert (fine.tri_parents == parent).sum() >= 2
+
+
+@pytest.mark.parametrize("refine", ["red", "nvb"])
+def test_refined_mesh_releases_its_parent(lshape, refine):
+    """A refined mesh refers to its parent weakly: without the cyclic
+    garbage collector, the parent dies once its caller drops it, while the
+    refined mesh lives and its reference then returns None."""
+    coarse = red_refine(lshape)
+    fine = (red_refine(coarse) if refine == "red"
+            else nvb_refine(coarse, [0, 5]))
+    assert fine.parent() is coarse
+    watch = weakref.ref(coarse)
+    gc.disable()
+    try:
+        del coarse
+        assert watch() is None
+        assert fine.parent() is None and fine.n_triangles > 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", [UNIT_SQUARE, L_SHAPE, SLIT_SQUARE])

@@ -435,9 +435,10 @@ def _factored_levels(reports):
 def test_krylov_solve_applies_preconditioner_once_per_step(
         lshape, preconditioner, cycles):
     """From a zero start scipy's GMRES applies M to the right-hand side
-    twice; the second application is answered from the first, so the
-    preconditioner runs once per iteration and once per restart cycle, and
-    the solution is bitwise that of the plain GMRES call."""
+    twice; both applications are answered from M rhs, which the caller
+    computes once, so the preconditioner runs once per iteration and once
+    per restart cycle, M rhs included, and the solution is bitwise that of
+    the plain GMRES call."""
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="nitsche", epsilon=0.4)
     space = Space.continuous(red_refine(red_refine(lshape)))
@@ -463,13 +464,62 @@ def test_krylov_solve_applies_preconditioner_once_per_step(
     rtol = 1e-8
     x, iterations = solver._krylov_solve(
         spla.LinearOperator(jac.shape, matvec=counted_product,
-                            dtype=jac.dtype), rhs, counted_precond, rtol)
+                            dtype=jac.dtype), rhs, counted_precond, rtol,
+        counted_precond(rhs))
     # one product per iteration, and one per cycle for its true residual
     assert products - iterations == cycles
     assert calls == iterations + cycles
     plain, info = spla.gmres(
         jac, rhs, rtol=rtol, atol=0.0, restart=solver.KRYLOV_RESTART,
         maxiter=solver.KRYLOV_CYCLES,
+        M=spla.LinearOperator(jac.shape, matvec=precond, dtype=jac.dtype))
+    assert info == 0
+    assert np.array_equal(x, plain)
+
+
+def test_continued_krylov_solve_reuses_preconditioned_rhs(lshape):
+    """A solve that goes on from an earlier solve's result (``x0``), given
+    that solve's M rhs, applies the preconditioner once per iteration and
+    once per restart cycle: scipy's application of M to rhs, for the norm
+    of M rhs, is answered from it.  On this 130-dof system at 1e-8 that is
+    15 iterations and 16 calls, where recomputing M rhs made 17.  The
+    solution is bitwise that of the plain GMRES call from ``x0``."""
+    prob = lshape_problem(0.4)
+    cfg = MethodConfig(method="nitsche", epsilon=0.4)
+    space = Space.continuous(red_refine(red_refine(lshape)))
+    system = NonlinearSystem(space, cfg, prob.g, prob.f)
+    coeffs = np.random.default_rng(3).standard_normal(space.ndof)
+    jac, rhs = system.jacobian(coeffs), -system.residual(coeffs)
+    precond = (solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)).dot
+    calls, products = 0, 0
+
+    def counted_precond(r):
+        nonlocal calls
+        calls += 1
+        return precond(r)
+
+    def counted_product(x):
+        nonlocal products
+        products += 1
+        return jac @ x
+
+    m_rhs = precond(rhs)
+    loose, _ = solver._krylov_solve(jac, rhs, precond,
+                                    solver.KRYLOV_RTOL_CAP, m_rhs)
+    rtol = 1e-8
+    x, iterations = solver._krylov_solve(
+        spla.LinearOperator(jac.shape, matvec=counted_product,
+                            dtype=jac.dtype), rhs, counted_precond, rtol,
+        m_rhs, x0=loose)
+    # one product per iteration, one per cycle for its true residual and
+    # one for the residual at x0
+    cycles = products - iterations - 1
+    assert cycles >= 1
+    assert calls == iterations + cycles
+    assert space.ndof == 130 and (iterations, calls) == (15, 16)
+    plain, info = spla.gmres(
+        jac, rhs, x0=loose, rtol=rtol, atol=0.0,
+        restart=solver.KRYLOV_RESTART, maxiter=solver.KRYLOV_CYCLES,
         M=spla.LinearOperator(jac.shape, matvec=precond, dtype=jac.dtype))
     assert info == 0
     assert np.array_equal(x, plain)
@@ -634,8 +684,8 @@ def test_one_step_level_solves_its_first_step_on(monkeypatch):
     on."""
     calls = []   # (rtol, whether from x0, solution, iterations) per call
 
-    def recording(real, matrix, rhs, precond, rtol, x0=None):
-        out, iterations = real(matrix, rhs, precond, rtol, x0=x0)
+    def recording(real, matrix, rhs, precond, rtol, m_rhs, x0=None):
+        out, iterations = real(matrix, rhs, precond, rtol, m_rhs, x0=x0)
         calls.append((rtol, x0 is not None, out, iterations))
         return out, iterations
 
@@ -677,8 +727,8 @@ def test_failed_continuation_drops_hierarchy_and_factors(monkeypatch):
     restarts on that factor."""
     held, hierarchies, counts = [], [], []
 
-    def failing(real, matrix, rhs, precond, rtol, x0=None):
-        out, iterations = real(matrix, rhs, precond, rtol, x0=x0)
+    def failing(real, matrix, rhs, precond, rtol, m_rhs, x0=None):
+        out, iterations = real(matrix, rhs, precond, rtol, m_rhs, x0=x0)
         counts.append((x0 is not None, iterations))
         return (None if x0 is not None else out), iterations
 
@@ -732,10 +782,10 @@ def test_v_cycle_solve_builds_its_set_up_once(monkeypatch, method):
         steps.append((jac, level, self.setup, space))
         return cycle, level
 
-    def solving(matrix, rhs, precond, rtol, x0=None,
+    def solving(matrix, rhs, precond, rtol, m_rhs, x0=None,
                 real=solver._krylov_solve):
         assert matrix is steps[-1][0]
-        return real(matrix, rhs, precond, rtol, x0=x0)
+        return real(matrix, rhs, precond, rtol, m_rhs, x0=x0)
 
     def marking(*args, hierarchy=None, real=adapt.newton_solve, **kwargs):
         before = len(blocks), len(steps)
@@ -928,14 +978,15 @@ def test_continuous_hierarchy_step_is_the_guess_prolongation(monkeypatch):
                                   getattr(expect, arrays))
 
 
-def _refined_hierarchy(lshape, cfg, rng):
-    """A hierarchy created on the ``cfg`` space of the once-refined L-shape,
+def _refined_hierarchy(coarse_mesh, cfg, rng):
+    """A hierarchy created on the ``cfg`` space of ``coarse_mesh``,
     restarted there on the Jacobian of a random iterate (on dG, the factor
     of its auxiliary operator) and refined once; returns it with the space
-    it was refined to."""
+    it was refined to.  The hierarchy keeps no mesh, so a caller that
+    transfers from ``coarse_mesh`` holds it."""
     prob = lshape_problem(cfg.epsilon)
     make = Space.continuous if cfg.method == "nitsche" else Space.dg
-    coarse_space = make(red_refine(lshape))
+    coarse_space = make(coarse_mesh)
     coarse_jac = NonlinearSystem(coarse_space, cfg, prob.g, prob.f).jacobian(
         rng.standard_normal(coarse_space.ndof))
     hierarchy = Hierarchy(coarse_space)
@@ -957,12 +1008,13 @@ def test_v_cycle_without_intermediate_level_is_two_grid(lshape, method):
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method=method, epsilon=0.4)
     rng = np.random.default_rng(7)
-    hierarchy, space = _refined_hierarchy(lshape, cfg, rng)
+    coarse_mesh = red_refine(lshape)
+    hierarchy, space = _refined_hierarchy(coarse_mesh, cfg, rng)
     aux_space = Space.continuous(space.mesh)
     lu = hierarchy.lu
     jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
         rng.standard_normal(space.ndof))
-    prolongation = prolongation_matrix(Space.continuous(space.mesh.parent),
+    prolongation = prolongation_matrix(Space.continuous(coarse_mesh),
                                        aux_space)
     restriction = prolongation.T.tocsr()
     smooth = solver.SMOOTHER_OMEGA * solver._block_jacobi(jac, space)
@@ -1022,7 +1074,7 @@ def test_auxiliary_operator_is_galerkin_product(lshape, lam):
     prob = lshape_problem(0.4)
     cfg = MethodConfig(method="dg", epsilon=0.4, lam=lam)
     rng = np.random.default_rng(5)
-    hierarchy, space = _refined_hierarchy(lshape, cfg, rng)
+    hierarchy, space = _refined_hierarchy(red_refine(lshape), cfg, rng)
     jac = NonlinearSystem(space, cfg, prob.g, prob.f).jacobian(
         rng.standard_normal(space.ndof))
     _, (aux, _) = hierarchy.preconditioner(jac, space)
@@ -1125,6 +1177,33 @@ def test_solve_levels_releases_coarser_space(monkeypatch, method, refine,
     def recording(space, *args, **kwargs):
         alive.append(sum(ref() is not None for ref in spaces))
         spaces.append(weakref.ref(space))
+        return real(space, *args, **kwargs)
+
+    monkeypatch.setattr(adapt, "newton_solve", recording)
+    gc.disable()
+    try:
+        _study(method, refine, levels)
+    finally:
+        gc.enable()
+    assert alive == [0] * levels
+
+
+@pytest.mark.parametrize("method, refine, levels", [
+    ("nitsche", "uniform", 3), ("dg", "uniform", 3),
+    ("nitsche", "adaptive", 4)])
+def test_solve_levels_releases_coarser_mesh(monkeypatch, method, refine,
+                                            levels):
+    """Without the cyclic garbage collector, no coarser level's mesh that
+    the study refined is alive while a level is solved (the caller holds
+    level 0's mesh, which it passed in): a refined mesh refers to the mesh
+    it refines weakly, so the finest mesh does not keep the study's chain
+    of coarser meshes."""
+    real = adapt.newton_solve
+    meshes, alive = [], []
+
+    def recording(space, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in meshes[1:]))
+        meshes.append(weakref.ref(space.mesh))
         return real(space, *args, **kwargs)
 
     monkeypatch.setattr(adapt, "newton_solve", recording)
