@@ -61,7 +61,6 @@ class RunConfig:
     sigma: float = 10.0
     lam: float = 1.0
     newton_tol: float = 1e-8
-    newton_max_iter: int = 50
     theta: float = 0.3
     state: Optional[str] = None
     initial_refine: Optional[int] = None
@@ -81,7 +80,7 @@ class RunConfig:
                             sigma=self.sigma, lam=self.lam)
 
     def newton_config(self) -> NewtonConfig:
-        return NewtonConfig(tol=self.newton_tol, max_iter=self.newton_max_iter)
+        return NewtonConfig(tol=self.newton_tol)
 
     def pre_refine(self) -> int:
         if self.initial_refine is not None:
@@ -156,7 +155,9 @@ def emit_outputs(table: ConvergenceTable, cfg: RunConfig, out_dir=None):
         meta["initial_refine_effective"] = cfg.pre_refine()
         meta["warm_start"] = ("prolongation" if table.mode == "uniform"
                               else "nvb-prolongation")
-        meta["newton_stopping"] = "discrete norm of increment"
+        meta["newton_stopping"] = (
+            "predicted increment (last increment times residual ratio) or "
+            "increment at most newton_tol")
         meta["newton_iterations_per_level"] = [int(r.newton_iters)
                                                for r in table.records]
         meta["version"] = __version__

@@ -41,11 +41,6 @@ class EstimatorBreakdown:
     theta_bd_edge: np.ndarray
     total: float
 
-    def recompute_total(self) -> float:
-        return float(np.sqrt((self.theta_tri ** 2).sum()
-                             + (self.theta_int_edge ** 2).sum()
-                             + (self.theta_bd_edge ** 2).sum()))
-
 
 def _volume_term(psi: Field, cfg: MethodConfig, f):
     """Per-triangle volume term, its quadrature taken over blocks of

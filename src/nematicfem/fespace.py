@@ -9,7 +9,8 @@ triangle, so neighbouring triangles carry independent copies.
 
 This module owns that layout: only :func:`gather`, :func:`scatter_add`,
 :func:`join`, :func:`componentwise`, :func:`block_diagonal`,
-:class:`CoupledLayout` (the CSR layout of the Newton Jacobian),
+:class:`CoupledLayout` (the CSR layout of the Newton Jacobian, which
+every Jacobian of a level has, its exact zeros stored),
 :func:`vertex_blocks` and :func:`vertex_block_matrix` index coefficients
 by component.
 
@@ -321,7 +322,10 @@ class CoupledLayout:
     array, or ``slice(None)`` when both patterns are one).  Row i holds S's
     row i, then the pattern's row i shifted by nscalar; row nscalar + i the
     pattern's row i, then S's row i shifted.  ``indptr`` and ``indices``
-    are read-only and shared by the matrices built here.  Boolean masks
+    are read-only and shared by the matrices built here, which store every
+    entry of the layout, exact zeros included (those of m12 at a state
+    with v = 0), so their structure does not depend on the state; only a
+    fill-reducing ordering reads it.  Boolean masks
     over the entries of the u rows and of the v rows say where S's entries,
     the diagonal blocks' and the coupling block's go, each in its own
     order, so :meth:`fill` is a few masked writes into one data array.
@@ -363,10 +367,12 @@ class CoupledLayout:
         for arr in (self.indptr, self.indices):
             arr.flags.writeable = False
 
-    def fill(self, m11, m12, m22) -> np.ndarray:
-        """The data, in layout order, of the matrix with the block entries
-        ``m11``, ``m12`` and ``m22`` (in pattern order).  ``m11`` and
-        ``m22`` are overwritten."""
+    def fill(self, m11, m12, m22) -> sp.csr_matrix:
+        """The matrix with the block entries ``m11``, ``m12`` and ``m22``
+        (in pattern order), its exact zeros kept: its data array is filled
+        in layout order and it shares ``indices`` and ``indptr``, so every
+        matrix of a layout has the one structure.  ``m11`` and ``m22`` are
+        overwritten."""
         data = np.empty(len(self.indices))
         half = len(self._linear_u)
         for out, linear_mask, block_mask, coupling_mask, block in (
@@ -380,34 +386,10 @@ class CoupledLayout:
             block += self._linear_on_pattern
             out[block_mask] = block
             out[coupling_mask] = m12
-        return data
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The matrix of the data :meth:`fill` made, with its zero entries
-        dropped.  With no zero entry it shares ``indices`` and ``indptr``;
-        else ``data`` is compacted in place, a block of rows at a time, and
-        shrunk, next to index arrays of the matrix's own, so no second
-        data array of its size is made."""
-        nnz = np.count_nonzero(data)
-        indices, indptr = self.indices, self.indptr
-        if nnz < len(data):
-            indices = np.empty(nnz, dtype=np.int32)
-            indptr = np.empty_like(self.indptr)
-            indptr[0] = end = 0
-            for rows in triangle_blocks(len(indptr) - 1):
-                lo, hi = self.indptr[rows.start], self.indptr[rows.stop]
-                keep = data[lo:hi] != 0
-                kept = np.concatenate([[0], np.cumsum(keep)])
-                indptr[rows.start + 1:rows.stop + 1] = (
-                    end + kept[self.indptr[rows.start + 1:rows.stop + 1] - lo])
-                # end <= lo: the block is read before it is overwritten
-                data[end:end + kept[-1]] = data[lo:hi][keep]
-                indices[end:end + kept[-1]] = self.indices[lo:hi][keep]
-                end += kept[-1]
-            data.resize(nnz, refcheck=False)
-        out = sp.csr_matrix((data, indices, indptr), shape=self.shape)
-        out.has_canonical_format = True
-        return out
+        matrix = sp.csr_matrix((data, self.indices, self.indptr),
+                               shape=self.shape)
+        matrix.has_canonical_format = True
+        return matrix
 
 
 def vertex_blocks(matrix) -> np.ndarray:

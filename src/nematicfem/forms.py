@@ -362,10 +362,9 @@ class NonlinearSystem:
                 + cubic_term_vector(psi, self.cfg) - self.load)
 
     def jacobian(self, coeffs: np.ndarray) -> sp.csr_matrix:
-        """J at ``coeffs``, with only its nonzero entries (the zeros of m12
-        included)."""
+        """J at ``coeffs`` on the system's layout: its index arrays are the
+        layout's, exact zeros (those of m12 at a state with v = 0) stored."""
         # the quartic blocks are released once they are filled in
-        data = self._layout.fill(*(block.data for block in
+        return self._layout.fill(*(block.data for block in
                                    quartic_linearization(
                                        Field(self.space, coeffs), self.cfg)))
-        return self._layout.matrix(data)

@@ -42,16 +42,9 @@ def _full_orbit(a, b, c):
 
 def triangle_rule(degree: int) -> QuadratureRule:
     """Symmetric triangle rule exact for bivariate polynomials of the
-    requested total degree (supported: 1, 2, 4, 6)."""
-    if degree <= 1:
-        pts = [(1 / 3, 1 / 3, 1 / 3)]
-        wts = [1.0]
-        deg = 1
-    elif degree == 2:
-        pts = _symmetric_orbit(1 / 6)
-        wts = [1 / 3] * 3
-        deg = 2
-    elif degree <= 4:
+    requested total degree, at most 6: the degree-4 rule answers any
+    request up to 4."""
+    if degree <= 4:
         pts = _symmetric_orbit(0.445948490915965) + _symmetric_orbit(0.091576213509771)
         wts = [0.223381589678011] * 3 + [0.109951743655322] * 3
         deg = 4

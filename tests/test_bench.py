@@ -105,6 +105,7 @@ def test_meta_covers_every_knob(small_uniform_table, tmp_path):
         assert f.name in meta
     assert meta["version"]
     assert meta["warm_start"]
+    assert "residual" in meta["newton_stopping"]
     assert meta["lam"] == cfg.lam
 
 

@@ -10,16 +10,16 @@ from conftest import constant_fn, embedded, linear_fn, random_field
 from nematicfem.exceptions import (ConfigError, DataEvaluationError,
                                    NestingError, SpaceMismatchError)
 from nematicfem import fespace
-from nematicfem.fespace import (CONTINUOUS, DG, CoupledLayout, Field, Space,
-                                discrete_norm, energy_error_norm,
-                                free_energy, interpolate, l2_error_norm,
-                                l2_norm, prolong, prolongation_matrix)
+from nematicfem.fespace import (CONTINUOUS, DG, Field, Space, discrete_norm,
+                                energy_error_norm, free_energy, interpolate,
+                                l2_error_norm, l2_norm, prolong,
+                                prolongation_matrix)
 from nematicfem.estimator import estimate
-from nematicfem.forms import (MethodConfig, NonlinearSystem, load_vector,
-                              quartic_linearization)
+from nematicfem.forms import MethodConfig, NonlinearSystem, load_vector
 from nematicfem.mesh import Mesh, build_initial_mesh, nvb_refine, red_refine
 from nematicfem.problems import (device_problem, lshape_problem,
                                  slit_problem, trapezoid_profile)
+from nematicfem.quadrature import ASSEMBLY_DEGREE, triangle_rule
 
 
 def test_dof_counts(unit_square):
@@ -375,12 +375,12 @@ def test_free_energy_zero_field(unit_square):
             free_energy(field, epsilon)
 
 
-def test_coupled_layout_drops_zeros_in_place():
-    """A matrix with zero entries (m12 = 0 at a state with v = 0) drops
-    them without a second data array: filling the layout and making the
-    matrix allocate the layout-sized data, the matrix's own index arrays
-    and, per block of ERROR_BLOCK rows, a mask, its running count and the
-    kept entries, each at most 8 bytes per entry of the block."""
+def test_jacobian_keeps_its_layout():
+    """J at a state with zero entries (m12 = 0 where v = 0) keeps them: its
+    index arrays are the layout's, so every Jacobian of a system has one
+    structure.  Building it allocates one layout-sized data array, the
+    data of the three quartic blocks and per-block temporaries (eight
+    (ERROR_BLOCK, Q, 2) arrays of doubles), and no index array."""
     problem = device_problem(0.02)
     mesh = build_initial_mesh(problem.shape)
     for _ in range(7):
@@ -388,24 +388,22 @@ def test_coupled_layout_drops_zeros_in_place():
     space = Space.continuous(mesh)
     cfg = MethodConfig(method="nitsche", epsilon=0.02)
     system = NonlinearSystem(space, cfg, problem.g)
-    layout = CoupledLayout(system.linear_part, space.pattern)
+    layout = system._layout
     coeffs = random_field(space, seed=2).coeffs
     coeffs[space.nscalar:] = 0.0
-    blocks = [m.data for m in quartic_linearization(Field(space, coeffs),
-                                                     cfg)]
-    assert space.ndof >= 2 * fespace.ERROR_BLOCK
+    assert space.mesh.n_triangles >= 2 * fespace.ERROR_BLOCK
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        jac = layout.matrix(layout.fill(*blocks))
+        jac = system.jacobian(coeffs)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert jac.nnz < len(layout.indices)
-    reference = system.jacobian(coeffs)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(jac, name), getattr(reference, name))
-    longest = int(np.diff(layout.indptr).max())
-    block = 4 * 8 * fespace.ERROR_BLOCK * longest
-    assert peak <= (8 * len(layout.indices) + jac.indices.nbytes
-                    + jac.indptr.nbytes + block)
+    for name in ("indices", "indptr"):
+        ours, its = getattr(jac, name), getattr(layout, name)
+        assert ours.shape == its.shape and np.shares_memory(ours, its)
+    assert np.count_nonzero(jac.data) < jac.nnz == len(layout.indices)
+    nq = len(triangle_rule(ASSEMBLY_DEGREE).weights)
+    block = 8 * fespace.ERROR_BLOCK * nq * 2 * 8
+    blocks = 3 * 8 * len(space.pattern.indices)
+    assert peak <= 8 * len(layout.indices) + blocks + block

@@ -362,11 +362,10 @@ def test_newton_step_memory_is_bounded(method, refinements):
     device mesh of several blocks of ERROR_BLOCK triangles stay within
     what their design holds at once.  The linearization: the data of its
     three blocks on the element pattern and per-block temporaries.  J: its
-    own arrays, those three blocks' data and per-block temporaries (the
-    blocks are released before J drops its zeros, and J has its own
-    index arrays only then).  The residual: four coefficient
-    vectors (the linear part's product and its transposed copy, the cubic
-    term and a sum) and per-block temporaries.  A block's temporaries are
+    data array, those three blocks' data and per-block temporaries (J's
+    index arrays are its layout's, built with the system).  The residual:
+    four coefficient vectors (the linear part's product and its transposed
+    copy, the cubic term and a sum) and per-block temporaries.  A block's temporaries are
     the values at its quadrature points and a few arrays of that size or
     half of it, the kernels and the local entries: eight (ERROR_BLOCK, Q,
     2) arrays of doubles bound them."""
@@ -389,8 +388,7 @@ def test_newton_step_memory_is_bounded(method, refinements):
     assert peak <= blocks + block
 
     jac, peak = _traced_peak(lambda: system.jacobian(coeffs))
-    own = jac.data.nbytes + jac.indices.nbytes + jac.indptr.nbytes
-    assert peak <= own + blocks + block
+    assert peak <= jac.data.nbytes + blocks + block
 
     _, peak = _traced_peak(lambda: system.residual(coeffs))
     assert peak <= 4 * 8 * space.ndof + block

@@ -316,8 +316,11 @@ def test_system_matches_system_size_reference(case, state):
     """Jacobian and residual from the scalar linear part equal, bitwise,
     those from the system-size operators: the kron-expanded gradient plus
     bulk matrix and the block matrix of the quartic linearization, whose
-    CSR sum keeps no zero entry.  The v-free state makes every entry of
-    the off-diagonal quartic block zero."""
+    CSR sum keeps no zero entry.  J keeps its layout, so it equals the
+    reference once its zeros are dropped, and every entry it stores
+    outside the reference's structure is exactly 0.0.  The v-free state
+    makes every entry of the off-diagonal quartic block zero; the random
+    state stores no zero."""
     space, psi, cfg = case
     problem = lshape_problem(EPSILON)
     coeffs = psi.coeffs.copy()
@@ -334,7 +337,16 @@ def test_system_matches_system_size_reference(case, state):
                 - system.load)
 
     jac = system.jacobian(coeffs)
-    _same_csr(jac, jacobian)
+    kept = jac.copy()
+    kept.eliminate_zeros()
+    _same_csr(kept, jacobian)
+    n = jac.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(jac.indptr))
+    ref_rows = np.repeat(np.arange(n), np.diff(jacobian.indptr))
+    beyond = ~np.isin(rows * n + jac.indices,
+                      ref_rows * n + jacobian.indices)
+    assert np.all(jac.data[beyond] == 0.0)
+    assert beyond.any() == (state == "v-free")
     # J's arrays are its own, not views into the larger buffer of a sum
     for arr in (jac.data, jac.indices):
         assert arr.base is None or arr.base.nbytes == arr.nbytes
@@ -344,8 +356,7 @@ def test_system_matches_system_size_reference(case, state):
 @pytest.mark.parametrize("state", ["random", "v-free"])
 def test_system_does_not_depend_on_block_size(case, state, monkeypatch):
     """The quartic and cubic kernels and the source term run over blocks of
-    ERROR_BLOCK triangles, and J drops its zeros over blocks of as many
-    rows.  Blocks of 7 and blocks of all triangles but one (the last
+    ERROR_BLOCK triangles.  Blocks of 7 and blocks of all triangles but one (the last
     block a lone triangle) give the one-block Jacobian and residual bit
     for bit."""
     space, psi, cfg = case
